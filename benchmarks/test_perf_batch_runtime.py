@@ -17,8 +17,8 @@ Each workload runs three configurations:
   scan, broadcast calibration, the packed Algorithm 1 distance kernel);
 * **batch warm** — the same pipeline re-analyzing identical data, the
   operational steady state (``analyze`` → ``schedule`` → ``dashboard``
-  all replay the same window): content-addressed transform + peak +
-  distance caches serve the heavy stages.
+  all replay the same window): the content-addressed transform row memo
+  and the peak + distance caches serve the heavy stages.
 
 Gates (minimum over rounds, parity asserted on the results so every
 speedup is for *bit-identical* outputs):
@@ -50,7 +50,7 @@ import pytest
 from common import rul_fleet
 from repro.core.classify import ZONE_A, ZONE_BC, ZONE_D
 from repro.core.pipeline import AnalysisPipeline, PipelineConfig
-from repro.runtime import BatchPipeline, PeakFeatureCache, TransformCache
+from repro.runtime import BatchPipeline, PeakFeatureCache
 
 pytestmark = pytest.mark.perf
 
@@ -123,11 +123,7 @@ def workload():
 
 
 def fresh_batch() -> BatchPipeline:
-    return BatchPipeline(
-        PipelineConfig(),
-        cache=PeakFeatureCache(),
-        transform_cache=TransformCache(),
-    )
+    return BatchPipeline(PipelineConfig(), cache=PeakFeatureCache())
 
 
 def test_perf_scalar_reference(benchmark, workload):
@@ -161,7 +157,7 @@ def test_perf_batch_warm(benchmark, workload):
         lambda: pipeline.run(ids, days, blocks, labels), rounds=ROUNDS, iterations=1
     )
     _TIMINGS["batch_warm"] = benchmark.stats.stats.min
-    assert pipeline.transform_cache.hits > 0
+    assert pipeline.transform_hits >= ids.size
     assert result.da.size == ids.size
 
 
@@ -225,9 +221,7 @@ def test_perf_fleet_scale_speedup(fleet_workload):
         return result, time.perf_counter() - start
 
     def fresh():
-        return BatchPipeline(
-            config, cache=PeakFeatureCache(), transform_cache=TransformCache()
-        )
+        return BatchPipeline(config, cache=PeakFeatureCache())
 
     # Untimed warmup: faults in allocator arenas and FFT plan caches at
     # fleet scale so the timed rounds measure compute, not first-touch.

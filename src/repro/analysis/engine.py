@@ -23,7 +23,6 @@ from repro.core.rul import RULPrediction
 from repro.runtime.batch import DEFAULT_CHUNK_ROWS, BatchPipeline, finite_block_mask
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.fleet import FleetExecutor, SupervisionPolicy, SupervisionReport
-from repro.runtime.incremental import IncrementalPipelineSession
 from repro.runtime.profile import RuntimeProfile
 from repro.storage.api import DataRetrievalAPI
 from repro.storage.records import MaintenanceEvent
@@ -63,10 +62,6 @@ class EngineConfig:
             processes cannot see an in-memory SQLite, so in-memory
             engines silently fall back to threads (results are
             bit-identical either way).
-        incremental: reuse cached per-row transform features across
-            rolling-window advances — each engine run transforms only
-            measurements it has never seen.  Bit-identical to a cold
-            run; requires the batch runtime.
         supervision: optional
             :class:`~repro.runtime.fleet.SupervisionPolicy` arming the
             fleet executor's self-healing path (deadlines, bounded
@@ -84,7 +79,6 @@ class EngineConfig:
     use_batch_runtime: bool = True
     max_workers: int | None = None
     executor_backend: str = "thread"
-    incremental: bool = False
     supervision: SupervisionPolicy | None = None
     checkpoint_dir: str | None = None
 
@@ -246,7 +240,6 @@ class VibrationAnalysisEngine:
         self.config = config or EngineConfig()
         self.executor = executor
         self._pipeline: AnalysisPipeline | None = None
-        self._session: IncrementalPipelineSession | None = None
 
     def _resolve_backend(self) -> str:
         """Honour a process-backend request only for file-backed DBs.
@@ -266,8 +259,9 @@ class VibrationAnalysisEngine:
         """Pipeline instance per the configured runtime path.
 
         Built once and reused across runs so content-addressed caches —
-        and the incremental session's per-row features — survive
-        rolling-window advances of the same engine.
+        the peak cache and the batch pipeline's transform row memo —
+        survive rolling-window advances: a refresh transforms only the
+        measurements the previous run did not see.
         """
         if self._pipeline is not None:
             return self._pipeline
@@ -286,8 +280,6 @@ class VibrationAnalysisEngine:
             pipeline = BatchPipeline(
                 self.config.pipeline, executor=executor, checkpoint=checkpoint
             )
-            if self.config.incremental:
-                self._session = IncrementalPipelineSession(pipeline)
         else:
             pipeline = AnalysisPipeline(self.config.pipeline)
         self._pipeline = pipeline
@@ -359,11 +351,7 @@ class VibrationAnalysisEngine:
             getattr(pipeline, "executor", None), "supervision_report", None
         )
         sup_before = sup_tally.as_dict() if sup_tally is not None else None
-        if self._session is not None:
-            result = self._session.run(
-                pumps, service, samples, train_labels, profile=profile
-            )
-        elif isinstance(pipeline, BatchPipeline):
+        if isinstance(pipeline, BatchPipeline):
             result = pipeline.run(pumps, service, samples, train_labels, profile=profile)
         elif profile is not None:
             with profile.stage("pipeline(scalar)", int(pumps.size)):

@@ -302,44 +302,12 @@ class AnalysisPipeline:
         days = np.asarray(service_days, dtype=np.float64)
         blocks = np.asarray(samples, dtype=np.float64)
         self._validate_inputs(ids, days, blocks, train_labels)
-
-        with self._stage("transform", ids.shape[0]):
-            offsets, rms, psd = self.transform(blocks)
-        return self.run_from_features(ids, days, offsets, rms, psd, train_labels)
-
-    def run_from_features(
-        self,
-        pump_ids: np.ndarray,
-        service_days: np.ndarray,
-        offsets: np.ndarray,
-        rms: np.ndarray,
-        psd: np.ndarray,
-        train_labels: dict[int, str],
-    ) -> PipelineResult:
-        """Execute the workflow from precomputed transform outputs.
-
-        Everything downstream of the data transformation layer —
-        preprocessing, classifier training, ``D_a`` scoring, zone
-        classification and the RUL layer.  :meth:`run` delegates here
-        after transforming raw blocks; incremental callers that cache the
-        per-measurement transform triple across rolling-window advances
-        enter here directly with the merged features.
-
-        Args:
-            pump_ids: pump identifier per measurement, shape ``(n,)``.
-            service_days: pump service time (days) per measurement.
-            offsets: ``(n, 3)`` acceleration averages.
-            rms: ``(n,)`` RMS features.
-            psd: ``(n, K)`` PSD feature matrix.
-            train_labels: mapping from measurement index to expert label.
-
-        Returns:
-            PipelineResult with every layer's artifacts.
-        """
-        ids = np.asarray(pump_ids)
-        days = np.asarray(service_days, dtype=np.float64)
-        self._validate_inputs(ids, days, psd, train_labels)
         n = ids.shape[0]
+
+        # No stage wrapper here: the batch runtime times its transform
+        # itself, because only it knows how many rows its row memo
+        # actually sent through the DCT.
+        offsets, rms, psd = self.transform(blocks)
 
         with self._stage("preprocess", n):
             valid = self.preprocess(ids, offsets, days)

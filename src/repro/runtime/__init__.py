@@ -9,15 +9,13 @@ analytical code:
 * :class:`~repro.runtime.batch.BatchPipeline` — the whole measurement
   matrix through vectorized kernels (single 2-D DCT, one-shot Hann
   smoothing, vectorized local-maxima scan), bit-identical to the scalar
-  reference (the parity tests enforce it);
+  reference (the parity tests enforce it); a row memo keyed by content
+  digest makes a rolling-window refresh transform only its new rows;
 * :class:`~repro.runtime.fleet.FleetExecutor` — per-pump RUL and
   diagnosis chains fanned across worker threads or processes with
   chunked scheduling and deterministic result ordering (the process
   backend ships large matrices through shared memory, see
   :mod:`repro.runtime.shm`);
-* :class:`~repro.runtime.incremental.IncrementalPipelineSession` —
-  rolling-window analysis that transforms only never-seen measurement
-  rows, recalling the overlap from a content-addressed per-row store;
 * :class:`~repro.runtime.cache.PeakFeatureCache` — memoized exemplar
   peaks / per-row peak features / peak distances keyed by config hash
   and data digest, so repeated scoring of the same rows (classifier
@@ -31,7 +29,6 @@ from repro.runtime.batch import BatchPeakHarmonicFeature, BatchPipeline
 from repro.runtime.cache import (
     ModelFitCache,
     PeakFeatureCache,
-    TransformCache,
     default_model_fit_cache,
     default_peak_cache,
 )
@@ -44,7 +41,6 @@ from repro.runtime.fleet import (
     SupervisionReport,
     WorkerKilledError,
 )
-from repro.runtime.incremental import IncrementalPipelineSession
 from repro.runtime.profile import RuntimeProfile, StageStats
 from repro.runtime.shm import SharedArray, SharedArraySpec, attached_view
 
@@ -54,7 +50,6 @@ __all__ = [
     "BatchPipeline",
     "CheckpointManager",
     "FleetExecutor",
-    "IncrementalPipelineSession",
     "ModelFitCache",
     "PeakFeatureCache",
     "RuntimeProfile",
@@ -64,7 +59,6 @@ __all__ = [
     "SupervisionExhaustedError",
     "SupervisionPolicy",
     "SupervisionReport",
-    "TransformCache",
     "WorkerKilledError",
     "attached_view",
     "default_model_fit_cache",

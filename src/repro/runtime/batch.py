@@ -6,7 +6,8 @@ per-measurement loops with whole-matrix kernels:
 
 * **transform** — one batched DCT-II over ``(n, K, 3)`` plus broadcast
   mean-offset calibration and a vectorized RMS reduction, instead of
-  ``n`` separate FFT calls;
+  ``n`` separate FFT calls; rows the previous call already transformed
+  are recalled from a content-keyed row memo;
 * **feature extraction** — :class:`BatchPeakHarmonicFeature` smooths and
   scans every PSD row at once (``smooth_hann_batch`` + the vectorized
   local-maxima mask) and memoizes exemplar peaks / per-row peak features
@@ -25,6 +26,7 @@ production runtime on top of it.
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 
@@ -43,9 +45,9 @@ from repro.core.pipeline import AnalysisPipeline, PipelineConfig, PipelineResult
 from repro.core.rul import RULEstimator, RULPrediction
 from repro.runtime.cache import (
     PeakFeatureCache,
-    TransformCache,
     array_digest,
     default_peak_cache,
+    row_digests,
 )
 from repro.runtime.fleet import FleetExecutor
 from repro.runtime.profile import RuntimeProfile
@@ -57,7 +59,7 @@ from repro.runtime.shm import SharedArray, SharedArraySpec, attached_view
 DEFAULT_CHUNK_ROWS = 8192
 
 #: Rows per transform compute tile *within* a chunk.  The chunk is the
-#: content-addressed cache unit; the tile is the unit of actual compute.
+#: checkpoint journal's unit; the tile is the unit of actual compute.
 #: Small tiles keep the working set (normalized block, transposed DCT
 #: scratch) inside a few MiB that the two preallocated buffers recycle,
 #: instead of faulting in hundreds of MiB of fresh temporaries per
@@ -248,7 +250,6 @@ class BatchPipeline(AnalysisPipeline):
         config: PipelineConfig | None = None,
         executor: FleetExecutor | None = None,
         cache: PeakFeatureCache | None = None,
-        transform_cache: TransformCache | None = None,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
         checkpoint=None,
     ):
@@ -257,15 +258,18 @@ class BatchPipeline(AnalysisPipeline):
             raise ValueError("chunk_rows must be positive")
         self.executor = executor if executor is not None else FleetExecutor()
         self.cache = cache if cache is not None else default_peak_cache()
-        self.transform_cache = (
-            transform_cache if transform_cache is not None else TransformCache()
-        )
         self.chunk_rows = chunk_rows
         #: Optional :class:`~repro.runtime.checkpoint.CheckpointManager`;
         #: when armed, every completed transform chunk is journaled and
-        #: recalled on resume, and warm transform-cache hits are
-        #: revalidated against the manifest's superseded set.
+        #: recalled on resume.
         self.checkpoint = checkpoint
+        #: Row memo of the last :meth:`transform` call: row digest →
+        #: row index into that call's frozen ``(offsets, rms, psd)``.
+        self._memo_rows: dict[bytes, int] = {}
+        self._memo_outputs: tuple[np.ndarray, ...] = ()
+        #: Rows recalled from / missing in the row memo, cumulative.
+        self.transform_hits = 0
+        self.transform_misses = 0
         self._profile: RuntimeProfile | None = None
 
     # ------------------------------------------------------------------
@@ -287,77 +291,101 @@ class BatchPipeline(AnalysisPipeline):
         broadcast reductions the scalar helpers apply per row, so all
         three outputs are bit-identical to
         :meth:`AnalysisPipeline.transform`.
+
+        Rows are memoized by content.  Each row is digested once
+        (:func:`~repro.runtime.cache.row_digests`); a row the previous
+        call also saw is gathered from that call's frozen result
+        matrices, and only the other rows — compacted — go through the
+        chunk loop.  A rolling-window refresh therefore transforms just
+        its new tail.  Every transform op is row-local, so gathered and
+        recomputed rows are bit-identical to a cold run.  The memo holds
+        the last call's outputs only, and those are the arrays this call
+        returns: read-only, so no alias can change a memoized row.
         """
+        start = time.perf_counter()
         blocks = np.asarray(samples, dtype=np.float64)
         if blocks.ndim != 3 or blocks.shape[2] != 3:
             raise ValueError(f"samples must have shape (n, K, 3), got {blocks.shape}")
         n, k = blocks.shape[0], blocks.shape[1]
         if n and k < 2:
             raise ValueError("measurement must contain at least 2 samples")
+        digests = row_digests(blocks)
+        seen = self._memo_rows
+        hit: list[int] = []
+        source: list[int] = []
+        miss: list[int] = []
+        for row, digest in enumerate(digests):
+            index = seen.get(digest)
+            if index is None:
+                miss.append(row)
+            else:
+                hit.append(row)
+                source.append(index)
+        if hit:
+            outputs = (np.empty((n, 3)), np.empty(n), np.empty((n, k)))
+            for out, previous in zip(outputs, self._memo_outputs):
+                out[hit] = previous[source]
+            computed = 0
+            if miss:
+                *fresh, computed = self._transform_chunks(blocks[miss])
+                for out, rows in zip(outputs, fresh):
+                    out[miss] = rows
+        else:
+            *outputs, computed = self._transform_chunks(blocks)
+        for out in outputs:
+            out.setflags(write=False)
+        self._memo_rows = dict(zip(digests, range(n)))
+        self._memo_outputs = tuple(outputs)
+        self.transform_hits += len(hit)
+        self.transform_misses += len(miss)
+        if self._profile is not None:
+            self._profile.add("transform", time.perf_counter() - start, computed)
+        return self._memo_outputs
+
+    def _transform_chunks(
+        self, blocks: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Transform every row of ``blocks`` chunk by chunk.
+
+        With a checkpoint armed, each chunk is first looked up in the
+        journal by its input digest and every computed chunk is journaled
+        the moment it completes.  Returns ``(offsets, rms, psd,
+        computed)``, where ``computed`` counts the rows actually
+        transformed rather than recalled from the journal.
+        """
+        n, k = blocks.shape[0], blocks.shape[1]
         offsets = np.empty((n, 3))
         rms = np.empty(n)
         psd = np.empty((n, k))
         ckpt = self.checkpoint
-        missed: list[tuple[int, int, int, bytes]] = []
-        resumed: list[tuple[int, int, int, bytes]] = []
+        missed: list[tuple[int, int, int, bytes | None]] = []
         for index, lo in enumerate(range(0, n, self.chunk_rows)):
             hi = min(lo + self.chunk_rows, n)
-            # Content-addressed transform memo: measurement blocks are
-            # immutable, so one digest pass (~5x cheaper than the DCT
-            # pipeline) recalls the whole chunk on re-analysis.
-            chunk_key = array_digest(blocks[lo:hi])
-            cached = self.transform_cache.get(chunk_key)
-            if cached is not None and ckpt is not None and not ckpt.is_current(
-                chunk_key
-            ):
-                # A later run overwrote this chunk slot: the warm entry
-                # must not resurrect superseded output.  Recompute.
-                self.transform_cache.invalidate(chunk_key)
-                cached = None
-            if cached is not None:
-                offsets[lo:hi], rms[lo:hi], psd[lo:hi] = cached
-                continue
+            chunk_key = None
             if ckpt is not None:
+                chunk_key = array_digest(blocks[lo:hi])
                 journaled = ckpt.load_chunk(index, chunk_key)
                 if journaled is not None:
                     offsets[lo:hi], rms[lo:hi], psd[lo:hi] = journaled
-                    resumed.append((index, lo, hi, chunk_key))
                     continue
             missed.append((index, lo, hi, chunk_key))
-        if self._use_process_transform(missed):
+        in_processes = self._use_process_transform(missed)
+        if in_processes:
             self._transform_chunks_in_processes(blocks, missed, offsets, rms, psd)
-            if ckpt is not None:
-                for index, lo, hi, chunk_key in missed:
-                    ckpt.record_chunk(
-                        index, lo, hi, chunk_key,
-                        offsets[lo:hi], rms[lo:hi], psd[lo:hi],
-                    )
-        else:
-            for index, lo, hi, chunk_key in missed:
+        for index, lo, hi, chunk_key in missed:
+            if not in_processes:
                 _transform_tiled(blocks, lo, hi, offsets, rms, psd)
-                # Journal each chunk the moment it completes, so a crash
-                # mid-run resumes from here rather than from scratch.
-                if ckpt is not None:
-                    ckpt.record_chunk(
-                        index, lo, hi, chunk_key,
-                        offsets[lo:hi], rms[lo:hi], psd[lo:hi],
-                    )
-        if missed or resumed:
-            # Ownership transfer: freeze the result buffers and store the
-            # missed chunks as views instead of copies — copying
-            # fleet-scale PSD chunks costs more than the cache recall
-            # saves.  Cold-path callers therefore receive read-only
-            # arrays; every downstream stage treats them as immutable.
-            offsets.setflags(write=False)
-            rms.setflags(write=False)
-            psd.setflags(write=False)
-            for _, lo, hi, chunk_key in missed + resumed:
-                self.transform_cache.put_owned(
-                    chunk_key, offsets[lo:hi], rms[lo:hi], psd[lo:hi]
+            # Journal each chunk the moment it completes, so a crash
+            # mid-run resumes from here rather than from scratch.
+            if ckpt is not None:
+                ckpt.record_chunk(
+                    index, lo, hi, chunk_key, offsets[lo:hi], rms[lo:hi], psd[lo:hi]
                 )
-        return offsets, rms, psd
+        return offsets, rms, psd, sum(hi - lo for _, lo, hi, _ in missed)
 
-    def _use_process_transform(self, missed: list[tuple[int, int, int, bytes]]) -> bool:
+    def _use_process_transform(
+        self, missed: list[tuple[int, int, int, bytes | None]]
+    ) -> bool:
         """Process-parallel transform only when it can actually pay off.
 
         Requires the executor's process backend (opt-in), more than one
@@ -373,7 +401,7 @@ class BatchPipeline(AnalysisPipeline):
     def _transform_chunks_in_processes(
         self,
         blocks: np.ndarray,
-        missed: list[tuple[int, int, int, bytes]],
+        missed: list[tuple[int, int, int, bytes | None]],
         offsets: np.ndarray,
         rms: np.ndarray,
         psd: np.ndarray,
@@ -448,10 +476,9 @@ class BatchPipeline(AnalysisPipeline):
     ) -> PipelineResult:
         """Execute the full workflow through the batched kernels.
 
-        The orchestration is the shared
-        :meth:`AnalysisPipeline.run` / :meth:`run_from_features` sequence;
-        this wrapper only arms the profiler so every ``_stage`` context
-        collects wall-clock timings and cache/executor counters.
+        The orchestration is the shared :meth:`AnalysisPipeline.run`
+        sequence; this wrapper only arms the profiler so every ``_stage``
+        context collects wall-clock timings and cache/executor counters.
 
         Args:
             pump_ids: pump identifier per measurement, shape ``(n,)``.
@@ -467,27 +494,6 @@ class BatchPipeline(AnalysisPipeline):
         with self._profiled(profile):
             return super().run(pump_ids, service_days, samples, train_labels)
 
-    def run_from_features(
-        self,
-        pump_ids: np.ndarray,
-        service_days: np.ndarray,
-        offsets: np.ndarray,
-        rms: np.ndarray,
-        psd: np.ndarray,
-        train_labels: dict[int, str],
-        profile: RuntimeProfile | None = None,
-    ) -> PipelineResult:
-        """Post-transform workflow with optional profiling (see base)."""
-        if profile is None and self._profile is not None:
-            # Nested inside an armed run(): keep the active profile.
-            return super().run_from_features(
-                pump_ids, service_days, offsets, rms, psd, train_labels
-            )
-        with self._profiled(profile):
-            return super().run_from_features(
-                pump_ids, service_days, offsets, rms, psd, train_labels
-            )
-
     def _profiled(self, profile: RuntimeProfile | None):
         """Arm ``profile`` for the duration of a run, settling counters."""
 
@@ -495,7 +501,7 @@ class BatchPipeline(AnalysisPipeline):
         def armed():
             self._profile = profile
             hits0, misses0 = self.cache.hits, self.cache.misses
-            t_hits0, t_misses0 = self.transform_cache.hits, self.transform_cache.misses
+            t_hits0, t_misses0 = self.transform_hits, self.transform_misses
             ckpt = self.checkpoint
             c_hits0, c_misses0 = (
                 (ckpt.hits, ckpt.misses) if ckpt is not None else (0, 0)
@@ -507,11 +513,9 @@ class BatchPipeline(AnalysisPipeline):
                 if profile is not None:
                     profile.count("peak_cache_hits", self.cache.hits - hits0)
                     profile.count("peak_cache_misses", self.cache.misses - misses0)
+                    profile.count("transform_cache_hits", self.transform_hits - t_hits0)
                     profile.count(
-                        "transform_cache_hits", self.transform_cache.hits - t_hits0
-                    )
-                    profile.count(
-                        "transform_cache_misses", self.transform_cache.misses - t_misses0
+                        "transform_cache_misses", self.transform_misses - t_misses0
                     )
                     profile.count("fleet_workers", self.executor.max_workers)
                     if ckpt is not None:

@@ -36,6 +36,19 @@ def array_digest(arr: np.ndarray) -> bytes:
     return digest.digest()
 
 
+def row_digests(blocks: np.ndarray) -> list[bytes]:
+    """SHA-1 digest of each row's float64 bytes, in row order.
+
+    The key of the batch pipeline's transform row memo.  Rows of equal
+    digest hold equal bytes — hence equal length and equal transform
+    output — so no shape prefix is needed.  A key is the row's content,
+    never its measurement id: a row rewritten under the same id (a
+    replaced upload, injected corruption) gets a new key.
+    """
+    data = np.ascontiguousarray(blocks, dtype=np.float64)
+    return [hashlib.sha1(row).digest() for row in data]
+
+
 class PeakFeatureCache:
     """Bounded, thread-safe memo for peak features and peak distances.
 
@@ -343,107 +356,6 @@ class PeakFeatureCache:
         digest.update(freqs.data)
         digest.update(vals.data)
         return digest.digest()
-
-
-class TransformCache:
-    """Small content-addressed memo for transform-layer outputs.
-
-    Measurement blocks are immutable sensor data, so the transform layer
-    is a pure function of the raw byte content — and the operational loop
-    (``analyze`` → ``schedule`` → ``dashboard``, periodic re-analysis of
-    a mostly-unchanged window) recomputes it on identical inputs.  One
-    SHA-1 pass over the raw chunk (~5× cheaper than the batched DCT
-    pipeline itself) retrieves the ``(offsets, rms, psd)`` triple.
-
-    Entries hold full PSD matrices, so the store is kept *small* (a few
-    chunks, FIFO-evicted) rather than sharing the peak cache's large
-    entry budget.  Cached arrays are treated as immutable; hits return
-    copies so callers can never corrupt the store.
-    """
-
-    def __init__(self, max_entries: int = 4):
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self._store: OrderedDict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = (
-            OrderedDict()
-        )
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._store.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def invalidate(self, key: bytes) -> None:
-        """Drop one entry (no-op when absent).
-
-        The batch pipeline calls this when a checkpoint manifest marks a
-        chunk digest as superseded — a stale warm entry must never
-        resurrect a chunk that a later run overwrote.
-        """
-        with self._lock:
-            self._store.pop(key, None)
-
-    def get(self, key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Cached ``(offsets, rms, psd)`` for a raw-chunk digest, or None."""
-        with self._lock:
-            entry = self._store.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            offsets, rms, psd = entry
-        return offsets.copy(), rms.copy(), psd.copy()
-
-    def put(
-        self,
-        key: bytes,
-        offsets: np.ndarray,
-        rms: np.ndarray,
-        psd: np.ndarray,
-    ) -> None:
-        # Store private copies: callers typically pass views into their
-        # own (mutable, possibly short-lived) result buffers.
-        entry = (offsets.copy(), rms.copy(), psd.copy())
-        with self._lock:
-            self._store[key] = entry
-            while len(self._store) > self.max_entries:
-                self._store.popitem(last=False)
-
-    def put_owned(
-        self,
-        key: bytes,
-        offsets: np.ndarray,
-        rms: np.ndarray,
-        psd: np.ndarray,
-    ) -> None:
-        """Store arrays the caller hands over, without defensive copies.
-
-        Contract: the caller transfers ownership and must have frozen
-        every base buffer (``setflags(write=False)``) so no alias can
-        mutate the stored entry afterwards.  The batch pipeline uses
-        this on the cold path, where copying fleet-scale PSD chunks
-        would cost more than the transform cache saves.
-
-        Raises:
-            ValueError: if any array (or its base buffer) is writable.
-        """
-        for arr in (offsets, rms, psd):
-            base = arr.base if arr.base is not None else arr
-            if arr.flags.writeable or getattr(base, "flags", base).writeable:
-                raise ValueError("put_owned requires frozen (read-only) arrays")
-        entry = (offsets, rms, psd)
-        with self._lock:
-            self._store[key] = entry
-            while len(self._store) > self.max_entries:
-                self._store.popitem(last=False)
 
 
 class ModelFitCache:

@@ -19,10 +19,9 @@ of restarting from scratch.  Resume is *idempotent and bit-identical*:
 
 The manifest also keeps a *superseded* set: when a chunk slot is
 re-recorded with different input bytes, the old input digest is added to
-it.  :meth:`CheckpointManager.is_current` lets the
-:class:`~repro.runtime.cache.TransformCache` revalidate warm hits after
-an interrupted run, so a stale in-memory entry can never resurrect a
-superseded chunk (see ``BatchPipeline.transform``).
+it (and re-recording a digest removes it again).  It is a record for the
+operator only — the pipeline's in-memory row memo is keyed by row
+content, so no warm hit needs revalidating against it.
 
 Format (``manifest.json``, version 1)::
 
@@ -146,15 +145,6 @@ class CheckpointManager:
     def chunk_count(self) -> int:
         """Completed chunks currently journaled."""
         return len(self._manifest["chunks"])
-
-    def is_current(self, input_digest: bytes) -> bool:
-        """False when a chunk with these input bytes has been superseded.
-
-        The transform cache calls this on every warm hit while a
-        checkpoint is armed: a digest that some later run overwrote must
-        not be served from memory.
-        """
-        return input_digest.hex() not in self._manifest["superseded"]
 
     @staticmethod
     def _output_digest(

@@ -19,7 +19,6 @@ from repro.runtime import (
     BatchPipeline,
     FleetExecutor,
     PeakFeatureCache,
-    TransformCache,
 )
 
 from .conftest import make_workload
@@ -28,7 +27,6 @@ from .conftest import make_workload
 def fresh_batch(config: PipelineConfig | None = None, **kwargs) -> BatchPipeline:
     """A BatchPipeline with private caches (no cross-test pollution)."""
     kwargs.setdefault("cache", PeakFeatureCache())
-    kwargs.setdefault("transform_cache", TransformCache())
     return BatchPipeline(config, **kwargs)
 
 
@@ -165,7 +163,9 @@ class TestFullRunParity:
         batch = fresh_batch()
         batch.run(ids, days, blocks, labels)
         warm = batch.run(ids, days, blocks, labels)
-        assert batch.transform_cache.hits > 0
+        # Every row of the rerun comes from the transform row memo.
+        assert batch.transform_hits == blocks.shape[0]
+        assert batch.transform_misses == blocks.shape[0]
         assert batch.cache.hits > 0
         assert_results_identical(scalar, warm)
 

@@ -1,8 +1,9 @@
 """Eviction and collision-adjacent tests for the runtime caches.
 
 The caches are content-addressed: digest equality is the only identity.
-These tests pin the two properties that keep that safe — FIFO eviction
-under a bounded budget, and *no aliasing* between arrays that share a
+These tests pin the two properties that keep that safe — bounded
+eviction (FIFO for the peak cache, last-call replacement for the
+transform row memo), and *no aliasing* between arrays that share a
 shape (or byte length) but differ in content.
 """
 
@@ -12,9 +13,9 @@ import numpy as np
 import pytest
 
 from repro.core.peaks import HarmonicPeaks
+from repro.runtime.batch import BatchPipeline
 from repro.runtime.cache import (
     PeakFeatureCache,
-    TransformCache,
     array_digest,
     default_peak_cache,
 )
@@ -139,56 +140,64 @@ class TestPeakFeatureCacheEviction:
 
 
 class TestTransformCacheEviction:
-    def entry(self, seed: int):
-        gen = np.random.default_rng(seed)
-        return gen.random(4), gen.random(4), gen.random((4, 8))
+    """The batch pipeline's transform row memo keeps the last call only."""
 
-    def test_bounded_fifo(self):
-        cache = TransformCache(max_entries=2)
-        for i in range(4):
-            cache.put(bytes([i]), *self.entry(i))
-        assert len(cache) == 2
-        assert cache.get(bytes([0])) is None
-        assert cache.get(bytes([1])) is None
-        assert cache.get(bytes([3])) is not None
+    def rows(self, seed: int, n: int = 4):
+        return np.random.default_rng(seed).normal(size=(n, 16, 3))
+
+    def test_bounded_to_last_call(self):
+        pipeline = BatchPipeline(cache=PeakFeatureCache())
+        a, b = self.rows(0), self.rows(1)
+        pipeline.transform(a)
+        pipeline.transform(b)  # replaces a's rows entirely
+        pipeline.transform(a)
+        assert pipeline.transform_hits == 0
+        assert pipeline.transform_misses == 12
 
     def test_hits_return_copies_not_views(self):
-        """Mutating a hit must never corrupt the stored entry."""
-        cache = TransformCache(max_entries=2)
-        offsets, rms, psd = self.entry(5)
-        cache.put(b"k", offsets, rms, psd)
-        got_offsets, got_rms, got_psd = cache.get(b"k")
-        got_offsets[:] = -1
-        got_psd[:] = -1
-        clean_offsets, _, clean_psd = cache.get(b"k")
-        np.testing.assert_array_equal(clean_offsets, offsets)
-        np.testing.assert_array_equal(clean_psd, psd)
+        """A hit is gathered into the new call's own result arrays, so
+        no two calls ever share a buffer."""
+        pipeline = BatchPipeline(cache=PeakFeatureCache())
+        a = self.rows(5)
+        first = pipeline.transform(a)
+        second = pipeline.transform(a)
+        assert pipeline.transform_hits == a.shape[0]
+        for old, new in zip(first, second):
+            assert not np.shares_memory(old, new)
+            np.testing.assert_array_equal(old, new)
 
-    def test_put_copies_caller_buffers(self):
-        cache = TransformCache(max_entries=2)
-        offsets, rms, psd = self.entry(6)
-        cache.put(b"k", offsets, rms, psd)
-        psd[:] = 0  # caller reuses its buffer
-        _, _, cached_psd = cache.get(b"k")
-        assert not np.array_equal(cached_psd, psd)
+    def test_outputs_are_read_only(self):
+        """The memo stores the returned arrays themselves; freezing them
+        is what keeps a caller from corrupting a memoized row."""
+        pipeline = BatchPipeline(cache=PeakFeatureCache())
+        a = self.rows(6)
+        cold = pipeline.transform(a)
+        mixed = pipeline.transform(np.concatenate([a, self.rows(7, n=1)]))
+        for arr in cold + mixed:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
 
     def test_same_length_different_bytes_do_not_alias(self):
-        cache = TransformCache(max_entries=4)
-        block_a = np.zeros((16, 3))
-        block_b = np.zeros((16, 3))
-        block_b[0, 0] = 1e-300  # same shape and byte length, one bit of difference
-        key_a, key_b = array_digest(block_a), array_digest(block_b)
-        assert key_a != key_b
-        cache.put(key_a, *self.entry(7))
-        assert cache.get(key_b) is None
+        pipeline = BatchPipeline(cache=PeakFeatureCache())
+        block_a = np.zeros((2, 16, 3))
+        block_b = np.zeros((2, 16, 3))
+        block_b[1, 0, 0] = 1e-300  # same shape and byte length, one bit of difference
+        pipeline.transform(block_a)
+        got = pipeline.transform(block_b)
+        assert pipeline.transform_hits == 1  # only the identical row 0
+        assert pipeline.transform_misses == 3
+        expected = BatchPipeline(cache=PeakFeatureCache()).transform(block_b)
+        for want, have in zip(expected, got):
+            np.testing.assert_array_equal(want, have)
 
     def test_counters(self):
-        cache = TransformCache(max_entries=2)
-        cache.get(b"missing")
-        cache.put(b"k", *self.entry(8))
-        cache.get(b"k")
-        assert cache.misses == 1
-        assert cache.hits == 1
+        pipeline = BatchPipeline(cache=PeakFeatureCache())
+        a = self.rows(8)
+        pipeline.transform(a)
+        assert (pipeline.transform_hits, pipeline.transform_misses) == (0, 4)
+        pipeline.transform(np.concatenate([a, self.rows(9, n=2)]))
+        assert (pipeline.transform_hits, pipeline.transform_misses) == (4, 6)
 
 
 def test_default_peak_cache_is_process_wide_singleton():

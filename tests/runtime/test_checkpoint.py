@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.pipeline import PipelineConfig
 from repro.runtime.batch import BatchPipeline
-from repro.runtime.cache import PeakFeatureCache, TransformCache, array_digest
+from repro.runtime.cache import PeakFeatureCache, array_digest
 from repro.runtime.checkpoint import MANIFEST_NAME, CheckpointManager
 
 N, K = 40, 64
@@ -33,7 +33,6 @@ def make_pipeline(ckpt_dir=None, run_key="test-v1") -> BatchPipeline:
     return BatchPipeline(
         PipelineConfig(),
         cache=PeakFeatureCache(),
-        transform_cache=TransformCache(),
         chunk_rows=CHUNK_ROWS,
         checkpoint=checkpoint,
     )
@@ -129,43 +128,57 @@ class TestJournalAndResume:
         assert other.checkpoint.misses == 3
 
 
+def superseded(ckpt_dir) -> list[str]:
+    return json.loads((ckpt_dir / MANIFEST_NAME).read_text())["superseded"]
+
+
 class TestStaleCacheRevalidation:
     def test_warm_hit_cannot_resurrect_superseded_chunk(self, tmp_path, blocks):
-        """Satellite contract: a warm :class:`TransformCache` entry whose
-        digest the manifest marks superseded is invalidated and
-        recomputed, never served."""
+        """The manifest records superseded chunks, but no warm hit needs
+        checking against them: the transform row memo is keyed by row
+        content, so a hit can only serve the bytes it was computed from."""
         pipeline = make_pipeline(tmp_path)
         pipeline.transform(blocks)
 
         # A second run over different bytes re-records every chunk slot,
-        # superseding the original digests in the shared manifest...
+        # superseding the original digests in the shared manifest.
         changed = blocks + 1.0
         other = BatchPipeline(
             PipelineConfig(),
             cache=PeakFeatureCache(),
-            transform_cache=TransformCache(),
             chunk_rows=CHUNK_ROWS,
             checkpoint=pipeline.checkpoint,
         )
         other.transform(changed)
-        chunk_key = array_digest(blocks[:CHUNK_ROWS])
-        assert not pipeline.checkpoint.is_current(chunk_key)
+        chunk_key = array_digest(blocks[:CHUNK_ROWS]).hex()
+        assert chunk_key in superseded(tmp_path)
 
-        # ...so the first pipeline's warm entries must recompute, not
-        # serve from memory.  Poison the warm entry to prove it: if the
-        # revalidation ever served it, the output would be zeros.
+        # The first pipeline's warm rerun serves every row from its memo,
+        # bit-identical to a cold transform.
         reference = make_pipeline().transform(blocks)
-        poison = tuple(np.zeros_like(ref[:CHUNK_ROWS]) for ref in reference)
-        pipeline.transform_cache.put(chunk_key, *poison)
-        result = pipeline.transform(blocks)
-        for ref, got in zip(reference, result):
+        warm = pipeline.transform(blocks)
+        assert pipeline.transform_hits == N
+        for ref, got in zip(reference, warm):
             assert np.array_equal(ref, got)
-        # Re-recording un-supersedes: the digests are current again.
-        assert pipeline.checkpoint.is_current(chunk_key)
 
-    def test_is_current_without_history(self, tmp_path):
-        ckpt = CheckpointManager(tmp_path)
-        assert ckpt.is_current(b"\x01" * 20)
+        # A cold pipeline over the same journal recomputes the chunks;
+        # re-recording un-supersedes their digests.
+        rerun = make_pipeline(tmp_path).transform(blocks)
+        for ref, got in zip(reference, rerun):
+            assert np.array_equal(ref, got)
+        assert chunk_key not in superseded(tmp_path)
+
+        # Content keying: changing one sample of a seen row re-transforms
+        # that row and only that row.
+        poked = blocks.copy()
+        poked[7, 3, 1] += 1e-9
+        hits0, misses0 = pipeline.transform_hits, pipeline.transform_misses
+        result = pipeline.transform(poked)
+        assert pipeline.transform_misses - misses0 == 1
+        assert pipeline.transform_hits - hits0 == N - 1
+        for ref, got in zip(make_pipeline().transform(poked), result):
+            assert np.array_equal(ref, got)
+        assert not np.array_equal(result[2][7], reference[2][7])
 
 
 class TestAtomicity:

@@ -9,10 +9,10 @@ import pytest
 
 from repro.core.peaks import HarmonicPeaks
 from repro.runtime import (
+    BatchPipeline,
     FleetExecutor,
     PeakFeatureCache,
     RuntimeProfile,
-    TransformCache,
 )
 from repro.runtime.cache import array_digest
 from repro.runtime.fleet import resolve_workers
@@ -108,45 +108,51 @@ class TestPeakFeatureCache:
 
 
 class TestTransformCache:
-    def triple(self, seed: int):
-        rng = np.random.default_rng(seed)
-        return rng.normal(size=(4, 3)), rng.normal(size=4), rng.normal(size=(4, 16))
+    """Unit behaviour of the batch pipeline's transform row memo."""
+
+    def rows(self, seed: int, n: int = 4):
+        return np.random.default_rng(seed).normal(size=(n, 16, 3))
 
     def test_roundtrip_and_counters(self):
-        cache = TransformCache()
-        offsets, rms, psd = self.triple(0)
-        key = array_digest(psd)
-        assert cache.get(key) is None
-        cache.put(key, offsets, rms, psd)
-        got = cache.get(key)
-        assert got is not None
-        for stored, original in zip(got, (offsets, rms, psd)):
+        pipeline = BatchPipeline(cache=PeakFeatureCache())
+        a = self.rows(0)
+        cold = pipeline.transform(a)
+        warm = pipeline.transform(a)
+        for stored, original in zip(warm, cold):
             assert np.array_equal(stored, original)
-        assert cache.hits == 1 and cache.misses == 1
+        assert pipeline.transform_hits == 4 and pipeline.transform_misses == 4
 
     def test_hits_return_private_copies(self):
-        cache = TransformCache()
-        offsets, rms, psd = self.triple(0)
-        cache.put(b"k", offsets, rms, psd)
-        first = cache.get(b"k")
-        first[2][:] = -1.0  # corrupting the returned arrays ...
-        again = cache.get(b"k")
-        assert np.array_equal(again[2], psd)  # ... never touches the store
+        pipeline = BatchPipeline(cache=PeakFeatureCache())
+        a = self.rows(0)
+        first = pipeline.transform(a)
+        reordered = pipeline.transform(a[::-1])  # all hits, gathered anew
+        assert pipeline.transform_hits == 4
+        for old, new in zip(first, reordered):
+            assert np.array_equal(new, old[::-1])
+            assert not np.shares_memory(new, old)
 
     def test_store_is_isolated_from_caller_buffers(self):
-        cache = TransformCache()
-        offsets, rms, psd = self.triple(0)
-        cache.put(b"k", offsets, rms, psd)
-        psd[:] = 99.0  # caller reuses its buffer after putting
-        assert not np.array_equal(cache.get(b"k")[2], psd)
+        pipeline = BatchPipeline(cache=PeakFeatureCache())
+        a = self.rows(0)
+        pipeline.transform(a)
+        a[0] += 99.0  # caller reuses its buffer after the call
+        got = pipeline.transform(a)
+        assert pipeline.transform_misses == 5  # the rewritten row misses
+        expected = BatchPipeline(cache=PeakFeatureCache()).transform(a)
+        for want, have in zip(expected, got):
+            assert np.array_equal(want, have)
 
-    def test_fifo_eviction(self):
-        cache = TransformCache(max_entries=2)
-        for i in range(3):
-            cache.put(bytes([i]), *self.triple(i))
-        assert len(cache) == 2
-        assert cache.get(bytes([0])) is None  # oldest evicted
-        assert cache.get(bytes([2])) is not None
+    def test_last_call_replaces_memo(self):
+        pipeline = BatchPipeline(cache=PeakFeatureCache())
+        a = self.rows(0)
+        b = np.concatenate([a[:2], self.rows(1, n=2)])
+        pipeline.transform(a)
+        pipeline.transform(b)
+        assert pipeline.transform_hits == 2
+        pipeline.transform(a)  # a's last two rows left with b's call
+        assert pipeline.transform_hits == 4
+        assert pipeline.transform_misses == 8
 
 
 class TestArrayDigest:
