@@ -1,6 +1,9 @@
-"""Pytest path setup so benchmark modules can import ``common``."""
+"""Pytest path setup so benchmark modules can import ``common`` and the
+scalar oracles in ``tests.reference``."""
 
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE))
+sys.path.insert(0, str(HERE.parent))

@@ -11,10 +11,10 @@ verifies the recovered slopes against the simulation's ground truth.
 import numpy as np
 
 from common import ARTIFACTS_DIR, rul_fleet_analysis
-from repro.core.ransac import RecursiveRANSAC
 from repro.simulation.degradation import WEAR_AT_FAILURE
 from repro.viz.ascii import ascii_line_plot
 from repro.viz.export import write_csv
+from tests.reference.ransac import ReferenceRecursiveRANSAC
 
 
 def run_experiment() -> dict:
@@ -67,13 +67,12 @@ def test_fig15_lifetime_models(benchmark):
     )
 
     # The pipeline's models come from the batched RANSAC engine; the
-    # scalar reference engine on the same pooled scatter must reproduce
+    # scalar oracle engine on the same pooled scatter must reproduce
     # them bit for bit (same RNG-stream contract, same tie-breaks).
-    reference_engine = RecursiveRANSAC(
+    reference_engine = ReferenceRecursiveRANSAC(
         residual_threshold=0.05,
         min_inliers=max(150, len(dataset.measurements) // 20),
         seed=0,
-        engine="reference",
     )
     replayed = reference_engine.fit(service[valid], result.da[valid])
     assert len(replayed) == len(models)

@@ -1,4 +1,4 @@
-"""Performance benchmark: batch runtime vs the scalar reference pipeline.
+"""Performance benchmark: the batched pipeline vs its scalar oracle.
 
 The runtime layer's acceptance numbers, over two workloads:
 
@@ -10,9 +10,9 @@ The runtime layer's acceptance numbers, over two workloads:
 
 Each workload runs three configurations:
 
-* **scalar** — the reference :class:`AnalysisPipeline`, per-measurement
-  loops everywhere;
-* **batch cold** — :class:`BatchPipeline` with empty caches: the
+* **scalar** — the oracle ``tests.reference.pipeline.ReferencePipeline``,
+  per-measurement loops everywhere;
+* **batch cold** — :class:`AnalysisPipeline` with empty caches: the
   vectorized kernels alone (single 2-D DCT, batched smoothing and peak
   scan, broadcast calibration, the packed Algorithm 1 distance kernel);
 * **batch warm** — the same pipeline re-analyzing identical data, the
@@ -50,7 +50,8 @@ import pytest
 from common import rul_fleet
 from repro.core.classify import ZONE_A, ZONE_BC, ZONE_D
 from repro.core.pipeline import AnalysisPipeline, PipelineConfig
-from repro.runtime import BatchPipeline, PeakFeatureCache
+from repro.runtime import PeakFeatureCache
+from tests.reference.pipeline import ReferencePipeline
 
 pytestmark = pytest.mark.perf
 
@@ -122,13 +123,13 @@ def workload():
     )
 
 
-def fresh_batch() -> BatchPipeline:
-    return BatchPipeline(PipelineConfig(), cache=PeakFeatureCache())
+def fresh_batch() -> AnalysisPipeline:
+    return AnalysisPipeline(PipelineConfig(), cache=PeakFeatureCache())
 
 
 def test_perf_scalar_reference(benchmark, workload):
     ids, days, blocks, labels = workload
-    pipeline = AnalysisPipeline(PipelineConfig())
+    pipeline = ReferencePipeline(PipelineConfig())
     result = benchmark.pedantic(
         lambda: pipeline.run(ids, days, blocks, labels), rounds=ROUNDS, iterations=1
     )
@@ -145,7 +146,7 @@ def test_perf_batch_cold(benchmark, workload):
     )
     _TIMINGS["batch_cold"] = benchmark.stats.stats.min
     # Same floats as the scalar reference.
-    reference = AnalysisPipeline(PipelineConfig()).run(ids, days, blocks, labels)
+    reference = ReferencePipeline(PipelineConfig()).run(ids, days, blocks, labels)
     assert np.array_equal(result.da, reference.da, equal_nan=True)
 
 
@@ -221,7 +222,7 @@ def test_perf_fleet_scale_speedup(fleet_workload):
         return result, time.perf_counter() - start
 
     def fresh():
-        return BatchPipeline(config, cache=PeakFeatureCache())
+        return AnalysisPipeline(config, cache=PeakFeatureCache())
 
     # Untimed warmup: faults in allocator arenas and FFT plan caches at
     # fleet scale so the timed rounds measure compute, not first-touch.
@@ -249,7 +250,7 @@ def test_perf_fleet_scale_speedup(fleet_workload):
     scalar_times = []
     for _ in range(FLEET_ROUNDS):
         reference, s = timed(
-            lambda: AnalysisPipeline(config).run(pumps, service, samples, labels)
+            lambda: ReferencePipeline(config).run(pumps, service, samples, labels)
         )
         scalar_times.append(s)
     scalar_s = min(scalar_times)

@@ -1,18 +1,19 @@
 """Performance benchmark: the vectorized RUL model layer.
 
-Two gated speedups, both measured against the scalar reference paths
-that remain in the tree as implementations of record:
+Two gated speedups, both measured against the scalar oracles in
+``tests/reference/``:
 
 * **RANSAC fit** — the batched :meth:`RANSACLineFitter.fit` (vectorized
   trial evaluation plus the fused C consensus kernel when it compiles)
-  against :meth:`~RANSACLineFitter.fit_reference`, the per-trial scalar
+  against ``tests.reference.ransac.fit_reference``, the per-trial scalar
   loop, at fleet scale (N = 5000 points, 2000 trials).  Gate: **≥ 5x**.
   Bit-identity of the two fits is asserted before timing; the gate is
   skipped on hosts where the fused kernel cannot compile, because the
   numpy tiled fallback alone does not clear 5x on a single core.
 * **Walk-forward backtest** — the incremental :func:`backtest_rul`
   (prefix windows, precomputed per-pump groups, batched fits) against
-  :func:`backtest_rul_reference` (per-day rescan, scalar-engine fits)
+  ``tests.reference.backtest.backtest_rul_reference`` (per-day rescan,
+  fits through ``ReferenceRecursiveRANSAC``)
   over a 24-pump fleet, identically configured engines so both runs
   perform the same model fits.  Gate: **≥ 3x** end-to-end.
 
@@ -36,10 +37,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis.backtest import backtest_rul, backtest_rul_reference
+from repro.analysis.backtest import backtest_rul
 from repro.core import _native
 from repro.core.kde import GaussianKDE1D
 from repro.core.ransac import RANSACLineFitter, RecursiveRANSAC
+from tests.reference.backtest import backtest_rul_reference
+from tests.reference.ransac import ReferenceRecursiveRANSAC, fit_reference
 
 pytestmark = pytest.mark.perf
 
@@ -143,16 +146,15 @@ def backtest_args():
 
 
 def day_engine(engine):
-    return RecursiveRANSAC(
-        residual_threshold=0.05, min_inliers=30, seed=0, engine=engine
-    )
+    engine_cls = RecursiveRANSAC if engine == "batched" else ReferenceRecursiveRANSAC
+    return engine_cls(residual_threshold=0.05, min_inliers=30, seed=0)
 
 
 class TestRansacFit:
     def test_perf_reference_fit(self, benchmark):
         x, z = fleet_scatter()
         benchmark.pedantic(
-            lambda: make_fitter().fit_reference(x, z),
+            lambda: fit_reference(make_fitter(), x, z),
             rounds=FIT_ROUNDS,
             iterations=1,
         )
@@ -162,7 +164,7 @@ class TestRansacFit:
         x, z = fleet_scatter()
         # Parity before timing: same model floats, same inlier set.
         batched = make_fitter().fit(x, z)
-        reference = make_fitter().fit_reference(x, z)
+        reference = fit_reference(make_fitter(), x, z)
         assert batched.slope == reference.slope
         assert batched.intercept == reference.intercept
         assert np.array_equal(batched.inlier_indices, reference.inlier_indices)

@@ -16,12 +16,7 @@ from repro.analysis.scheduling import (
 )
 from repro.analysis.online import OnlinePumpTracker, TrackerUpdate
 from repro.analysis.drift import DriftMonitor, DriftVerdict, population_stability_index
-from repro.analysis.backtest import (
-    BacktestPoint,
-    BacktestResult,
-    backtest_rul,
-    backtest_rul_reference,
-)
+from repro.analysis.backtest import BacktestPoint, BacktestResult, backtest_rul
 
 __all__ = [
     "confusion_matrix",
@@ -46,7 +41,6 @@ __all__ = [
     "DriftVerdict",
     "population_stability_index",
     "backtest_rul",
-    "backtest_rul_reference",
     "BacktestResult",
     "BacktestPoint",
 ]

@@ -27,9 +27,9 @@ incremental:
   :class:`~repro.runtime.fleet.FleetExecutor` (thread backend), since
   every day clones its engine from pristine RNG state.
 
-:func:`backtest_rul_reference` keeps the straightforward per-day rescan
-loop over the same time-sorted data; the parity tests assert the fast
-path reproduces it bit for bit.
+The straightforward per-day rescan loop over the same time-sorted data
+lives in ``tests/reference/`` as the oracle; the parity tests assert the
+fast path reproduces it bit for bit.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class BacktestResult:
 
 @dataclass(frozen=True)
 class _BacktestPlan:
-    """Shared precomputation for the fast and reference walk loops.
+    """Shared precomputation of the walk-forward loop (and its oracle).
 
     Valid measurements, time-sorted; every as-of day maps to a prefix
     length of these arrays.
@@ -191,8 +191,7 @@ def _predict_day(
 
     ``member_positions(pump, prefix)`` returns the pump's positions into
     the plan's valid-sorted arrays among the first ``prefix`` points —
-    the fast path resolves it from precomputed group indices, the
-    reference path by scanning.
+    resolved from precomputed group indices (the oracle scans).
     """
     points: list[BacktestPoint] = []
     for pump in plan.unique_pumps:
@@ -354,55 +353,4 @@ def backtest_rul(
         profile.count("backtest.predictions", len(points))
         profile.count("backtest.fit_cache_hits", fit_cache.hits - hits0)
         profile.count("backtest.fit_cache_misses", fit_cache.misses - misses0)
-    return BacktestResult(points=points)
-
-
-def backtest_rul_reference(
-    pump_ids: np.ndarray,
-    timestamp_days: np.ndarray,
-    service_days: np.ndarray,
-    da: np.ndarray,
-    true_life_days: dict[int, float],
-    zone_d_threshold: float,
-    refresh_every_days: float = 10.0,
-    min_history_per_pump: int = 10,
-    min_fleet_points: int = 100,
-    ransac: RecursiveRANSAC | None = None,
-) -> BacktestResult:
-    """Straightforward per-day rescan loop — the parity reference.
-
-    Same semantics as :func:`backtest_rul` (time-sorted prefix windows,
-    engine cloned per day) but every day re-fits from scratch and
-    re-derives pump membership by scanning, with no memoization, group
-    indices, or worker fan-out.  The parity suite asserts the fast path
-    reproduces this output bit for bit.
-    """
-    plan = _plan_backtest(
-        pump_ids, timestamp_days, service_days, da, refresh_every_days
-    )
-
-    def member_positions(pump, prefix: int) -> np.ndarray:
-        return np.nonzero(plan.pumps[:prefix] == pump)[0]
-
-    points: list[BacktestPoint] = []
-    for asof, prefix in zip(plan.asof_days, plan.prefix_counts):
-        prefix = int(prefix)
-        if prefix < min_fleet_points:
-            continue
-        engine = _day_engine(ransac, prefix)
-        estimator = RULEstimator(zone_d_threshold, engine)
-        estimator.fit(plan.service[:prefix], plan.features[:prefix])
-        if not estimator.n_models:
-            continue
-        points.extend(
-            _predict_day(
-                plan,
-                estimator,
-                asof,
-                prefix,
-                member_positions,
-                min_history_per_pump,
-                true_life_days,
-            )
-        )
     return BacktestResult(points=points)

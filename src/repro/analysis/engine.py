@@ -20,7 +20,7 @@ from repro.core.peaks import extract_harmonic_peaks
 from repro.core.pipeline import AnalysisPipeline, PipelineConfig, PipelineResult
 from repro.core.ransac import LineModel
 from repro.core.rul import RULPrediction
-from repro.runtime.batch import DEFAULT_CHUNK_ROWS, BatchPipeline, finite_block_mask
+from repro.runtime.batch import DEFAULT_CHUNK_ROWS, finite_block_mask
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.fleet import FleetExecutor, SupervisionPolicy, SupervisionReport
 from repro.runtime.profile import RuntimeProfile
@@ -50,10 +50,6 @@ class EngineConfig:
             disables diagnosis).
         diagnosis_window: number of most recent valid measurements whose
             mean PSD feeds each pump's diagnosis.
-        use_batch_runtime: route the analysis through the batched
-            :class:`~repro.runtime.batch.BatchPipeline` (bit-identical
-            to the scalar path; the default).  False selects the scalar
-            reference pipeline.
         max_workers: fleet-executor worker count for the per-pump RUL
             and diagnosis fan-out; None auto-sizes, 0/1 forces serial.
         executor_backend: ``"thread"`` (default) or ``"process"`` for
@@ -68,15 +64,14 @@ class EngineConfig:
             restarts, salvage).  Ignored when a pre-built executor is
             injected — the executor's own policy wins.
         checkpoint_dir: optional directory for the transform checkpoint
-            journal; when set, batch-runtime runs record every completed
-            transform chunk and resume bit-identically after a crash.
+            journal; when set, runs record every completed transform
+            chunk and resume bit-identically after a crash.
     """
 
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     cost: CostModel = field(default_factory=CostModel)
     rotation_hz: float | None = None
     diagnosis_window: int = 10
-    use_batch_runtime: bool = True
     max_workers: int | None = None
     executor_backend: str = "thread"
     supervision: SupervisionPolicy | None = None
@@ -231,8 +226,8 @@ class VibrationAnalysisEngine:
         Args:
             api: period-scoped retrieval facade.
             config: engine configuration (defaults apply when None).
-            executor: optional pre-built fleet executor for the batch
-                runtime — the chaos runner passes one carrying its fault
+            executor: optional pre-built fleet executor for the
+                pipeline — the chaos runner passes one carrying its fault
                 injector; None builds a plain executor from
                 ``config.max_workers``.
         """
@@ -256,34 +251,27 @@ class VibrationAnalysisEngine:
         return backend
 
     def _make_pipeline(self) -> AnalysisPipeline:
-        """Pipeline instance per the configured runtime path.
+        """The pipeline this engine runs, built on first use.
 
-        Built once and reused across runs so content-addressed caches —
-        the peak cache and the batch pipeline's transform row memo —
-        survive rolling-window advances: a refresh transforms only the
+        Called once; :meth:`run` reuses the instance so content-addressed
+        caches — the peak cache and the transform row memo — survive
+        rolling-window advances: a refresh transforms only the
         measurements the previous run did not see.
         """
-        if self._pipeline is not None:
-            return self._pipeline
-        if self.config.use_batch_runtime:
-            executor = self.executor or FleetExecutor(
-                max_workers=self.config.max_workers,
-                backend=self._resolve_backend(),
-                supervision=self.config.supervision,
+        executor = self.executor or FleetExecutor(
+            max_workers=self.config.max_workers,
+            backend=self._resolve_backend(),
+            supervision=self.config.supervision,
+        )
+        checkpoint = None
+        if self.config.checkpoint_dir is not None:
+            checkpoint = CheckpointManager(
+                self.config.checkpoint_dir,
+                run_key=f"transform-v1:chunk_rows={DEFAULT_CHUNK_ROWS}",
             )
-            checkpoint = None
-            if self.config.checkpoint_dir is not None:
-                checkpoint = CheckpointManager(
-                    self.config.checkpoint_dir,
-                    run_key=f"transform-v1:chunk_rows={DEFAULT_CHUNK_ROWS}",
-                )
-            pipeline = BatchPipeline(
-                self.config.pipeline, executor=executor, checkpoint=checkpoint
-            )
-        else:
-            pipeline = AnalysisPipeline(self.config.pipeline)
-        self._pipeline = pipeline
-        return pipeline
+        return AnalysisPipeline(
+            self.config.pipeline, executor=executor, checkpoint=checkpoint
+        )
 
     def run(self, profile: RuntimeProfile | None = None) -> AnalysisReport:
         """Analyze everything inside the API's current analysis period.
@@ -291,8 +279,7 @@ class VibrationAnalysisEngine:
         Args:
             profile: optional :class:`~repro.runtime.profile.RuntimeProfile`
                 collecting per-stage wall-clock timings (the ``--profile``
-                CLI surface).  The batch runtime reports every pipeline
-                stage; the scalar reference reports one aggregate stage.
+                CLI surface).
 
         Raises:
             InsufficientDataError: when the period holds no (finite)
@@ -346,18 +333,12 @@ class VibrationAnalysisEngine:
                 "no valid labels fall inside the analysis period"
             )
 
-        pipeline = self._make_pipeline()
-        sup_tally = getattr(
-            getattr(pipeline, "executor", None), "supervision_report", None
-        )
+        if self._pipeline is None:
+            self._pipeline = self._make_pipeline()
+        pipeline = self._pipeline
+        sup_tally = pipeline.executor.supervision_report
         sup_before = sup_tally.as_dict() if sup_tally is not None else None
-        if isinstance(pipeline, BatchPipeline):
-            result = pipeline.run(pumps, service, samples, train_labels, profile=profile)
-        elif profile is not None:
-            with profile.stage("pipeline(scalar)", int(pumps.size)):
-                result = pipeline.run(pumps, service, samples, train_labels)
-        else:
-            result = pipeline.run(pumps, service, samples, train_labels)
+        result = pipeline.run(pumps, service, samples, train_labels, profile=profile)
 
         events = self.api.get_events()
         wasted = self.config.cost.wasted_rul_value(events)
@@ -415,9 +396,6 @@ class VibrationAnalysisEngine:
             recent = member[np.argsort(service[member])][-window:]
             items.append((int(pump), result.psd[recent].mean(axis=0)))
 
-        if isinstance(pipeline, BatchPipeline):
-            # Fan the per-pump chains across the runtime's executor;
-            # map_pumps preserves the sorted submission order, so the
-            # report iterates pumps identically to the serial loop.
-            return pipeline.executor.map_pumps(diagnose_pump, items)
-        return {pump: diagnose_pump(mean_psd) for pump, mean_psd in items}
+        # map_pumps preserves the sorted submission order, so the report
+        # iterates pumps identically whatever the executor's width.
+        return pipeline.executor.map_pumps(diagnose_pump, items)

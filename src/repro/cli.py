@@ -16,6 +16,7 @@ Invoke as ``python -m repro <subcommand> ...``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -64,11 +65,6 @@ def _add_analyze_parser(subparsers) -> None:
         "--profile",
         action="store_true",
         help="append a per-stage wall-clock runtime profile to the report",
-    )
-    p.add_argument(
-        "--scalar",
-        action="store_true",
-        help="use the scalar reference pipeline instead of the batch runtime",
     )
     p.add_argument(
         "--workers",
@@ -244,10 +240,20 @@ def _cmd_simulate(args, out) -> int:
     return 0
 
 
-def _cmd_analyze(args, out) -> int:
-    import os
-    import sys
+def _missing_database(path: str, out) -> bool:
+    """Report a missing ``--db`` file.
 
+    Only ``simulate`` creates databases; every other subcommand refuses a
+    path that does not exist rather than letting SQLite create an empty
+    database there.
+    """
+    if os.path.exists(path):
+        return False
+    print(f"error: no database at {path}", file=out)
+    return True
+
+
+def _cmd_analyze(args, out) -> int:
     from repro.analysis.engine import EngineConfig, VibrationAnalysisEngine
     from repro.analysis.reporting import render_report
     from repro.core.pipeline import PipelineConfig
@@ -270,20 +276,25 @@ def _cmd_analyze(args, out) -> int:
                 "running fresh (and journaling a new checkpoint)",
                 file=sys.stderr,
             )
+    try:
+        period = AnalysisPeriod(args.start, args.end)
+        if args.horizon <= 0:
+            raise ValueError("horizon_days must be positive")
+        config = EngineConfig(
+            pipeline=PipelineConfig(moving_average_window=args.moving_average),
+            max_workers=args.workers,
+            executor_backend=args.backend,
+            supervision=SupervisionPolicy() if args.supervise else None,
+            checkpoint_dir=checkpoint_dir,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=out)
+        return 1
+    if _missing_database(args.db, out):
+        return 1
 
     with VibrationDatabase(args.db) as db:
-        api = DataRetrievalAPI(db, AnalysisPeriod(args.start, args.end))
-        engine = VibrationAnalysisEngine(
-            api,
-            EngineConfig(
-                pipeline=PipelineConfig(moving_average_window=args.moving_average),
-                use_batch_runtime=not args.scalar,
-                max_workers=args.workers,
-                executor_backend=args.backend,
-                supervision=SupervisionPolicy() if args.supervise else None,
-                checkpoint_dir=checkpoint_dir,
-            ),
-        )
+        engine = VibrationAnalysisEngine(DataRetrievalAPI(db, period), config)
         profile = RuntimeProfile() if args.profile else None
         try:
             report = engine.run(profile=profile)
@@ -341,6 +352,8 @@ def _cmd_compact(args, out) -> int:
     from repro.storage.aggregate import RetentionManager
     from repro.storage.database import VibrationDatabase
 
+    if _missing_database(args.db, out):
+        return 1
     with VibrationDatabase(args.db) as db:
         manager = RetentionManager(db)
         try:
@@ -364,15 +377,17 @@ def _cmd_schedule(args, out) -> int:
     from repro.storage.api import AnalysisPeriod, DataRetrievalAPI
     from repro.storage.database import VibrationDatabase
 
+    if _missing_database(args.db, out):
+        return 1
     with VibrationDatabase(args.db) as db:
         api = DataRetrievalAPI(db, AnalysisPeriod(0.0, 1e9))
-        engine = VibrationAnalysisEngine(
-            api,
-            EngineConfig(
-                pipeline=PipelineConfig(moving_average_window=args.moving_average)
-            ),
-        )
         try:
+            engine = VibrationAnalysisEngine(
+                api,
+                EngineConfig(
+                    pipeline=PipelineConfig(moving_average_window=args.moving_average)
+                ),
+            )
             report = engine.run()
         except ValueError as exc:
             print(f"error: {exc}", file=out)
@@ -406,15 +421,17 @@ def _cmd_dashboard(args, out) -> int:
     from repro.storage.database import VibrationDatabase
     from repro.viz.dashboard import write_dashboard
 
+    if _missing_database(args.db, out):
+        return 1
     with VibrationDatabase(args.db) as db:
         api = DataRetrievalAPI(db, AnalysisPeriod(0.0, 1e9))
-        engine = VibrationAnalysisEngine(
-            api,
-            EngineConfig(
-                pipeline=PipelineConfig(moving_average_window=args.moving_average)
-            ),
-        )
         try:
+            engine = VibrationAnalysisEngine(
+                api,
+                EngineConfig(
+                    pipeline=PipelineConfig(moving_average_window=args.moving_average)
+                ),
+            )
             report = engine.run()
         except ValueError as exc:
             print(f"error: {exc}", file=out)
@@ -428,6 +445,8 @@ def _cmd_export(args, out) -> int:
     from repro.storage.database import VibrationDatabase
     from repro.storage.traces import export_npz
 
+    if _missing_database(args.db, out):
+        return 1
     with VibrationDatabase(args.db) as db:
         records = db.measurements.query(args.start, args.end)
         if not records:

@@ -5,8 +5,10 @@ pipeline (normalization, RMS, DCT-based power spectral density), harmonic
 peak extraction, the peak harmonic distance (Algorithm 1), zone
 classification, and the recursive-RANSAC Remaining-Useful-Lifetime model.
 
-All functions here are pure numpy/scipy computations over arrays; the
-storage, simulation and orchestration layers live in sibling subpackages.
+All functions here are pure numpy/scipy computations over arrays, except
+that :class:`AnalysisPipeline` runs them through the batched kernels and
+fleet executor of :mod:`repro.runtime`; the storage, simulation and
+orchestration layers live in sibling subpackages.
 """
 
 from repro.core.features import (
@@ -37,7 +39,6 @@ from repro.core.classify import (
 from repro.core.ransac import (
     LineModel,
     RANSACLineFitter,
-    RANSACRegressor,
     RecursiveRANSAC,
     draw_trial_pairs,
     fit_line_least_squares,
@@ -89,7 +90,6 @@ __all__ = [
     "LineModel",
     "fit_line_least_squares",
     "RANSACLineFitter",
-    "RANSACRegressor",
     "RecursiveRANSAC",
     "learn_zone_d_threshold",
     "RULEstimator",

@@ -14,23 +14,35 @@ The pipeline mirrors the paper's layer stack:
 
 Inputs are plain arrays so the pipeline is independent of the storage
 layer; ``repro.analysis.engine`` binds it to the database-backed retrieval
-API.
+API.  Every layer runs through the batched kernels of
+:mod:`repro.runtime.batch` and the per-pump RUL chains fan out across a
+:class:`~repro.runtime.fleet.FleetExecutor`; the results are bit-identical
+to the scalar per-row oracle in ``tests/reference/`` (DESIGN.md, "The
+bit-identity contract").
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.classify import ZoneClassifier
-from repro.core.features import measurement_offsets, psd_feature, psd_frequencies, rms_feature
+from repro.core.features import psd_frequencies
 from repro.core.outliers import OutlierConfig, detect_invalid_measurements
 from repro.core.peaks import DEFAULT_NUM_PEAKS, DEFAULT_WINDOW_SIZE
 from repro.core.ransac import LineModel, RecursiveRANSAC
 from repro.core.rul import RULEstimator, RULPrediction, learn_zone_d_threshold
 from repro.core.window import moving_average
+from repro.runtime.batch import (
+    DEFAULT_CHUNK_ROWS,
+    BatchPeakHarmonicFeature,
+    transform_rows,
+)
+from repro.runtime.cache import PeakFeatureCache, default_peak_cache, row_digests
+from repro.runtime.fleet import FleetExecutor
+from repro.runtime.profile import RuntimeProfile
 
 
 @dataclass(frozen=True)
@@ -59,6 +71,10 @@ class PipelineConfig:
     ransac_min_inliers: int = 30
     ransac_residual_threshold: float | None = None
     ransac_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.moving_average_window < 1:
+            raise ValueError("moving_average_window must be positive")
 
 
 @dataclass
@@ -92,29 +108,112 @@ class PipelineResult:
 
 
 class AnalysisPipeline:
-    """Fig. 7 workflow over in-memory measurement arrays."""
+    """Fig. 7 workflow over in-memory measurement arrays.
 
-    def __init__(self, config: PipelineConfig | None = None):
+    Args:
+        config: analytical parameters (defaults apply when None).
+        executor: fleet executor for the per-pump RUL fan-out and the
+            process-parallel transform; a default thread pool when None.
+        cache: peak-feature memo; the process-wide default when None.
+        chunk_rows: rows per transform chunk, the checkpoint journal's
+            unit.
+        checkpoint: optional :class:`~repro.runtime.checkpoint.CheckpointManager`;
+            when armed, every completed transform chunk is journaled and
+            recalled on resume.
+    """
+
+    def __init__(
+        self,
+        config: PipelineConfig | None = None,
+        executor: FleetExecutor | None = None,
+        cache: PeakFeatureCache | None = None,
+        chunk_rows: int = DEFAULT_CHUNK_ROWS,
+        checkpoint=None,
+    ):
+        if chunk_rows < 1:
+            raise ValueError("chunk_rows must be positive")
         self.config = config or PipelineConfig()
+        self.executor = executor if executor is not None else FleetExecutor()
+        self.cache = cache if cache is not None else default_peak_cache()
+        self.chunk_rows = chunk_rows
+        self.checkpoint = checkpoint
         self.classifier_: ZoneClassifier | None = None
         self.estimator_: RULEstimator | None = None
+        #: Row memo of the last :meth:`transform` call: row digest →
+        #: row index into that call's frozen ``(offsets, rms, psd)``.
+        self._memo_rows: dict[bytes, int] = {}
+        self._memo_outputs: tuple[np.ndarray, ...] = ()
+        #: Rows recalled from / missing in the row memo, cumulative.
+        self.transform_hits = 0
+        self.transform_misses = 0
 
     # ------------------------------------------------------------------
     # Individual layers, usable on their own.
     # ------------------------------------------------------------------
-    def transform(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def transform(
+        self, samples: np.ndarray, profile: RuntimeProfile | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Data transformation layer: ``(offsets, rms, psd)`` per block.
+
+        Rows are memoized by content.  Each row is digested once
+        (:func:`~repro.runtime.cache.row_digests`); a row the previous
+        call also saw is gathered from that call's frozen result
+        matrices, and only the other rows — compacted — go through
+        :func:`~repro.runtime.batch.transform_rows`.  A rolling-window
+        refresh therefore transforms just its new tail.  Every transform
+        op is row-local, so gathered and recomputed rows are
+        bit-identical to a cold run.  The memo holds the last call's
+        outputs only, and those are the arrays this call returns:
+        read-only, so no alias can change a memoized row.
 
         Args:
             samples: measurement blocks, shape ``(n, K, 3)``.
+            profile: optional collector for the ``transform`` stage; its
+                item count is the rows actually transformed.
         """
+        start = time.perf_counter()
         blocks = np.asarray(samples, dtype=np.float64)
         if blocks.ndim != 3 or blocks.shape[2] != 3:
             raise ValueError(f"samples must have shape (n, K, 3), got {blocks.shape}")
-        offsets = np.stack([measurement_offsets(b) for b in blocks])
-        rms = np.asarray([rms_feature(b) for b in blocks])
-        psd = np.stack([psd_feature(b) for b in blocks])
-        return offsets, rms, psd
+        n, k = blocks.shape[0], blocks.shape[1]
+        if n and k < 2:
+            raise ValueError("measurement must contain at least 2 samples")
+        digests = row_digests(blocks)
+        seen = self._memo_rows
+        hit: list[int] = []
+        source: list[int] = []
+        miss: list[int] = []
+        for row, digest in enumerate(digests):
+            index = seen.get(digest)
+            if index is None:
+                miss.append(row)
+            else:
+                hit.append(row)
+                source.append(index)
+        if hit:
+            outputs = (np.empty((n, 3)), np.empty(n), np.empty((n, k)))
+            for out, previous in zip(outputs, self._memo_outputs):
+                out[hit] = previous[source]
+            computed = 0
+            if miss:
+                *fresh, computed = transform_rows(
+                    blocks[miss], self.chunk_rows, self.executor, self.checkpoint
+                )
+                for out, rows in zip(outputs, fresh):
+                    out[miss] = rows
+        else:
+            *outputs, computed = transform_rows(
+                blocks, self.chunk_rows, self.executor, self.checkpoint
+            )
+        for out in outputs:
+            out.setflags(write=False)
+        self._memo_rows = dict(zip(digests, range(n)))
+        self._memo_outputs = tuple(outputs)
+        self.transform_hits += len(hit)
+        self.transform_misses += len(miss)
+        if profile is not None:
+            profile.add("transform", time.perf_counter() - start, computed)
+        return self._memo_outputs
 
     def preprocess(
         self,
@@ -156,126 +255,6 @@ class AnalysisPipeline:
         return psd_frequencies(num_bins, self.config.sampling_rate_hz)
 
     # ------------------------------------------------------------------
-    # Overridable stage implementations.  The batched runtime
-    # (repro.runtime.batch.BatchPipeline) subclasses this pipeline and
-    # swaps individual stages for vectorized kernels; everything the two
-    # paths share — orchestration, validation, the RUL layer — lives in
-    # these methods so the scalar path stays the reference
-    # implementation of record.
-    # ------------------------------------------------------------------
-    def _stage(self, name: str, items: int = 0):
-        """Stage context hook; the batch runtime overrides it to profile.
-
-        The base pipeline does no instrumentation, so the orchestration
-        below can wrap every stage unconditionally at zero cost here.
-        """
-        return nullcontext()
-
-    def _validate_inputs(
-        self,
-        ids: np.ndarray,
-        days: np.ndarray,
-        blocks: np.ndarray,
-        train_labels: dict[int, str],
-    ) -> None:
-        n = ids.shape[0]
-        if days.shape[0] != n or blocks.shape[0] != n:
-            raise ValueError("pump_ids, service_days and samples must align")
-        if not train_labels:
-            raise ValueError("train_labels must not be empty")
-        bad_idx = [i for i in train_labels if not 0 <= i < n]
-        if bad_idx:
-            raise ValueError(f"train_labels reference invalid indices: {bad_idx}")
-
-    def _make_classifier(self) -> ZoneClassifier:
-        """Zone classifier factory (the batch path plugs in its feature)."""
-        return ZoneClassifier()
-
-    def _fit_classifier(
-        self,
-        psd: np.ndarray,
-        valid: np.ndarray,
-        train_labels: dict[int, str],
-        freqs: np.ndarray,
-    ) -> tuple[ZoneClassifier, np.ndarray, np.ndarray]:
-        """Train the zone classifier on the labelled, valid measurements."""
-        train_idx = np.asarray(
-            [i for i in sorted(train_labels) if valid[i]], dtype=np.intp
-        )
-        if train_idx.size == 0:
-            raise ValueError("all labelled measurements were flagged invalid")
-        labels = np.asarray([train_labels[int(i)] for i in train_idx], dtype=object)
-        classifier = self._make_classifier()
-        classifier.fit(psd[train_idx], labels, freqs)
-        self.classifier_ = classifier
-        return classifier, train_idx, labels
-
-    def _score_da(
-        self,
-        classifier: ZoneClassifier,
-        psd: np.ndarray,
-        valid: np.ndarray,
-        ids: np.ndarray,
-        days: np.ndarray,
-        freqs: np.ndarray,
-    ) -> np.ndarray:
-        """D_a for all valid measurements, with optional per-pump smoothing."""
-        da = np.full(ids.shape[0], np.nan)
-        valid_idx = np.nonzero(valid)[0]
-        da[valid_idx] = classifier.decision_scores(psd[valid_idx], freqs)
-        if self.config.moving_average_window > 1:
-            for pump in np.unique(ids):
-                member = np.nonzero((ids == pump) & valid)[0]
-                member = member[np.argsort(days[member], kind="stable")]
-                if member.size:
-                    da[member] = moving_average(
-                        da[member], self.config.moving_average_window
-                    )
-        return da
-
-    def _learn_threshold(self, train_da: np.ndarray, labels: np.ndarray) -> float:
-        """Hazard (Zone D) boundary learned from the training labels."""
-        return learn_zone_d_threshold(train_da, labels)
-
-    def _fit_lifetime_models(
-        self,
-        zone_d_threshold: float,
-        days: np.ndarray,
-        da: np.ndarray,
-        valid: np.ndarray,
-    ) -> RULEstimator:
-        """Recursive-RANSAC lifetime models fitted on the pooled fleet."""
-        estimator = RULEstimator(
-            zone_d_threshold,
-            RecursiveRANSAC(
-                residual_threshold=self.config.ransac_residual_threshold,
-                min_inliers=self.config.ransac_min_inliers,
-                seed=self.config.ransac_seed,
-            ),
-        )
-        valid_idx = np.nonzero(valid)[0]
-        estimator.fit(days[valid_idx], da[valid_idx])
-        self.estimator_ = estimator
-        return estimator
-
-    def _predict_rul(
-        self,
-        estimator: RULEstimator,
-        ids: np.ndarray,
-        days: np.ndarray,
-        da: np.ndarray,
-        valid: np.ndarray,
-    ) -> dict[object, RULPrediction]:
-        """Per-pump RUL predictions (the batch path fans this out)."""
-        rul: dict[object, RULPrediction] = {}
-        if estimator.n_models:
-            for pump in np.unique(ids):
-                member = np.nonzero((ids == pump) & valid)[0]
-                if member.size:
-                    rul[pump] = estimator.predict(days[member], da[member])
-        return rul
-
-    # ------------------------------------------------------------------
     # End-to-end run.
     # ------------------------------------------------------------------
     def run(
@@ -284,6 +263,7 @@ class AnalysisPipeline:
         service_days: np.ndarray,
         samples: np.ndarray,
         train_labels: dict[int, str],
+        profile: RuntimeProfile | None = None,
     ) -> PipelineResult:
         """Execute the full workflow.
 
@@ -294,6 +274,8 @@ class AnalysisPipeline:
             train_labels: mapping from measurement index to expert zone
                 label; must contain at least one measurement of each zone
                 (A, BC and D).
+            profile: optional collector of per-stage wall-clock timings
+                and cache, checkpoint, executor and supervision counters.
 
         Returns:
             PipelineResult with every layer's artifacts.
@@ -301,39 +283,96 @@ class AnalysisPipeline:
         ids = np.asarray(pump_ids)
         days = np.asarray(service_days, dtype=np.float64)
         blocks = np.asarray(samples, dtype=np.float64)
-        self._validate_inputs(ids, days, blocks, train_labels)
         n = ids.shape[0]
+        if days.shape[0] != n or blocks.shape[0] != n:
+            raise ValueError("pump_ids, service_days and samples must align")
+        if not train_labels:
+            raise ValueError("train_labels must not be empty")
+        bad_idx = [i for i in train_labels if not 0 <= i < n]
+        if bad_idx:
+            raise ValueError(f"train_labels reference invalid indices: {bad_idx}")
+        profile = profile if profile is not None else RuntimeProfile()
+        tallies = self._tallies()
+        supervision = self.executor.supervision_report
+        supervision_before = supervision.as_dict() if supervision is not None else None
 
-        # No stage wrapper here: the batch runtime times its transform
-        # itself, because only it knows how many rows its row memo
-        # actually sent through the DCT.
-        offsets, rms, psd = self.transform(blocks)
+        offsets, rms, psd = self.transform(blocks, profile)
 
-        with self._stage("preprocess", n):
+        with profile.stage("preprocess", n):
             valid = self.preprocess(ids, offsets, days)
         freqs = self.frequencies(psd.shape[1])
-
-        with self._stage("fit_classifier", len(train_labels)):
-            classifier, train_idx, labels = self._fit_classifier(
-                psd, valid, train_labels, freqs
-            )
         valid_idx = np.nonzero(valid)[0]
-        with self._stage("score_da", int(valid_idx.size)):
-            da = self._score_da(classifier, psd, valid, ids, days, freqs)
 
-        with self._stage("classify_zones", int(valid_idx.size)):
+        with profile.stage("fit_classifier", len(train_labels)):
+            train_idx = np.asarray(
+                [i for i in sorted(train_labels) if valid[i]], dtype=np.intp
+            )
+            if train_idx.size == 0:
+                raise ValueError("all labelled measurements were flagged invalid")
+            labels = np.asarray([train_labels[int(i)] for i in train_idx], dtype=object)
+            classifier = ZoneClassifier(
+                feature=BatchPeakHarmonicFeature(
+                    num_peaks=self.config.num_peaks,
+                    window_size=self.config.peak_window_size,
+                    cache=self.cache,
+                )
+            )
+            classifier.fit(psd[train_idx], labels, freqs)
+            self.classifier_ = classifier
+
+        with profile.stage("score_da", int(valid_idx.size)):
+            da = np.full(n, np.nan)
+            da[valid_idx] = classifier.decision_scores(psd[valid_idx], freqs)
+            if self.config.moving_average_window > 1:
+                for pump in np.unique(ids):
+                    member = np.nonzero((ids == pump) & valid)[0]
+                    member = member[np.argsort(days[member], kind="stable")]
+                    if member.size:
+                        da[member] = moving_average(
+                            da[member], self.config.moving_average_window
+                        )
+
+        with profile.stage("classify_zones", int(valid_idx.size)):
             zones = np.full(n, "", dtype=object)
             zones[valid_idx] = classifier.classifier.predict(da[valid_idx])
 
         # The RUL model layer is two distinct costs worth separating in a
         # profile: the exact KDE threshold scan over the labelled records
         # and the batched recursive-RANSAC fit over the whole fleet.
-        with self._stage("learn_threshold", int(len(labels))):
-            zone_d_threshold = self._learn_threshold(da[train_idx], labels)
-        with self._stage("fit_lifetime_models", int(valid_idx.size)):
-            estimator = self._fit_lifetime_models(zone_d_threshold, days, da, valid)
-        with self._stage("predict_rul", int(np.unique(ids).size)):
-            rul = self._predict_rul(estimator, ids, days, da, valid)
+        with profile.stage("learn_threshold", int(len(labels))):
+            zone_d_threshold = learn_zone_d_threshold(da[train_idx], labels)
+        with profile.stage("fit_lifetime_models", int(valid_idx.size)):
+            estimator = RULEstimator(
+                zone_d_threshold,
+                RecursiveRANSAC(
+                    residual_threshold=self.config.ransac_residual_threshold,
+                    min_inliers=self.config.ransac_min_inliers,
+                    seed=self.config.ransac_seed,
+                ),
+            )
+            estimator.fit(days[valid_idx], da[valid_idx])
+            self.estimator_ = estimator
+        with profile.stage("predict_rul", int(np.unique(ids).size)):
+            # Work items are built in np.unique(ids) order and map_pumps
+            # preserves submission order, so the dict iterates pumps in
+            # sorted order whatever the executor's backend or width.
+            rul: dict[object, RULPrediction] = {}
+            if estimator.n_models:
+                items = []
+                for pump in np.unique(ids):
+                    member = np.nonzero((ids == pump) & valid)[0]
+                    if member.size:
+                        items.append((pump, days[member], da[member]))
+                rul = self.executor.map_pumps(estimator.predict, items)
+
+        for name, value in self._tallies().items():
+            profile.count(name, value - tallies[name])
+        profile.count("fleet_workers", self.executor.max_workers)
+        if supervision is not None:
+            now = supervision.as_dict()
+            profile.add_supervision(
+                {key: now[key] - supervision_before[key] for key in now}
+            )
 
         thresholds = classifier.thresholds_
         return PipelineResult(
@@ -348,3 +387,16 @@ class AnalysisPipeline:
             lifetime_models=estimator.models_,
             rul=rul,
         )
+
+    def _tallies(self) -> dict[str, int]:
+        """Cumulative cache and checkpoint counters, for per-run deltas."""
+        tallies = {
+            "peak_cache_hits": self.cache.hits,
+            "peak_cache_misses": self.cache.misses,
+            "transform_cache_hits": self.transform_hits,
+            "transform_cache_misses": self.transform_misses,
+        }
+        if self.checkpoint is not None:
+            tallies["checkpoint_hits"] = self.checkpoint.hits
+            tallies["checkpoint_misses"] = self.checkpoint.misses
+        return tallies

@@ -23,12 +23,11 @@ resident at fleet scale.  When the optional fused C kernel
 (:mod:`repro.core._native`) compiles on the host machine, consensus
 counting runs through it instead of the tiled numpy passes — same
 operation sequence, same bits, one memory traversal instead of six.
-:meth:`RANSACLineFitter.fit_reference` keeps
-the per-trial scalar loop over the *same* drawn pairs as the reference
-implementation of record: both paths consume the identical RNG stream
-and return bit-identical models (same slope/intercept floats, same
-inlier indices) — the property suite in ``tests/core/test_ransac.py``
-enforces this.
+The per-trial scalar loop over the *same* drawn pairs lives in
+``tests/reference/`` as the oracle: both consume the identical RNG
+stream and return bit-identical models (same slope/intercept floats,
+same inlier indices) — ``tests/core/test_ransac_parity.py`` enforces
+this.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ def draw_trial_pairs(
     """Draw ``n_pairs`` distinct index pairs — the RNG-stream contract.
 
     All of the model layer's randomness flows through this one function
-    so the batched and scalar-reference fitters consume *exactly* the
+    so the batched fitter and the scalar oracle consume *exactly* the
     same stream.  The contract, in order:
 
     1. ``first  = rng.integers(0, n_points, size=n_pairs)``
@@ -149,8 +148,7 @@ class RANSACLineFitter:
 
     :meth:`fit` runs all trials as one vectorized kernel; the tie-break,
     slope admissibility and refinement replicate the per-trial scalar
-    loop exactly, which remains available as :meth:`fit_reference` (the
-    parity reference — same RNG stream, bit-identical model).
+    loop exactly (same RNG stream, bit-identical model).
     """
 
     def __init__(
@@ -221,8 +219,7 @@ class RANSACLineFitter:
     ) -> LineModel | None:
         """Least-squares refinement on the winning consensus set.
 
-        Shared verbatim by the batched and reference paths: refine on the
-        consensus set, then re-evaluate inliers once (the refit line
+        Refine on the consensus set, then re-evaluate inliers once (the refit line
         usually captures a slightly larger consensus set).
         """
         slope, intercept = fit_line_least_squares(xs[best_mask], zs[best_mask])
@@ -339,48 +336,6 @@ class RANSACLineFitter:
         best_mask = residuals <= threshold
         return self._refine(xs, zs, best_mask, threshold)
 
-    def fit_reference(
-        self, x: np.ndarray, z: np.ndarray, pairs: np.ndarray | None = None
-    ) -> LineModel | None:
-        """Scalar per-trial reference implementation of :meth:`fit`.
-
-        Consumes the same RNG stream (pairs come from
-        :func:`draw_trial_pairs` either way) and returns a bit-identical
-        model; kept as the parity baseline and for perf comparisons.
-        """
-        prepared = self._prepare(x, z)
-        if prepared is None:
-            return None
-        xs, zs, threshold = prepared
-        if pairs is None:
-            pairs = draw_trial_pairs(self._rng, xs.size, self.max_trials)
-
-        best_mask: np.ndarray | None = None
-        best_count = 0
-        for i, j in pairs:
-            dx = xs[j] - xs[i]
-            if dx == 0:
-                continue
-            slope = (zs[j] - zs[i]) / dx
-            if not self._slope_ok(slope):
-                continue
-            intercept = zs[i] - slope * xs[i]
-            residuals = np.abs(zs - (slope * xs + intercept))
-            mask = residuals <= threshold
-            count = int(mask.sum())
-            if count > best_count:
-                best_count = count
-                best_mask = mask
-
-        if best_mask is None or best_count < 2:
-            return None
-        return self._refine(xs, zs, best_mask, threshold)
-
-
-#: Backward-compatible name: the regressor has been a batched fitter
-#: since the model-layer vectorization; existing callers keep working.
-RANSACRegressor = RANSACLineFitter
-
 
 class RecursiveRANSAC:
     """Discover multiple linear lifetime models in mixed fleet data.
@@ -409,7 +364,6 @@ class RecursiveRANSAC:
         max_models: int = 8,
         slope_merge_tolerance: float = 0.35,
         seed: int | np.random.Generator | None = 0,
-        engine: str = "batched",
     ):
         """Create a recursive model finder.
 
@@ -425,10 +379,6 @@ class RecursiveRANSAC:
                 install offsets otherwise shows up as parallel duplicate
                 lines.  0 disables merging.
             seed: RNG seed.
-            engine: ``"batched"`` (default) evaluates trials through the
-                vectorized kernel; ``"reference"`` runs the scalar
-                per-trial loop.  Both consume the same RNG stream and
-                produce bit-identical models.
         """
         if min_inliers < 2:
             raise ValueError("min_inliers must be at least 2")
@@ -436,17 +386,12 @@ class RecursiveRANSAC:
             raise ValueError("max_models must be positive")
         if slope_merge_tolerance < 0:
             raise ValueError("slope_merge_tolerance must be non-negative")
-        if engine not in ("batched", "reference"):
-            raise ValueError(
-                f"engine must be 'batched' or 'reference', got {engine!r}"
-            )
         self.residual_threshold = residual_threshold
         self.max_trials = max_trials
         self.min_slope = min_slope
         self.min_inliers = min_inliers
         self.max_models = max_models
         self.slope_merge_tolerance = slope_merge_tolerance
-        self.engine = engine
         self._rng = np.random.default_rng(seed)
         # Snapshot the pristine RNG state so clone() can replay this
         # engine's exact fit sequence (walk-forward backtests clone per
@@ -462,7 +407,7 @@ class RecursiveRANSAC:
         the same data, no matter how many fits the original has already
         run — the reproducibility contract the backtester relies on.
         """
-        dup = RecursiveRANSAC(
+        dup = type(self)(
             residual_threshold=self.residual_threshold,
             max_trials=self.max_trials,
             min_slope=self.min_slope,
@@ -470,7 +415,6 @@ class RecursiveRANSAC:
             max_models=self.max_models,
             slope_merge_tolerance=self.slope_merge_tolerance,
             seed=0,
-            engine=self.engine,
         )
         rng = np.random.Generator(self._bitgen_cls())
         rng.bit_generator.state = copy.deepcopy(self._initial_rng_state)
@@ -485,11 +429,12 @@ class RecursiveRANSAC:
         Two engines with equal keys produce bit-identical models on
         equal data, so the key (plus a content digest of the data) can
         memoize fits — see
-        :class:`~repro.runtime.cache.ModelFitCache`.
+        :class:`~repro.runtime.cache.ModelFitCache`.  The class name
+        leads the key, so a subclass that fits differently never shares
+        a memoized fit with this class.
         """
         return (
-            "recursive-ransac",
-            self.engine,
+            type(self).__name__,
             self.residual_threshold,
             self.max_trials,
             self.min_slope,
@@ -516,7 +461,6 @@ class RecursiveRANSAC:
             min_slope=self.min_slope,
             seed=self._rng,
         )
-        fit_once = fitter.fit if self.engine == "batched" else fitter.fit_reference
 
         remaining = np.arange(xs.size)
         pairs: np.ndarray | None = None
@@ -529,7 +473,7 @@ class RecursiveRANSAC:
                     self._rng, remaining.size, self.max_trials - pairs.shape[0]
                 )
                 pairs = np.concatenate([pairs, top_up], axis=0)
-            model = fit_once(xs[remaining], zs[remaining], pairs=pairs)
+            model = fitter.fit(xs[remaining], zs[remaining], pairs=pairs)
             if model is None or model.n_inliers < self.min_inliers:
                 break
             global_inliers = remaining[model.inlier_indices]

@@ -67,8 +67,8 @@ def smooth_hann_batch(rows: np.ndarray, window_size: int) -> np.ndarray:
     All rows are reflect-padded in one 2-D pad, then each row runs
     through the *same* ``np.convolve`` call as the scalar path — so the
     result is bit-identical to calling :func:`smooth_hann` per row by
-    construction (the batched analysis runtime relies on this to keep
-    exact parity with the scalar reference pipeline).  Per-row convolve
+    construction (the pipeline relies on this to keep exact parity with
+    the scalar oracle in ``tests/reference/``).  Per-row convolve
     beats a single guard-separated flat convolution here: ``correlate``
     on the flat layout pays for the guard gaps and loses cache locality,
     measuring ~2x slower than the loop at fleet scale.

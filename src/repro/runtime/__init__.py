@@ -1,16 +1,14 @@
 """Batched, instrumented execution layer for the analysis workflow.
 
-The scalar :class:`~repro.core.pipeline.AnalysisPipeline` pushes one
-measurement at a time through transform → preprocess → features →
-RUL; correct, but every stage pays per-measurement Python and FFT-call
-overhead.  This package is the production runtime on top of the same
-analytical code:
+:class:`~repro.core.pipeline.AnalysisPipeline` pushes the whole
+measurement matrix through transform → preprocess → features → RUL on
+the pieces this package provides:
 
-* :class:`~repro.runtime.batch.BatchPipeline` — the whole measurement
-  matrix through vectorized kernels (single 2-D DCT, one-shot Hann
-  smoothing, vectorized local-maxima scan), bit-identical to the scalar
-  reference (the parity tests enforce it); a row memo keyed by content
-  digest makes a rolling-window refresh transform only its new rows;
+* :mod:`repro.runtime.batch` — the vectorized kernels (tiled 2-D DCT
+  transform with optional chunk journaling and process fan-out, one-shot
+  Hann smoothing, vectorized local-maxima scan in
+  :class:`~repro.runtime.batch.BatchPeakHarmonicFeature`), bit-identical
+  to the scalar oracle in ``tests/reference/``;
 * :class:`~repro.runtime.fleet.FleetExecutor` — per-pump RUL and
   diagnosis chains fanned across worker threads or processes with
   chunked scheduling and deterministic result ordering (the process
@@ -25,7 +23,7 @@ analytical code:
   measurement surface for future benchmark entries.
 """
 
-from repro.runtime.batch import BatchPeakHarmonicFeature, BatchPipeline
+from repro.runtime.batch import BatchPeakHarmonicFeature
 from repro.runtime.cache import (
     ModelFitCache,
     PeakFeatureCache,
@@ -47,7 +45,6 @@ from repro.runtime.shm import SharedArray, SharedArraySpec, attached_view
 __all__ = [
     "ABANDONED",
     "BatchPeakHarmonicFeature",
-    "BatchPipeline",
     "CheckpointManager",
     "FleetExecutor",
     "ModelFitCache",

@@ -1,39 +1,30 @@
-"""Batched, bit-identical execution of the Fig. 7 analytical workflow.
+"""Batched kernels of the Fig. 7 analytical workflow.
 
-:class:`BatchPipeline` subclasses the scalar
-:class:`~repro.core.pipeline.AnalysisPipeline` and replaces its
-per-measurement loops with whole-matrix kernels:
+:class:`~repro.core.pipeline.AnalysisPipeline` runs every layer through
+the whole-matrix kernels defined here:
 
 * **transform** — one batched DCT-II over ``(n, K, 3)`` plus broadcast
-  mean-offset calibration and a vectorized RMS reduction, instead of
-  ``n`` separate FFT calls; rows the previous call already transformed
-  are recalled from a content-keyed row memo;
+  mean-offset calibration and a vectorized RMS reduction, computed in
+  row tiles (:func:`transform_rows`), optionally journaled per chunk and
+  fanned across worker processes through shared memory;
 * **feature extraction** — :class:`BatchPeakHarmonicFeature` smooths and
   scans every PSD row at once (``smooth_hann_batch`` + the vectorized
   local-maxima mask) and memoizes exemplar peaks / per-row peak features
-  / peak distances in a :class:`~repro.runtime.cache.PeakFeatureCache`;
-* **RUL predictions** — the per-pump prediction chains fan out across a
-  :class:`~repro.runtime.fleet.FleetExecutor`.
+  / peak distances in a :class:`~repro.runtime.cache.PeakFeatureCache`.
 
-The contract with the scalar path is *bit-identity*, not mere numerical
-closeness: the batched kernels are constructed so that every float sees
-the same operations in the same order as the scalar reference (the
-parity tests in ``tests/runtime/`` enforce element-wise equality and the
-determinism tests enforce byte-identical reports).  The scalar pipeline
-stays the reference implementation of record; this module is the
-production runtime on top of it.
+Every kernel is bit-identical to the scalar per-row oracle in
+``tests/reference/``; DESIGN.md states that contract at the pipeline
+boundary.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
 
 import numpy as np
 from scipy.fft import dct
 
-from repro.core.classify import PeakHarmonicFeature, ZoneClassifier
+from repro.core.classify import PeakHarmonicFeature
 from repro.core.peaks import (
     DEFAULT_MIN_SIGNIFICANCE,
     DEFAULT_NUM_PEAKS,
@@ -41,16 +32,8 @@ from repro.core.peaks import (
     extract_harmonic_peaks,
     extract_harmonic_peaks_batch,
 )
-from repro.core.pipeline import AnalysisPipeline, PipelineConfig, PipelineResult
-from repro.core.rul import RULEstimator, RULPrediction
-from repro.runtime.cache import (
-    PeakFeatureCache,
-    array_digest,
-    default_peak_cache,
-    row_digests,
-)
+from repro.runtime.cache import PeakFeatureCache, array_digest, default_peak_cache
 from repro.runtime.fleet import FleetExecutor
-from repro.runtime.profile import RuntimeProfile
 from repro.runtime.shm import SharedArray, SharedArraySpec, attached_view
 
 #: Rows per transform chunk.  8192 blocks of (1024, 3) float64 is ~192 MiB
@@ -135,6 +118,90 @@ def _transform_chunk_in_process(
         psd_spec, writable=True
     ) as psd:
         _transform_tiled(blocks, lo, hi, offsets, rms, psd)
+
+
+def transform_rows(
+    blocks: np.ndarray,
+    chunk_rows: int,
+    executor: FleetExecutor,
+    checkpoint=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Transform every row of ``blocks`` chunk by chunk.
+
+    With a checkpoint armed, each chunk is first looked up in the
+    journal by its input digest and every computed chunk is journaled
+    the moment it completes.  Missed chunks fan out across worker
+    processes when the executor's process backend can pay off.  Returns
+    ``(offsets, rms, psd, computed)``, where ``computed`` counts the rows
+    actually transformed rather than recalled from the journal.
+    """
+    n, k = blocks.shape[0], blocks.shape[1]
+    offsets = np.empty((n, 3))
+    rms = np.empty(n)
+    psd = np.empty((n, k))
+    missed: list[tuple[int, int, int, bytes | None]] = []
+    for index, lo in enumerate(range(0, n, chunk_rows)):
+        hi = min(lo + chunk_rows, n)
+        chunk_key = None
+        if checkpoint is not None:
+            chunk_key = array_digest(blocks[lo:hi])
+            journaled = checkpoint.load_chunk(index, chunk_key)
+            if journaled is not None:
+                offsets[lo:hi], rms[lo:hi], psd[lo:hi] = journaled
+                continue
+        missed.append((index, lo, hi, chunk_key))
+    # Process fan-out only when it can pay off: the opt-in process
+    # backend, a pool bigger than one, and more than one chunk to spread.
+    in_processes = (
+        executor.backend == "process" and executor.max_workers > 1 and len(missed) > 1
+    )
+    if in_processes:
+        _transform_chunks_in_processes(
+            blocks, missed, executor.max_workers, offsets, rms, psd
+        )
+    for index, lo, hi, chunk_key in missed:
+        if not in_processes:
+            _transform_tiled(blocks, lo, hi, offsets, rms, psd)
+        # Journal each chunk the moment it completes, so a crash
+        # mid-run resumes from here rather than from scratch.
+        if checkpoint is not None:
+            checkpoint.record_chunk(
+                index, lo, hi, chunk_key, offsets[lo:hi], rms[lo:hi], psd[lo:hi]
+            )
+    return offsets, rms, psd, sum(hi - lo for _, lo, hi, _ in missed)
+
+
+def _transform_chunks_in_processes(
+    blocks: np.ndarray,
+    missed: list[tuple[int, int, int, bytes | None]],
+    max_workers: int,
+    offsets: np.ndarray,
+    rms: np.ndarray,
+    psd: np.ndarray,
+) -> None:
+    """Fan missed transform chunks across a process pool via shm.
+
+    The measurement matrix is placed in shared memory once (workers
+    attach read-only; nothing is pickled per task) and each worker
+    writes its chunk's rows into shared output buffers.  Chunk
+    boundaries and per-chunk op order match the in-process loop, so
+    outputs are bit-identical.  A failing chunk (non-finite samples)
+    raises the same ValueError, earliest chunk first.
+    """
+    with SharedArray(blocks) as shm_in, SharedArray(offsets) as shm_off, SharedArray(
+        rms
+    ) as shm_rms, SharedArray(psd) as shm_psd:
+        payloads = [
+            (shm_in.spec, shm_off.spec, shm_rms.spec, shm_psd.spec, lo, hi)
+            for _, lo, hi, _key in missed
+        ]
+        workers = min(max_workers, len(missed))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(_transform_chunk_in_process, payloads))
+        for _, lo, hi, _key in missed:
+            offsets[lo:hi] = shm_off.view[lo:hi]
+            rms[lo:hi] = shm_rms.view[lo:hi]
+            psd[lo:hi] = shm_psd.view[lo:hi]
 
 
 def finite_block_mask(blocks: np.ndarray) -> np.ndarray:
@@ -232,301 +299,3 @@ class BatchPeakHarmonicFeature(PeakHarmonicFeature):
                 window_size=self.window_size,
             ),
         )
-
-
-class BatchPipeline(AnalysisPipeline):
-    """Vectorized analysis pipeline with parallel per-pump RUL fan-out.
-
-    Same inputs, same outputs, same exceptions as the scalar
-    :class:`~repro.core.pipeline.AnalysisPipeline` — the overridden
-    stages swap loops for batched kernels without changing a single
-    float.  :meth:`run` additionally accepts a
-    :class:`~repro.runtime.profile.RuntimeProfile` to collect per-stage
-    wall-clock timings and cache/executor counters.
-    """
-
-    def __init__(
-        self,
-        config: PipelineConfig | None = None,
-        executor: FleetExecutor | None = None,
-        cache: PeakFeatureCache | None = None,
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        checkpoint=None,
-    ):
-        super().__init__(config)
-        if chunk_rows < 1:
-            raise ValueError("chunk_rows must be positive")
-        self.executor = executor if executor is not None else FleetExecutor()
-        self.cache = cache if cache is not None else default_peak_cache()
-        self.chunk_rows = chunk_rows
-        #: Optional :class:`~repro.runtime.checkpoint.CheckpointManager`;
-        #: when armed, every completed transform chunk is journaled and
-        #: recalled on resume.
-        self.checkpoint = checkpoint
-        #: Row memo of the last :meth:`transform` call: row digest →
-        #: row index into that call's frozen ``(offsets, rms, psd)``.
-        self._memo_rows: dict[bytes, int] = {}
-        self._memo_outputs: tuple[np.ndarray, ...] = ()
-        #: Rows recalled from / missing in the row memo, cumulative.
-        self.transform_hits = 0
-        self.transform_misses = 0
-        self._profile: RuntimeProfile | None = None
-
-    # ------------------------------------------------------------------
-    # Instrumentation plumbing.
-    # ------------------------------------------------------------------
-    def _stage(self, name: str, items: int = 0):
-        if self._profile is None:
-            return nullcontext()
-        return self._profile.stage(name, items)
-
-    # ------------------------------------------------------------------
-    # Vectorized stages.
-    # ------------------------------------------------------------------
-    def transform(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Data transformation layer over the whole measurement matrix.
-
-        One batched orthonormal DCT-II per chunk replaces the scalar
-        path's per-measurement calls; offsets and RMS come from the same
-        broadcast reductions the scalar helpers apply per row, so all
-        three outputs are bit-identical to
-        :meth:`AnalysisPipeline.transform`.
-
-        Rows are memoized by content.  Each row is digested once
-        (:func:`~repro.runtime.cache.row_digests`); a row the previous
-        call also saw is gathered from that call's frozen result
-        matrices, and only the other rows — compacted — go through the
-        chunk loop.  A rolling-window refresh therefore transforms just
-        its new tail.  Every transform op is row-local, so gathered and
-        recomputed rows are bit-identical to a cold run.  The memo holds
-        the last call's outputs only, and those are the arrays this call
-        returns: read-only, so no alias can change a memoized row.
-        """
-        start = time.perf_counter()
-        blocks = np.asarray(samples, dtype=np.float64)
-        if blocks.ndim != 3 or blocks.shape[2] != 3:
-            raise ValueError(f"samples must have shape (n, K, 3), got {blocks.shape}")
-        n, k = blocks.shape[0], blocks.shape[1]
-        if n and k < 2:
-            raise ValueError("measurement must contain at least 2 samples")
-        digests = row_digests(blocks)
-        seen = self._memo_rows
-        hit: list[int] = []
-        source: list[int] = []
-        miss: list[int] = []
-        for row, digest in enumerate(digests):
-            index = seen.get(digest)
-            if index is None:
-                miss.append(row)
-            else:
-                hit.append(row)
-                source.append(index)
-        if hit:
-            outputs = (np.empty((n, 3)), np.empty(n), np.empty((n, k)))
-            for out, previous in zip(outputs, self._memo_outputs):
-                out[hit] = previous[source]
-            computed = 0
-            if miss:
-                *fresh, computed = self._transform_chunks(blocks[miss])
-                for out, rows in zip(outputs, fresh):
-                    out[miss] = rows
-        else:
-            *outputs, computed = self._transform_chunks(blocks)
-        for out in outputs:
-            out.setflags(write=False)
-        self._memo_rows = dict(zip(digests, range(n)))
-        self._memo_outputs = tuple(outputs)
-        self.transform_hits += len(hit)
-        self.transform_misses += len(miss)
-        if self._profile is not None:
-            self._profile.add("transform", time.perf_counter() - start, computed)
-        return self._memo_outputs
-
-    def _transform_chunks(
-        self, blocks: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Transform every row of ``blocks`` chunk by chunk.
-
-        With a checkpoint armed, each chunk is first looked up in the
-        journal by its input digest and every computed chunk is journaled
-        the moment it completes.  Returns ``(offsets, rms, psd,
-        computed)``, where ``computed`` counts the rows actually
-        transformed rather than recalled from the journal.
-        """
-        n, k = blocks.shape[0], blocks.shape[1]
-        offsets = np.empty((n, 3))
-        rms = np.empty(n)
-        psd = np.empty((n, k))
-        ckpt = self.checkpoint
-        missed: list[tuple[int, int, int, bytes | None]] = []
-        for index, lo in enumerate(range(0, n, self.chunk_rows)):
-            hi = min(lo + self.chunk_rows, n)
-            chunk_key = None
-            if ckpt is not None:
-                chunk_key = array_digest(blocks[lo:hi])
-                journaled = ckpt.load_chunk(index, chunk_key)
-                if journaled is not None:
-                    offsets[lo:hi], rms[lo:hi], psd[lo:hi] = journaled
-                    continue
-            missed.append((index, lo, hi, chunk_key))
-        in_processes = self._use_process_transform(missed)
-        if in_processes:
-            self._transform_chunks_in_processes(blocks, missed, offsets, rms, psd)
-        for index, lo, hi, chunk_key in missed:
-            if not in_processes:
-                _transform_tiled(blocks, lo, hi, offsets, rms, psd)
-            # Journal each chunk the moment it completes, so a crash
-            # mid-run resumes from here rather than from scratch.
-            if ckpt is not None:
-                ckpt.record_chunk(
-                    index, lo, hi, chunk_key, offsets[lo:hi], rms[lo:hi], psd[lo:hi]
-                )
-        return offsets, rms, psd, sum(hi - lo for _, lo, hi, _ in missed)
-
-    def _use_process_transform(
-        self, missed: list[tuple[int, int, int, bytes | None]]
-    ) -> bool:
-        """Process-parallel transform only when it can actually pay off.
-
-        Requires the executor's process backend (opt-in), more than one
-        missed chunk to spread across workers, and a pool bigger than
-        one — otherwise the in-process chunk loop is strictly cheaper.
-        """
-        return (
-            self.executor.backend == "process"
-            and self.executor.max_workers > 1
-            and len(missed) > 1
-        )
-
-    def _transform_chunks_in_processes(
-        self,
-        blocks: np.ndarray,
-        missed: list[tuple[int, int, int, bytes | None]],
-        offsets: np.ndarray,
-        rms: np.ndarray,
-        psd: np.ndarray,
-    ) -> None:
-        """Fan missed transform chunks across a process pool via shm.
-
-        The measurement matrix is placed in shared memory once (workers
-        attach read-only; nothing is pickled per task) and each worker
-        writes its chunk's rows into shared output buffers.  Chunk
-        boundaries and per-chunk op order match the in-process loop, so
-        outputs are bit-identical.  A failing chunk (non-finite samples)
-        raises the same ValueError, earliest chunk first.
-        """
-        with SharedArray(blocks) as shm_in, SharedArray(offsets) as shm_off, SharedArray(
-            rms
-        ) as shm_rms, SharedArray(psd) as shm_psd:
-            payloads = [
-                (shm_in.spec, shm_off.spec, shm_rms.spec, shm_psd.spec, lo, hi)
-                for _, lo, hi, _key in missed
-            ]
-            workers = min(self.executor.max_workers, len(missed))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(_transform_chunk_in_process, payloads))
-            for _, lo, hi, _key in missed:
-                offsets[lo:hi] = shm_off.view[lo:hi]
-                rms[lo:hi] = shm_rms.view[lo:hi]
-                psd[lo:hi] = shm_psd.view[lo:hi]
-
-    def _make_classifier(self) -> ZoneClassifier:
-        """Zone classifier wired to the batch feature and shared cache."""
-        return ZoneClassifier(
-            feature=BatchPeakHarmonicFeature(
-                num_peaks=self.config.num_peaks,
-                window_size=self.config.peak_window_size,
-                cache=self.cache,
-            )
-        )
-
-    def _predict_rul(
-        self,
-        estimator: RULEstimator,
-        ids: np.ndarray,
-        days: np.ndarray,
-        da: np.ndarray,
-        valid: np.ndarray,
-    ) -> dict[object, RULPrediction]:
-        """Per-pump RUL chains fanned across the fleet executor.
-
-        Work items are built in ``np.unique(ids)`` order and
-        :meth:`FleetExecutor.map_pumps` preserves submission order, so
-        the resulting dict iterates identically to the scalar loop's.
-        """
-        if not estimator.n_models:
-            return {}
-        items = []
-        for pump in np.unique(ids):
-            member = np.nonzero((ids == pump) & valid)[0]
-            if member.size:
-                items.append((pump, days[member], da[member]))
-        return self.executor.map_pumps(estimator.predict, items)
-
-    # ------------------------------------------------------------------
-    # Instrumented end-to-end runs.
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        pump_ids: np.ndarray,
-        service_days: np.ndarray,
-        samples: np.ndarray,
-        train_labels: dict[int, str],
-        profile: RuntimeProfile | None = None,
-    ) -> PipelineResult:
-        """Execute the full workflow through the batched kernels.
-
-        The orchestration is the shared :meth:`AnalysisPipeline.run`
-        sequence; this wrapper only arms the profiler so every ``_stage``
-        context collects wall-clock timings and cache/executor counters.
-
-        Args:
-            pump_ids: pump identifier per measurement, shape ``(n,)``.
-            service_days: pump service time (days) per measurement.
-            samples: raw blocks ``(n, K, 3)`` in g.
-            train_labels: measurement index → expert zone label.
-            profile: optional per-stage wall-clock collector; stage
-                timings and cache/executor counters accumulate into it.
-
-        Returns:
-            PipelineResult bit-identical to the scalar pipeline's.
-        """
-        with self._profiled(profile):
-            return super().run(pump_ids, service_days, samples, train_labels)
-
-    def _profiled(self, profile: RuntimeProfile | None):
-        """Arm ``profile`` for the duration of a run, settling counters."""
-
-        @contextmanager
-        def armed():
-            self._profile = profile
-            hits0, misses0 = self.cache.hits, self.cache.misses
-            t_hits0, t_misses0 = self.transform_hits, self.transform_misses
-            ckpt = self.checkpoint
-            c_hits0, c_misses0 = (
-                (ckpt.hits, ckpt.misses) if ckpt is not None else (0, 0)
-            )
-            sup = self.executor.supervision_report
-            sup0 = sup.as_dict() if sup is not None else None
-            try:
-                yield
-                if profile is not None:
-                    profile.count("peak_cache_hits", self.cache.hits - hits0)
-                    profile.count("peak_cache_misses", self.cache.misses - misses0)
-                    profile.count("transform_cache_hits", self.transform_hits - t_hits0)
-                    profile.count(
-                        "transform_cache_misses", self.transform_misses - t_misses0
-                    )
-                    profile.count("fleet_workers", self.executor.max_workers)
-                    if ckpt is not None:
-                        profile.count("checkpoint_hits", ckpt.hits - c_hits0)
-                        profile.count("checkpoint_misses", ckpt.misses - c_misses0)
-                    if sup0 is not None:
-                        now = self.executor.supervision_report.as_dict()
-                        profile.add_supervision(
-                            {key: now[key] - sup0[key] for key in now}
-                        )
-            finally:
-                self._profile = None
-
-        return armed()

@@ -39,7 +39,7 @@ def array_digest(arr: np.ndarray) -> bytes:
 def row_digests(blocks: np.ndarray) -> list[bytes]:
     """SHA-1 digest of each row's float64 bytes, in row order.
 
-    The key of the batch pipeline's transform row memo.  Rows of equal
+    The key of the pipeline's transform row memo.  Rows of equal
     digest hold equal bytes — hence equal length and equal transform
     output — so no shape prefix is needed.  A key is the row's content,
     never its measurement id: a row rewritten under the same id (a
@@ -418,7 +418,7 @@ _DEFAULT_MODEL_FIT_CACHE = ModelFitCache()
 
 
 def default_peak_cache() -> PeakFeatureCache:
-    """The process-wide cache shared by batch pipelines by default."""
+    """The process-wide cache shared by pipelines by default."""
     return _DEFAULT_CACHE
 
 

@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.analysis.backtest import (
-    BacktestPoint,
-    BacktestResult,
-    backtest_rul,
-    backtest_rul_reference,
-)
+from repro.analysis.backtest import BacktestPoint, BacktestResult, backtest_rul
 from repro.core.ransac import RecursiveRANSAC
 from repro.runtime import FleetExecutor, RuntimeProfile
 from repro.runtime.cache import ModelFitCache
+from tests.reference.backtest import backtest_rul_reference
+from tests.reference.ransac import ReferenceRecursiveRANSAC
 
 
 def synthetic_fleet_history(seed=0, n_pumps=6, days=90.0, step=1.0):
@@ -133,14 +130,16 @@ class TestIncrementalBacktestParity:
         pumps, times, service, da, lives = synthetic_fleet_history(seed=3)
         da = da.copy()
         da[::5] = np.nan
-        engine = RecursiveRANSAC(residual_threshold=0.05, min_inliers=30, seed=4)
+        kwargs = dict(residual_threshold=0.05, min_inliers=30, seed=4)
         fast = backtest_rul(
             pumps, times, service, da, lives, THRESHOLD,
-            refresh_every_days=15.0, ransac=engine, fit_cache=ModelFitCache(),
+            refresh_every_days=15.0, ransac=RecursiveRANSAC(**kwargs),
+            fit_cache=ModelFitCache(),
         )
+        # The oracle fits every day with the per-trial scalar loop.
         ref = backtest_rul_reference(
             pumps, times, service, da, lives, THRESHOLD,
-            refresh_every_days=15.0, ransac=engine,
+            refresh_every_days=15.0, ransac=ReferenceRecursiveRANSAC(**kwargs),
         )
         self.assert_identical(fast, ref)
 

@@ -187,3 +187,92 @@ class TestDashboardCommand:
         )
         assert code == 1
         assert "error" in text
+
+
+class TestInputValidation:
+    """Bad inputs fail fast with ``error: …`` and leave nothing behind."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze"],
+            ["compact", "--keep-days", "10", "--now", "50"],
+            ["schedule"],
+            ["dashboard", "--out", "dash.html"],
+            ["export", "--out", "corpus.npz"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_read_only_commands_refuse_missing_database(self, tmp_path, argv):
+        db_path = tmp_path / "typo.db"
+        argv = [arg if "." not in arg else str(tmp_path / arg) for arg in argv]
+        code, text = run_cli([argv[0], "--db", str(db_path), *argv[1:]])
+        assert code == 1
+        assert f"error: no database at {db_path}" in text
+        assert not db_path.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_analyze_rejects_reversed_period(self, tmp_path):
+        db_path = tmp_path / "fleet.db"
+        code, text = run_cli(
+            ["analyze", "--db", str(db_path), "--start", "30", "--end", "5"]
+        )
+        assert code == 1
+        assert text == "error: end_day must be greater than start_day\n"
+        assert not db_path.exists()
+
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_analyze_rejects_non_positive_horizon(self, tmp_path, horizon):
+        db_path = tmp_path / "fleet.db"
+        code, text = run_cli(["analyze", "--db", str(db_path), "--horizon", horizon])
+        assert code == 1
+        assert text == "error: horizon_days must be positive\n"
+        assert not db_path.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "schedule", "dashboard"])
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_rejects_non_positive_moving_average(self, tmp_path, command, window):
+        db_path = str(tmp_path / "fleet.db")
+        code, _ = run_cli(
+            ["simulate", "--db", db_path, "--pumps", "4", "--days", "50",
+             "--interval", "1.0", "--labels", "20,20,10", "--seed", "11"]
+        )
+        assert code == 0
+        extra = ["--out", str(tmp_path / "dash.html")] if command == "dashboard" else []
+        code, text = run_cli(
+            [command, "--db", db_path, "--moving-average", window, *extra]
+        )
+        assert code == 1
+        assert text == "error: moving_average_window must be positive\n"
+
+
+class TestOracleParity:
+    """``repro analyze`` renders the scalar oracle engine's report, byte
+    for byte, on the smoke fleet."""
+
+    def test_analyze_report_equals_oracle_report(self, tmp_path):
+        from repro.analysis.engine import EngineConfig
+        from repro.analysis.reporting import render_report
+        from repro.core.pipeline import PipelineConfig
+        from repro.storage.api import AnalysisPeriod, DataRetrievalAPI
+        from repro.storage.database import VibrationDatabase
+        from tests.reference.engine import ReferenceEngine
+
+        db_path = str(tmp_path / "smoke.db")
+        code, text = run_cli(
+            ["simulate", "--db", db_path, "--pumps", "6", "--days", "40",
+             "--interval", "0.25", "--labels", "20,20,15", "--seed", "7"]
+        )
+        assert code == 0
+        assert "wrote 960 measurements" in text
+
+        code, production = run_cli(["analyze", "--db", db_path])
+        assert code == 0
+
+        with VibrationDatabase(db_path) as db:
+            engine = ReferenceEngine(
+                DataRetrievalAPI(db, AnalysisPeriod(0.0, 1e9)),
+                EngineConfig(pipeline=PipelineConfig(moving_average_window=8)),
+            )
+            oracle = render_report(engine.run(), horizon_days=30.0)
+        assert production == oracle + "\n"

@@ -35,6 +35,11 @@ class TestLayers:
         # This fleet has only stable sensors: nearly everything is valid.
         assert valid.mean() > 0.95
 
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_config_rejects_non_positive_moving_average(self, window):
+        with pytest.raises(ValueError, match="moving_average_window must be positive"):
+            PipelineConfig(moving_average_window=window)
+
     def test_frequencies_respect_config(self):
         pipeline = AnalysisPipeline(PipelineConfig(sampling_rate_hz=8000.0))
         freqs = pipeline.frequencies(512)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.ransac import (
     LineModel,
-    RANSACRegressor,
+    RANSACLineFitter,
     RecursiveRANSAC,
     fit_line_least_squares,
 )
@@ -62,7 +62,7 @@ class TestRANSAC:
         outlier_idx = gen.choice(100, size=30, replace=False)
         z = z.copy()
         z[outlier_idx] += gen.uniform(1.0, 3.0, size=30)
-        model = RANSACRegressor(residual_threshold=0.05, seed=2).fit(x, z)
+        model = RANSACLineFitter(residual_threshold=0.05, seed=2).fit(x, z)
         assert model is not None
         assert model.slope == pytest.approx(0.02, rel=0.15)
         assert model.intercept == pytest.approx(0.5, abs=0.1)
@@ -80,34 +80,34 @@ class TestRANSAC:
 
     def test_min_slope_constraint_rejects_decreasing_trends(self):
         x, z = planted_line(-0.05, 5.0, n=60, noise=0.01, seed=3)
-        model = RANSACRegressor(residual_threshold=0.05, min_slope=1e-6, seed=0).fit(x, z)
+        model = RANSACLineFitter(residual_threshold=0.05, min_slope=1e-6, seed=0).fit(x, z)
         assert model is None or model.slope >= 1e-6
 
     def test_returns_none_for_too_few_points(self):
-        assert RANSACRegressor().fit(np.asarray([1.0]), np.asarray([1.0])) is None
+        assert RANSACLineFitter().fit(np.asarray([1.0]), np.asarray([1.0])) is None
 
     def test_default_threshold_from_mad(self):
         x, z = planted_line(0.02, 0.5, n=80, noise=0.02, seed=4)
-        model = RANSACRegressor(seed=0).fit(x, z)
+        model = RANSACLineFitter(seed=0).fit(x, z)
         assert model is not None
         assert model.residual_threshold > 0
 
     def test_deterministic_with_seed(self):
         x, z = planted_line(0.02, 0.5, n=80, noise=0.05, seed=5)
-        m1 = RANSACRegressor(seed=42).fit(x, z)
-        m2 = RANSACRegressor(seed=42).fit(x, z)
+        m1 = RANSACLineFitter(seed=42).fit(x, z)
+        m2 = RANSACLineFitter(seed=42).fit(x, z)
         assert m1.slope == m2.slope
         assert np.array_equal(m1.inlier_indices, m2.inlier_indices)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            RANSACRegressor(max_trials=0)
+            RANSACLineFitter(max_trials=0)
         with pytest.raises(ValueError):
-            RANSACRegressor(residual_threshold=0.0)
+            RANSACLineFitter(residual_threshold=0.0)
 
     def test_rejects_misaligned_arrays(self):
         with pytest.raises(ValueError):
-            RANSACRegressor().fit(np.ones(3), np.ones(4))
+            RANSACLineFitter().fit(np.ones(3), np.ones(4))
 
 
 class TestRecursiveRANSAC:

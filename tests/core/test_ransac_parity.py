@@ -1,9 +1,9 @@
 """Batched-vs-scalar parity for the RANSAC model layer (ransac.py).
 
 The batched :meth:`RANSACLineFitter.fit` must be *bit-identical* to the
-scalar :meth:`~RANSACLineFitter.fit_reference`: same model floats, same
-inlier indices, and the same consumed RNG stream (both draw through
-:func:`draw_trial_pairs`).  These tests drive that contract across
+scalar oracle :func:`tests.reference.ransac.fit_reference`: same model
+floats, same inlier indices, and the same consumed RNG stream (both draw
+through :func:`draw_trial_pairs`).  These tests drive that contract across
 random fleets, slope constraints, and degenerate inputs.
 """
 
@@ -16,12 +16,8 @@ from hypothesis import strategies as st
 
 import repro.core.ransac as ransac_module
 from repro.core import _native
-from repro.core.ransac import (
-    RANSACLineFitter,
-    RANSACRegressor,
-    RecursiveRANSAC,
-    draw_trial_pairs,
-)
+from repro.core.ransac import RANSACLineFitter, RecursiveRANSAC, draw_trial_pairs
+from tests.reference.ransac import ReferenceRecursiveRANSAC, fit_reference
 
 
 class _NativeDisabled:
@@ -86,9 +82,6 @@ class TestDrawTrialPairs:
         off_diag = counts[~np.eye(5, dtype=bool)]
         assert off_diag.min() > 1600 and off_diag.max() < 2400
 
-    def test_backward_compat_alias(self):
-        assert RANSACRegressor is RANSACLineFitter
-
 
 @st.composite
 def fleet_case(draw):
@@ -128,7 +121,7 @@ class TestBatchedScalarParity:
         x, z, params = case
         batched = RANSACLineFitter(**params)
         scalar = RANSACLineFitter(**params)
-        assert_same_fit(batched.fit(x, z), scalar.fit_reference(x, z))
+        assert_same_fit(batched.fit(x, z), fit_reference(scalar, x, z))
         # Both paths consumed the identical RNG stream.
         assert batched._rng.bit_generator.state == scalar._rng.bit_generator.state
 
@@ -142,7 +135,7 @@ class TestBatchedScalarParity:
         ransac_module.RANSAC_TILE_ELEMENTS = 7
         try:
             with numpy_kernel_only():
-                assert_same_fit(batched.fit(x, z), scalar.fit_reference(x, z))
+                assert_same_fit(batched.fit(x, z), fit_reference(scalar, x, z))
         finally:
             ransac_module.RANSAC_TILE_ELEMENTS = original
 
@@ -155,20 +148,20 @@ class TestBatchedScalarParity:
         batched = RANSACLineFitter(**params)
         scalar = RANSACLineFitter(**params)
         with numpy_kernel_only():
-            assert_same_fit(batched.fit(x, z), scalar.fit_reference(x, z))
+            assert_same_fit(batched.fit(x, z), fit_reference(scalar, x, z))
 
     def test_n_equals_two(self):
         batched = RANSACLineFitter(seed=0, max_trials=16)
         scalar = RANSACLineFitter(seed=0, max_trials=16)
         x = np.asarray([1.0, 2.0])
         z = np.asarray([0.5, 0.7])
-        assert_same_fit(batched.fit(x, z), scalar.fit_reference(x, z))
+        assert_same_fit(batched.fit(x, z), fit_reference(scalar, x, z))
 
     def test_all_duplicate_x_yields_none_on_both(self):
         x = np.full(20, 3.0)
         z = np.linspace(0, 1, 20)
         assert RANSACLineFitter(seed=1).fit(x, z) is None
-        assert RANSACLineFitter(seed=1).fit_reference(x, z) is None
+        assert fit_reference(RANSACLineFitter(seed=1), x, z) is None
 
     def test_undersized_input_consumes_no_rng(self):
         fitter = RANSACLineFitter(seed=5)
@@ -185,7 +178,7 @@ class TestBatchedScalarParity:
             for n in (50, 200, 50, 128):
                 x = gen.uniform(0, 10, n)
                 z = 0.4 * x + gen.normal(0, 0.1, n)
-                assert_same_fit(fitter.fit(x, z), reference.fit_reference(x, z))
+                assert_same_fit(fitter.fit(x, z), fit_reference(reference, x, z))
 
 
 @pytest.mark.skipif(
@@ -284,15 +277,11 @@ class TestRecursiveEngineParity:
     def test_batched_and_reference_engines_agree(self):
         x, z = self._two_population_fleet()
         kwargs = dict(residual_threshold=0.12, min_inliers=40, seed=0)
-        batched = RecursiveRANSAC(engine="batched", **kwargs).fit(x, z)
-        reference = RecursiveRANSAC(engine="reference", **kwargs).fit(x, z)
+        batched = RecursiveRANSAC(**kwargs).fit(x, z)
+        reference = ReferenceRecursiveRANSAC(**kwargs).fit(x, z)
         assert len(batched) == len(reference) >= 2
         for a, b in zip(batched, reference):
             assert_same_fit(a, b)
-
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            RecursiveRANSAC(engine="turbo")
 
     def test_clone_replays_from_pristine_state(self):
         x, z = self._two_population_fleet(seed=2)
@@ -312,7 +301,7 @@ class TestRecursiveEngineParity:
         assert base.config_key() != RecursiveRANSAC(seed=0, max_trials=77).config_key()
         assert (
             base.config_key()
-            != RecursiveRANSAC(seed=0, engine="reference").config_key()
+            != ReferenceRecursiveRANSAC(seed=0).config_key()
         )
 
     def test_pair_reuse_matches_engine_restart_support(self):

@@ -1,0 +1,160 @@
+"""Scalar oracle of the Fig. 7 pipeline.
+
+:func:`transform_reference` pushes one measurement at a time through the
+scalar feature helpers, and :class:`ReferencePipeline` runs the whole
+workflow with the scalar :class:`~repro.core.classify.PeakHarmonicFeature`
+and a serial per-pump RUL loop.  The production
+:class:`~repro.core.pipeline.AnalysisPipeline` must return bit-identical
+results.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.classify import ZoneClassifier
+from repro.core.features import measurement_offsets, psd_feature, psd_frequencies, rms_feature
+from repro.core.outliers import detect_invalid_measurements
+from repro.core.pipeline import PipelineConfig, PipelineResult
+from repro.core.ransac import RecursiveRANSAC
+from repro.core.rul import RULEstimator, RULPrediction, learn_zone_d_threshold
+from repro.core.window import moving_average
+from repro.runtime.fleet import FleetExecutor
+
+
+def transform_reference(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Data transformation layer, one block at a time: ``(offsets, rms, psd)``.
+
+    Args:
+        samples: measurement blocks, shape ``(n, K, 3)``.
+    """
+    blocks = np.asarray(samples, dtype=np.float64)
+    if blocks.ndim != 3 or blocks.shape[2] != 3:
+        raise ValueError(f"samples must have shape (n, K, 3), got {blocks.shape}")
+    offsets = np.stack([measurement_offsets(b) for b in blocks])
+    rms = np.asarray([rms_feature(b) for b in blocks])
+    psd = np.stack([psd_feature(b) for b in blocks])
+    return offsets, rms, psd
+
+
+class ReferencePipeline:
+    """The scalar Fig. 7 workflow over in-memory measurement arrays.
+
+    ``run`` takes the production signature (``profile`` is accepted and
+    ignored) and ``executor`` is a serial one, so
+    :class:`~tests.reference.engine.ReferenceEngine` can drive it exactly
+    like the production pipeline.
+    """
+
+    def __init__(self, config: PipelineConfig | None = None):
+        self.config = config or PipelineConfig()
+        self.executor = FleetExecutor(max_workers=1)
+
+    def preprocess(
+        self,
+        pump_ids: np.ndarray,
+        offsets: np.ndarray,
+        service_days: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Per-sensor-epoch invalid-measurement mask (True = valid)."""
+        ids = np.asarray(pump_ids)
+        valid = np.ones(ids.shape[0], dtype=bool)
+        for pump in np.unique(ids):
+            member_idx = np.nonzero(ids == pump)[0]
+            if service_days is None:
+                epochs = [member_idx]
+            else:
+                days = np.asarray(service_days, dtype=np.float64)[member_idx]
+                resets = np.nonzero(np.diff(days) < 0)[0] + 1
+                epochs = np.split(member_idx, resets)
+            for epoch in epochs:
+                if epoch.size == 0:
+                    continue
+                invalid = detect_invalid_measurements(
+                    offsets[epoch], self.config.outlier
+                )
+                valid[epoch[invalid]] = False
+        return valid
+
+    def frequencies(self, num_bins: int) -> np.ndarray:
+        return psd_frequencies(num_bins, self.config.sampling_rate_hz)
+
+    def run(
+        self,
+        pump_ids: np.ndarray,
+        service_days: np.ndarray,
+        samples: np.ndarray,
+        train_labels: dict[int, str],
+        profile=None,
+    ) -> PipelineResult:
+        ids = np.asarray(pump_ids)
+        days = np.asarray(service_days, dtype=np.float64)
+        blocks = np.asarray(samples, dtype=np.float64)
+        n = ids.shape[0]
+        if days.shape[0] != n or blocks.shape[0] != n:
+            raise ValueError("pump_ids, service_days and samples must align")
+        if not train_labels:
+            raise ValueError("train_labels must not be empty")
+        bad_idx = [i for i in train_labels if not 0 <= i < n]
+        if bad_idx:
+            raise ValueError(f"train_labels reference invalid indices: {bad_idx}")
+
+        offsets, rms, psd = transform_reference(blocks)
+        valid = self.preprocess(ids, offsets, days)
+        freqs = self.frequencies(psd.shape[1])
+
+        train_idx = np.asarray(
+            [i for i in sorted(train_labels) if valid[i]], dtype=np.intp
+        )
+        if train_idx.size == 0:
+            raise ValueError("all labelled measurements were flagged invalid")
+        labels = np.asarray([train_labels[int(i)] for i in train_idx], dtype=object)
+        classifier = ZoneClassifier()
+        classifier.fit(psd[train_idx], labels, freqs)
+
+        valid_idx = np.nonzero(valid)[0]
+        da = np.full(n, np.nan)
+        da[valid_idx] = classifier.decision_scores(psd[valid_idx], freqs)
+        if self.config.moving_average_window > 1:
+            for pump in np.unique(ids):
+                member = np.nonzero((ids == pump) & valid)[0]
+                member = member[np.argsort(days[member], kind="stable")]
+                if member.size:
+                    da[member] = moving_average(
+                        da[member], self.config.moving_average_window
+                    )
+
+        zones = np.full(n, "", dtype=object)
+        zones[valid_idx] = classifier.classifier.predict(da[valid_idx])
+
+        zone_d_threshold = learn_zone_d_threshold(da[train_idx], labels)
+        estimator = RULEstimator(
+            zone_d_threshold,
+            RecursiveRANSAC(
+                residual_threshold=self.config.ransac_residual_threshold,
+                min_inliers=self.config.ransac_min_inliers,
+                seed=self.config.ransac_seed,
+            ),
+        )
+        estimator.fit(days[valid_idx], da[valid_idx])
+
+        rul: dict[object, RULPrediction] = {}
+        if estimator.n_models:
+            for pump in np.unique(ids):
+                member = np.nonzero((ids == pump) & valid)[0]
+                if member.size:
+                    rul[pump] = estimator.predict(days[member], da[member])
+
+        thresholds = classifier.thresholds_
+        return PipelineResult(
+            valid_mask=valid,
+            offsets=offsets,
+            rms=rms,
+            psd=psd,
+            da=da,
+            zones=zones,
+            zone_thresholds=thresholds if thresholds is not None else np.empty(0),
+            zone_d_threshold=zone_d_threshold,
+            lifetime_models=estimator.models_,
+            rul=rul,
+        )

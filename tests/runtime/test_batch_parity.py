@@ -1,9 +1,8 @@
-"""Batch runtime ↔ scalar reference parity.
+"""Production pipeline ↔ scalar oracle parity.
 
-The ISSUE contract asks for element-wise agreement within ``atol=1e-9``;
-the batch kernels are built to a stronger standard — every float sees the
-same operations in the same order as the scalar path — so these tests
-assert *bit* equality (``np.array_equal``), which implies the tolerance.
+The batched kernels are built so that every float sees the same
+operations in the same order as the scalar oracle in ``tests/reference/``,
+so these tests assert *bit* equality (``np.array_equal``).
 """
 
 from __future__ import annotations
@@ -14,20 +13,16 @@ import pytest
 from repro.core.classify import PeakHarmonicFeature
 from repro.core.features import psd_frequencies
 from repro.core.pipeline import AnalysisPipeline, PipelineConfig
-from repro.runtime import (
-    BatchPeakHarmonicFeature,
-    BatchPipeline,
-    FleetExecutor,
-    PeakFeatureCache,
-)
+from repro.runtime import BatchPeakHarmonicFeature, FleetExecutor, PeakFeatureCache
+from tests.reference.pipeline import ReferencePipeline, transform_reference
 
 from .conftest import make_workload
 
 
-def fresh_batch(config: PipelineConfig | None = None, **kwargs) -> BatchPipeline:
-    """A BatchPipeline with private caches (no cross-test pollution)."""
+def fresh_batch(config: PipelineConfig | None = None, **kwargs) -> AnalysisPipeline:
+    """A pipeline with private caches (no cross-test pollution)."""
     kwargs.setdefault("cache", PeakFeatureCache())
-    return BatchPipeline(config, **kwargs)
+    return AnalysisPipeline(config, **kwargs)
 
 
 def assert_results_identical(scalar, batch) -> None:
@@ -46,7 +41,7 @@ def assert_results_identical(scalar, batch) -> None:
 class TestTransformParity:
     def test_transform_bit_identical(self, workload):
         _, _, blocks, _ = workload
-        s_off, s_rms, s_psd = AnalysisPipeline().transform(blocks)
+        s_off, s_rms, s_psd = transform_reference(blocks)
         b_off, b_rms, b_psd = fresh_batch().transform(blocks)
         assert np.array_equal(s_off, b_off)
         assert np.array_equal(s_rms, b_rms)
@@ -54,7 +49,7 @@ class TestTransformParity:
 
     def test_transform_parity_across_chunk_boundaries(self, workload):
         _, _, blocks, _ = workload
-        reference = AnalysisPipeline().transform(blocks)
+        reference = transform_reference(blocks)
         # Chunk sizes that divide, straddle, and exceed the row count.
         for chunk_rows in (1, 7, blocks.shape[0], blocks.shape[0] + 5):
             chunked = fresh_batch(chunk_rows=chunk_rows).transform(blocks)
@@ -62,8 +57,8 @@ class TestTransformParity:
                 assert np.array_equal(ref, got), f"chunk_rows={chunk_rows}"
 
     def test_transform_empty_matrix(self):
-        # The scalar reference cannot represent an empty result (np.stack
-        # needs at least one row); the batch path degrades gracefully.
+        # The scalar oracle cannot represent an empty result (np.stack
+        # needs at least one row); the pipeline degrades gracefully.
         b_off, b_rms, b_psd = fresh_batch().transform(np.empty((0, 128, 3)))
         assert b_off.shape == (0, 3)
         assert b_rms.shape == (0,)
@@ -74,7 +69,7 @@ class TestTransformParity:
         poisoned = blocks.copy()
         poisoned[5, 100, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            AnalysisPipeline().transform(poisoned)
+            transform_reference(poisoned)
         with pytest.raises(ValueError, match="non-finite"):
             fresh_batch().transform(poisoned)
 
@@ -83,21 +78,21 @@ class TestTransformParity:
         poisoned = blocks.copy()
         poisoned[0, 0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            AnalysisPipeline().transform(poisoned)
+            transform_reference(poisoned)
         with pytest.raises(ValueError, match="non-finite"):
             fresh_batch().transform(poisoned)
 
     def test_bad_shape_raises_in_both_paths(self):
         bad = np.zeros((4, 64, 2))
         with pytest.raises(ValueError):
-            AnalysisPipeline().transform(bad)
+            transform_reference(bad)
         with pytest.raises(ValueError):
             fresh_batch().transform(bad)
 
     def test_too_short_measurement_raises_in_both_paths(self):
         short = np.zeros((2, 1, 3))
         with pytest.raises(ValueError, match="at least 2 samples"):
-            AnalysisPipeline().transform(short)
+            transform_reference(short)
         with pytest.raises(ValueError, match="at least 2 samples"):
             fresh_batch().transform(short)
 
@@ -105,7 +100,7 @@ class TestTransformParity:
 class TestFeatureParity:
     def test_score_many_bit_identical(self, workload):
         _, _, blocks, _ = workload
-        _, _, psd = AnalysisPipeline().transform(blocks)
+        _, _, psd = transform_reference(blocks)
         freqs = psd_frequencies(psd.shape[1], 4000.0)
         reference_rows = psd[:10]
 
@@ -119,7 +114,7 @@ class TestFeatureParity:
 
     def test_cached_rescore_bit_identical(self, workload):
         _, _, blocks, _ = workload
-        _, _, psd = AnalysisPipeline().transform(blocks)
+        _, _, psd = transform_reference(blocks)
         freqs = psd_frequencies(psd.shape[1], 4000.0)
         batch = BatchPeakHarmonicFeature(cache=PeakFeatureCache()).fit(
             psd[:10], freqs
@@ -135,7 +130,7 @@ class TestFullRunParity:
         self, workload
     ):
         ids, days, blocks, labels = workload
-        scalar = AnalysisPipeline().run(ids, days, blocks, labels)
+        scalar = ReferencePipeline().run(ids, days, blocks, labels)
         batch = fresh_batch().run(ids, days, blocks, labels)
         # The workload really exercised the interesting paths:
         assert not scalar.valid_mask.all()  # the outlier was flagged
@@ -144,7 +139,7 @@ class TestFullRunParity:
 
     def test_run_parity_with_threaded_executor(self, workload):
         ids, days, blocks, labels = workload
-        scalar = AnalysisPipeline().run(ids, days, blocks, labels)
+        scalar = ReferencePipeline().run(ids, days, blocks, labels)
         threaded = fresh_batch(executor=FleetExecutor(max_workers=3)).run(
             ids, days, blocks, labels
         )
@@ -153,13 +148,13 @@ class TestFullRunParity:
     def test_run_parity_with_moving_average(self, workload):
         ids, days, blocks, labels = workload
         config = PipelineConfig(moving_average_window=4)
-        scalar = AnalysisPipeline(config).run(ids, days, blocks, labels)
+        scalar = ReferencePipeline(config).run(ids, days, blocks, labels)
         batch = fresh_batch(config).run(ids, days, blocks, labels)
         assert_results_identical(scalar, batch)
 
     def test_warm_rerun_bit_identical(self, workload):
         ids, days, blocks, labels = workload
-        scalar = AnalysisPipeline().run(ids, days, blocks, labels)
+        scalar = ReferencePipeline().run(ids, days, blocks, labels)
         batch = fresh_batch()
         batch.run(ids, days, blocks, labels)
         warm = batch.run(ids, days, blocks, labels)
@@ -176,7 +171,7 @@ class TestFullRunParity:
             ({10**6: "A"}, "invalid indices"),
         ):
             with pytest.raises(ValueError, match=match):
-                AnalysisPipeline().run(ids, days, blocks, bad_labels)
+                ReferencePipeline().run(ids, days, blocks, bad_labels)
             with pytest.raises(ValueError, match=match):
                 fresh_batch().run(ids, days, blocks, bad_labels)
 
@@ -184,6 +179,6 @@ class TestFullRunParity:
         ids, days, blocks, labels = make_workload(
             n_pumps=4, per_pump=32, num_samples=256, seed=99
         )
-        scalar = AnalysisPipeline().run(ids, days, blocks, labels)
+        scalar = ReferencePipeline().run(ids, days, blocks, labels)
         batch = fresh_batch().run(ids, days, blocks, labels)
         assert_results_identical(scalar, batch)

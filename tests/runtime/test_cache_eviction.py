@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.peaks import HarmonicPeaks
-from repro.runtime.batch import BatchPipeline
+from repro.core.pipeline import AnalysisPipeline
 from repro.runtime.cache import (
     PeakFeatureCache,
     array_digest,
@@ -140,13 +140,13 @@ class TestPeakFeatureCacheEviction:
 
 
 class TestTransformCacheEviction:
-    """The batch pipeline's transform row memo keeps the last call only."""
+    """The pipeline's transform row memo keeps the last call only."""
 
     def rows(self, seed: int, n: int = 4):
         return np.random.default_rng(seed).normal(size=(n, 16, 3))
 
     def test_bounded_to_last_call(self):
-        pipeline = BatchPipeline(cache=PeakFeatureCache())
+        pipeline = AnalysisPipeline(cache=PeakFeatureCache())
         a, b = self.rows(0), self.rows(1)
         pipeline.transform(a)
         pipeline.transform(b)  # replaces a's rows entirely
@@ -157,7 +157,7 @@ class TestTransformCacheEviction:
     def test_hits_return_copies_not_views(self):
         """A hit is gathered into the new call's own result arrays, so
         no two calls ever share a buffer."""
-        pipeline = BatchPipeline(cache=PeakFeatureCache())
+        pipeline = AnalysisPipeline(cache=PeakFeatureCache())
         a = self.rows(5)
         first = pipeline.transform(a)
         second = pipeline.transform(a)
@@ -169,7 +169,7 @@ class TestTransformCacheEviction:
     def test_outputs_are_read_only(self):
         """The memo stores the returned arrays themselves; freezing them
         is what keeps a caller from corrupting a memoized row."""
-        pipeline = BatchPipeline(cache=PeakFeatureCache())
+        pipeline = AnalysisPipeline(cache=PeakFeatureCache())
         a = self.rows(6)
         cold = pipeline.transform(a)
         mixed = pipeline.transform(np.concatenate([a, self.rows(7, n=1)]))
@@ -179,7 +179,7 @@ class TestTransformCacheEviction:
                 arr[...] = 0
 
     def test_same_length_different_bytes_do_not_alias(self):
-        pipeline = BatchPipeline(cache=PeakFeatureCache())
+        pipeline = AnalysisPipeline(cache=PeakFeatureCache())
         block_a = np.zeros((2, 16, 3))
         block_b = np.zeros((2, 16, 3))
         block_b[1, 0, 0] = 1e-300  # same shape and byte length, one bit of difference
@@ -187,12 +187,12 @@ class TestTransformCacheEviction:
         got = pipeline.transform(block_b)
         assert pipeline.transform_hits == 1  # only the identical row 0
         assert pipeline.transform_misses == 3
-        expected = BatchPipeline(cache=PeakFeatureCache()).transform(block_b)
+        expected = AnalysisPipeline(cache=PeakFeatureCache()).transform(block_b)
         for want, have in zip(expected, got):
             np.testing.assert_array_equal(want, have)
 
     def test_counters(self):
-        pipeline = BatchPipeline(cache=PeakFeatureCache())
+        pipeline = AnalysisPipeline(cache=PeakFeatureCache())
         a = self.rows(8)
         pipeline.transform(a)
         assert (pipeline.transform_hits, pipeline.transform_misses) == (0, 4)

@@ -3,7 +3,7 @@
 The manifest is content-addressed (chunks keyed by input digest, payload
 verified by output digest on load), so resume can never serve stale or
 torn data — worst case it recomputes.  These tests drive the journal
-through :class:`BatchPipeline` exactly as the engine does.
+through :class:`AnalysisPipeline` exactly as the engine does.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import PipelineConfig
-from repro.runtime.batch import BatchPipeline
+from repro.core.pipeline import AnalysisPipeline
 from repro.runtime.cache import PeakFeatureCache, array_digest
 from repro.runtime.checkpoint import MANIFEST_NAME, CheckpointManager
 
@@ -28,9 +28,9 @@ def blocks():
     return rng.normal(size=(N, K, 3))
 
 
-def make_pipeline(ckpt_dir=None, run_key="test-v1") -> BatchPipeline:
+def make_pipeline(ckpt_dir=None, run_key="test-v1") -> AnalysisPipeline:
     checkpoint = CheckpointManager(ckpt_dir, run_key=run_key) if ckpt_dir else None
-    return BatchPipeline(
+    return AnalysisPipeline(
         PipelineConfig(),
         cache=PeakFeatureCache(),
         chunk_rows=CHUNK_ROWS,
@@ -143,7 +143,7 @@ class TestStaleCacheRevalidation:
         # A second run over different bytes re-records every chunk slot,
         # superseding the original digests in the shared manifest.
         changed = blocks + 1.0
-        other = BatchPipeline(
+        other = AnalysisPipeline(
             PipelineConfig(),
             cache=PeakFeatureCache(),
             chunk_rows=CHUNK_ROWS,

@@ -14,7 +14,7 @@ import pytest
 
 import repro.runtime.batch as batch_mod
 from repro.core.pipeline import PipelineConfig
-from repro.runtime.batch import BatchPipeline
+from repro.core.pipeline import AnalysisPipeline
 from repro.runtime.cache import PeakFeatureCache
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.profile import RuntimeProfile
@@ -24,9 +24,9 @@ from tests.runtime.conftest import make_workload
 CHUNK_ROWS = 64
 
 
-def make_pipeline(ckpt_dir=None) -> BatchPipeline:
+def make_pipeline(ckpt_dir=None) -> AnalysisPipeline:
     checkpoint = CheckpointManager(ckpt_dir) if ckpt_dir else None
-    return BatchPipeline(
+    return AnalysisPipeline(
         PipelineConfig(),
         cache=PeakFeatureCache(),
         chunk_rows=CHUNK_ROWS,

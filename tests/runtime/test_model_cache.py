@@ -9,6 +9,7 @@ from repro.runtime.cache import (
     ModelFitCache,
     default_model_fit_cache,
 )
+from tests.reference.ransac import ReferenceRecursiveRANSAC
 
 
 def fleet(seed=0, n=300):
@@ -47,8 +48,8 @@ class TestModelFitCache:
 
     def test_engine_mode_changes_the_key(self):
         x, z = fleet()
-        batched = RecursiveRANSAC(seed=0, engine="batched")
-        reference = RecursiveRANSAC(seed=0, engine="reference")
+        batched = RecursiveRANSAC(seed=0)
+        reference = ReferenceRecursiveRANSAC(seed=0)
         assert ModelFitCache.fit_key(
             batched.config_key(), x, z
         ) != ModelFitCache.fit_key(reference.config_key(), x, z)

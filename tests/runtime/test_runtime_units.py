@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from repro.core.peaks import HarmonicPeaks
+from repro.core.pipeline import AnalysisPipeline
 from repro.runtime import (
-    BatchPipeline,
     FleetExecutor,
     PeakFeatureCache,
     RuntimeProfile,
@@ -108,13 +108,13 @@ class TestPeakFeatureCache:
 
 
 class TestTransformCache:
-    """Unit behaviour of the batch pipeline's transform row memo."""
+    """Unit behaviour of the pipeline's transform row memo."""
 
     def rows(self, seed: int, n: int = 4):
         return np.random.default_rng(seed).normal(size=(n, 16, 3))
 
     def test_roundtrip_and_counters(self):
-        pipeline = BatchPipeline(cache=PeakFeatureCache())
+        pipeline = AnalysisPipeline(cache=PeakFeatureCache())
         a = self.rows(0)
         cold = pipeline.transform(a)
         warm = pipeline.transform(a)
@@ -123,7 +123,7 @@ class TestTransformCache:
         assert pipeline.transform_hits == 4 and pipeline.transform_misses == 4
 
     def test_hits_return_private_copies(self):
-        pipeline = BatchPipeline(cache=PeakFeatureCache())
+        pipeline = AnalysisPipeline(cache=PeakFeatureCache())
         a = self.rows(0)
         first = pipeline.transform(a)
         reordered = pipeline.transform(a[::-1])  # all hits, gathered anew
@@ -133,18 +133,18 @@ class TestTransformCache:
             assert not np.shares_memory(new, old)
 
     def test_store_is_isolated_from_caller_buffers(self):
-        pipeline = BatchPipeline(cache=PeakFeatureCache())
+        pipeline = AnalysisPipeline(cache=PeakFeatureCache())
         a = self.rows(0)
         pipeline.transform(a)
         a[0] += 99.0  # caller reuses its buffer after the call
         got = pipeline.transform(a)
         assert pipeline.transform_misses == 5  # the rewritten row misses
-        expected = BatchPipeline(cache=PeakFeatureCache()).transform(a)
+        expected = AnalysisPipeline(cache=PeakFeatureCache()).transform(a)
         for want, have in zip(expected, got):
             assert np.array_equal(want, have)
 
     def test_last_call_replaces_memo(self):
-        pipeline = BatchPipeline(cache=PeakFeatureCache())
+        pipeline = AnalysisPipeline(cache=PeakFeatureCache())
         a = self.rows(0)
         b = np.concatenate([a[:2], self.rows(1, n=2)])
         pipeline.transform(a)
