@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 
 @dataclass(frozen=True)
@@ -114,6 +113,8 @@ class DriftMonitor:
             ValueError: when the window is too small after dropping
                 non-finite values.
         """
+        from scipy.stats import ks_2samp  # lazy: not on the analyze path
+
         window = np.asarray(recent, dtype=np.float64).ravel()
         window = window[np.isfinite(window)]
         if window.size < self.min_window:

@@ -82,6 +82,8 @@ class EngineConfig:
             raise ValueError("rotation_hz must be positive")
         if self.diagnosis_window < 1:
             raise ValueError("diagnosis_window must be positive")
+        if self.max_workers is not None and self.max_workers < 0:
+            raise ValueError("max_workers must be non-negative")
         if self.executor_backend not in ("thread", "process"):
             raise ValueError(
                 f"executor_backend must be 'thread' or 'process',"

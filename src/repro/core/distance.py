@@ -20,7 +20,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from repro.core.peaks import DEFAULT_WINDOW_SIZE, HarmonicPeaks
 
@@ -424,6 +423,8 @@ class MahalanobisMetric:
 
     def distance_many(self, vecs: np.ndarray) -> np.ndarray:
         """Vectorized distances for rows of ``vecs`` (one triangular solve)."""
+        from scipy.linalg import solve_triangular  # lazy: not on the analyze path
+
         matrix = np.atleast_2d(np.asarray(vecs, dtype=np.float64))
         if matrix.shape[1] != self.mean_.shape[0]:
             raise ValueError(

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct
-from scipy.signal import welch
 
 AXES = ("x", "y", "z")
 
@@ -165,6 +164,8 @@ def welch_psd(
         bin-width units comparable to :func:`psd_feature`'s convention
         (total over bins equals the signal's variance).
     """
+    from scipy.signal import welch  # lazy: not on the analyze path
+
     normalized = normalize_measurement(samples)
     k = normalized.shape[0]
     if nperseg < 2:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import hilbert
 
 from repro.core.features import normalize_measurement, psd_feature, psd_frequencies
 
@@ -141,6 +140,8 @@ def envelope_spectrum(
         ``(frequencies, envelope_psd)`` of the demodulated signal; the
         frequency axis spans DC to Nyquist like the ordinary PSD.
     """
+    from scipy.signal import hilbert  # lazy: not on the analyze path
+
     normalized = normalize_measurement(samples)
     k = normalized.shape[0]
     if carrier_band_hz is None:

@@ -5,8 +5,9 @@ the whole-matrix kernels defined here:
 
 * **transform** — one batched DCT-II over ``(n, K, 3)`` plus broadcast
   mean-offset calibration and a vectorized RMS reduction, computed in
-  row tiles (:func:`transform_rows`), optionally journaled per chunk and
-  fanned across worker processes through shared memory;
+  row tiles (:func:`transform_rows`) spread over the executor's threads,
+  optionally journaled per chunk and fanned across worker processes
+  through shared memory;
 * **feature extraction** — :class:`BatchPeakHarmonicFeature` smooths and
   scans every PSD row at once (``smooth_hann_batch`` + the vectorized
   local-maxima mask) and memoizes exemplar peaks / per-row peak features
@@ -19,7 +20,7 @@ boundary.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 from scipy.fft import dct
@@ -101,6 +102,40 @@ def _transform_tiled(
         psd[tlo:thi] = coeffs.sum(axis=1)
 
 
+def _transform_threaded(
+    pool: ThreadPoolExecutor,
+    workers: int,
+    blocks: np.ndarray,
+    lo: int,
+    hi: int,
+    offsets: np.ndarray,
+    rms: np.ndarray,
+    psd: np.ndarray,
+) -> None:
+    """Run :func:`_transform_tiled` on rows ``[lo, hi)`` across ``pool``.
+
+    The rows split into ``min(workers, tiles)`` tile-aligned contiguous
+    ranges, one per pool thread; one worker or a single tile is the
+    plain serial call.  Pocketfft's DCT and numpy's reductions release
+    the GIL, and every op is row-local, so the outputs are bit-identical
+    whichever thread computed a tile.  A non-finite row raises the same
+    ``ValueError`` as the serial call, earliest range first.
+    """
+    tiles = -(-(hi - lo) // TRANSFORM_TILE_ROWS)
+    parts = min(workers, tiles)
+    if parts <= 1:
+        _transform_tiled(blocks, lo, hi, offsets, rms, psd)
+        return
+    bounds = [lo + (tiles * i // parts) * TRANSFORM_TILE_ROWS for i in range(parts)]
+    bounds.append(hi)
+    futures = [
+        pool.submit(_transform_tiled, blocks, start, stop, offsets, rms, psd)
+        for start, stop in zip(bounds, bounds[1:])
+    ]
+    for future in futures:
+        future.result()
+
+
 def _transform_chunk_in_process(
     payload: tuple[SharedArraySpec, SharedArraySpec, SharedArraySpec, SharedArraySpec, int, int],
 ) -> None:
@@ -131,9 +166,13 @@ def transform_rows(
     With a checkpoint armed, each chunk is first looked up in the
     journal by its input digest and every computed chunk is journaled
     the moment it completes.  Missed chunks fan out across worker
-    processes when the executor's process backend can pay off.  Returns
-    ``(offsets, rms, psd, computed)``, where ``computed`` counts the rows
-    actually transformed rather than recalled from the journal.
+    processes when the executor's process backend can pay off; otherwise
+    each chunk's tiles spread over ``executor.max_workers`` plain threads
+    (``0``/``1`` is serial).  The threads bypass the executor itself, so
+    its fault injection, supervision tally and ``last_backend`` never
+    see transform tiles.  Returns ``(offsets, rms, psd, computed)``,
+    where ``computed`` counts the rows actually transformed rather than
+    recalled from the journal.
     """
     n, k = blocks.shape[0], blocks.shape[1]
     offsets = np.empty((n, 3))
@@ -159,15 +198,19 @@ def transform_rows(
         _transform_chunks_in_processes(
             blocks, missed, executor.max_workers, offsets, rms, psd
         )
-    for index, lo, hi, chunk_key in missed:
-        if not in_processes:
-            _transform_tiled(blocks, lo, hi, offsets, rms, psd)
-        # Journal each chunk the moment it completes, so a crash
-        # mid-run resumes from here rather than from scratch.
-        if checkpoint is not None:
-            checkpoint.record_chunk(
-                index, lo, hi, chunk_key, offsets[lo:hi], rms[lo:hi], psd[lo:hi]
-            )
+    # The pool starts threads only on first submit, so a serial or
+    # process-backed run pays nothing for it.
+    workers = max(1, executor.max_workers)
+    with ThreadPoolExecutor(workers) as pool:
+        for index, lo, hi, chunk_key in missed:
+            if not in_processes:
+                _transform_threaded(pool, workers, blocks, lo, hi, offsets, rms, psd)
+            # Journal each chunk the moment it completes, so a crash
+            # mid-run resumes from here rather than from scratch.
+            if checkpoint is not None:
+                checkpoint.record_chunk(
+                    index, lo, hi, chunk_key, offsets[lo:hi], rms[lo:hi], psd[lo:hi]
+                )
     return offsets, rms, psd, sum(hi - lo for _, lo, hi, _ in missed)
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 
 @dataclass(frozen=True)
@@ -183,6 +182,8 @@ def _highpass(signal: np.ndarray, corner_hz: float, sampling_rate_hz: float) -> 
     evaluated with ``scipy.signal.lfilter`` so synthesizing large fleets
     stays fast.
     """
+    from scipy.signal import lfilter  # lazy: not on the analyze path
+
     if corner_hz <= 0:
         return signal.copy()
     dt = 1.0 / sampling_rate_hz

@@ -1,9 +1,13 @@
 """Tests for the command-line interface (cli.py)."""
 
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -229,6 +233,13 @@ class TestInputValidation:
         assert text == "error: horizon_days must be positive\n"
         assert not db_path.exists()
 
+    def test_analyze_rejects_negative_workers(self, tmp_path):
+        db_path = tmp_path / "fleet.db"
+        code, text = run_cli(["analyze", "--db", str(db_path), "--workers", "-1"])
+        assert code == 1
+        assert text == "error: max_workers must be non-negative\n"
+        assert not db_path.exists()
+
     @pytest.mark.parametrize("command", ["analyze", "schedule", "dashboard"])
     @pytest.mark.parametrize("window", ["0", "-5"])
     def test_rejects_non_positive_moving_average(self, tmp_path, command, window):
@@ -244,6 +255,32 @@ class TestInputValidation:
         )
         assert code == 1
         assert text == "error: moving_average_window must be positive\n"
+
+
+class TestImportFootprint:
+    """``repro analyze`` loads only ``scipy.fft`` (and what it pulls in)
+    from scipy; the welch/envelope/drift/Mahalanobis call sites import
+    the rest on first use."""
+
+    def test_analyze_imports_skip_scipy_signal_stats_linalg(self):
+        probe = (
+            "import sys\n"
+            "import repro.__main__, repro.analysis.engine, repro.analysis.reporting\n"
+            "import repro.core.pipeline, repro.runtime, repro.storage\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy.'))))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        assert "scipy.fft" in loaded
+        for heavy in ("scipy.signal", "scipy.stats", "scipy.linalg"):
+            assert heavy not in loaded
 
 
 class TestOracleParity:

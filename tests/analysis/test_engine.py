@@ -123,3 +123,5 @@ class TestEngineConfigValidation:
             EngineConfig(rotation_hz=0.0)
         with pytest.raises(ValueError):
             EngineConfig(diagnosis_window=0)
+        with pytest.raises(ValueError, match="max_workers must be non-negative"):
+            EngineConfig(max_workers=-1)
