@@ -12,13 +12,14 @@ Each workload runs three configurations:
 
 * **scalar** — the oracle ``tests.reference.pipeline.ReferencePipeline``,
   per-measurement loops everywhere;
-* **batch cold** — :class:`AnalysisPipeline` with empty caches: the
+* **batch cold** — a fresh :class:`AnalysisPipeline` (empty row memo): the
   vectorized kernels alone (single 2-D DCT, batched smoothing and peak
   scan, broadcast calibration, the packed Algorithm 1 distance kernel);
 * **batch warm** — the same pipeline re-analyzing identical data, the
   operational steady state (``analyze`` → ``schedule`` → ``dashboard``
-  all replay the same window): the content-addressed transform row memo
-  and the peak + distance caches serve the heavy stages.
+  all replay the same window): the content-addressed row memo recalls
+  every row's transform outputs and harmonic peaks, so only the packed
+  distance kernel and the model layer run again.
 
 Gates (minimum over rounds, parity asserted on the results so every
 speedup is for *bit-identical* outputs):
@@ -50,7 +51,6 @@ import pytest
 from common import rul_fleet
 from repro.core.classify import ZONE_A, ZONE_BC, ZONE_D
 from repro.core.pipeline import AnalysisPipeline, PipelineConfig
-from repro.runtime import PeakFeatureCache
 from tests.reference.pipeline import ReferencePipeline
 
 pytestmark = pytest.mark.perf
@@ -124,7 +124,7 @@ def workload():
 
 
 def fresh_batch() -> AnalysisPipeline:
-    return AnalysisPipeline(PipelineConfig(), cache=PeakFeatureCache())
+    return AnalysisPipeline(PipelineConfig())
 
 
 def test_perf_scalar_reference(benchmark, workload):
@@ -153,7 +153,7 @@ def test_perf_batch_cold(benchmark, workload):
 def test_perf_batch_warm(benchmark, workload):
     ids, days, blocks, labels = workload
     pipeline = fresh_batch()
-    pipeline.run(ids, days, blocks, labels)  # populate the caches
+    pipeline.run(ids, days, blocks, labels)  # populate the row memo
     result = benchmark.pedantic(
         lambda: pipeline.run(ids, days, blocks, labels), rounds=ROUNDS, iterations=1
     )
@@ -222,7 +222,7 @@ def test_perf_fleet_scale_speedup(fleet_workload):
         return result, time.perf_counter() - start
 
     def fresh():
-        return AnalysisPipeline(config, cache=PeakFeatureCache())
+        return AnalysisPipeline(config)
 
     # Untimed warmup: faults in allocator arenas and FFT plan caches at
     # fleet scale so the timed rounds measure compute, not first-touch.

@@ -255,10 +255,11 @@ class VibrationAnalysisEngine:
     def _make_pipeline(self) -> AnalysisPipeline:
         """The pipeline this engine runs, built on first use.
 
-        Called once; :meth:`run` reuses the instance so content-addressed
-        caches — the peak cache and the transform row memo — survive
-        rolling-window advances: a refresh transforms only the
-        measurements the previous run did not see.
+        Called once; :meth:`run` reuses the instance so its row memo —
+        each row's transform outputs and harmonic peaks, keyed by the
+        row's content — survives rolling-window advances: a refresh
+        transforms, and extracts peaks for, only the measurements the
+        previous run did not see.
         """
         executor = self.executor or FleetExecutor(
             max_workers=self.config.max_workers,

@@ -222,14 +222,15 @@ def _cmd_simulate(args, out) -> int:
         seed=args.seed,
     )
     dataset = FleetSimulator(config).run()
+    # Draw the labels before opening the database, so an infeasible mix
+    # leaves no labelless file behind.
+    try:
+        records, _ = dataset.expert_labels(dict(zip(("A", "BC", "D"), counts)))
+    except ValueError as exc:
+        print(f"error: cannot satisfy label mix: {exc}", file=out)
+        return 2
     with VibrationDatabase(args.db) as db:
         dataset.to_database(db)
-        label_counts = dict(zip(("A", "BC", "D"), counts))
-        try:
-            records, _ = dataset.expert_labels(label_counts)
-        except ValueError as exc:
-            print(f"error: cannot satisfy label mix: {exc}", file=out)
-            return 2
         db.labels.add_many(records)
         print(
             f"wrote {db.measurements.count()} measurements, "
@@ -377,26 +378,29 @@ def _cmd_schedule(args, out) -> int:
     from repro.storage.api import AnalysisPeriod, DataRetrievalAPI
     from repro.storage.database import VibrationDatabase
 
-    if _missing_database(args.db, out):
-        return 1
-    with VibrationDatabase(args.db) as db:
-        api = DataRetrievalAPI(db, AnalysisPeriod(0.0, 1e9))
-        try:
-            engine = VibrationAnalysisEngine(
-                api,
-                EngineConfig(
-                    pipeline=PipelineConfig(moving_average_window=args.moving_average)
-                ),
-            )
-            report = engine.run()
-        except ValueError as exc:
-            print(f"error: {exc}", file=out)
-            return 1
+    try:
         scheduler = MaintenanceScheduler(
             period_days=args.period_days,
             capacity_per_period=args.capacity,
             safety_margin_days=args.margin_days,
         )
+        if args.horizon < 1:
+            raise ValueError("horizon_periods must be positive")
+        config = EngineConfig(
+            pipeline=PipelineConfig(moving_average_window=args.moving_average)
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=out)
+        return 1
+    if _missing_database(args.db, out):
+        return 1
+    with VibrationDatabase(args.db) as db:
+        api = DataRetrievalAPI(db, AnalysisPeriod(0.0, 1e9))
+        try:
+            report = VibrationAnalysisEngine(api, config).run()
+        except ValueError as exc:
+            print(f"error: {exc}", file=out)
+            return 1
         plan = scheduler.plan(report.rul, horizon_periods=args.horizon)
         if not plan.replacements:
             print("no replacements due within the horizon", file=out)

@@ -17,11 +17,10 @@ distance with a covariance estimated from reference (Zone A) samples.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.peaks import DEFAULT_WINDOW_SIZE, HarmonicPeaks
+from repro.core.peaks import DEFAULT_WINDOW_SIZE, HarmonicPeaks, PackedPeaks
 
 
 def peak_harmonic_distance(
@@ -111,57 +110,6 @@ def peak_harmonic_distance(
     return total / count
 
 
-@dataclass(frozen=True)
-class PackedPeaks:
-    """A batch of harmonic peak features packed into padded matrices.
-
-    Ragged per-measurement peak sets are stored as fixed-width rows so the
-    batched Algorithm 1 kernel can run whole-fleet vectorized passes.
-    Row ``i`` holds feature ``i``'s peaks in its first ``counts[i]``
-    columns (increasing frequency order, like :class:`HarmonicPeaks`);
-    the padding columns hold zeros and are never read through a valid
-    index.
-
-    Attributes:
-        frequencies: ``(N, P)`` peak frequencies in Hz, zero-padded.
-        values: ``(N, P)`` peak amplitudes, zero-padded, aligned with
-            ``frequencies``.
-        counts: ``(N,)`` number of real peaks per row.
-    """
-
-    frequencies: np.ndarray
-    values: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        freqs = np.asarray(self.frequencies, dtype=np.float64)
-        vals = np.asarray(self.values, dtype=np.float64)
-        counts = np.asarray(self.counts, dtype=np.intp)
-        if freqs.ndim != 2 or freqs.shape != vals.shape:
-            raise ValueError("frequencies and values must be equal-shape 2-D arrays")
-        if counts.shape != (freqs.shape[0],):
-            raise ValueError("counts must have one entry per row")
-        if counts.size and (counts.min() < 0 or counts.max() > freqs.shape[1]):
-            raise ValueError("counts must lie in [0, P]")
-        object.__setattr__(self, "frequencies", freqs)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "counts", counts)
-
-    def __len__(self) -> int:
-        return int(self.counts.shape[0])
-
-    @property
-    def valid(self) -> np.ndarray:
-        """``(N, P)`` boolean mask of real (non-padding) peak slots."""
-        width = self.frequencies.shape[1]
-        return np.arange(width)[None, :] < self.counts[:, None]
-
-    def row(self, i: int) -> HarmonicPeaks:
-        """Unpack one row back into a :class:`HarmonicPeaks` feature."""
-        n = int(self.counts[i])
-        return HarmonicPeaks(self.frequencies[i, :n].copy(), self.values[i, :n].copy())
-
-
 def pack_peaks(peaks_list: list[HarmonicPeaks]) -> PackedPeaks:
     """Pack ragged peak features into padded ``(N, P)`` matrices.
 
@@ -194,8 +142,8 @@ def packed_harmonic_distances(
       (at most ``P`` iterations): each iteration resolves the ``k``-th
       peak of every row at once, replicating the scalar search's
       bisect-and-expand choice (nearest unconsumed neighbour on each
-      side, left wins ties) with index arithmetic on an ``(N, n_j)``
-      consumed mask;
+      side; on a gap tie, the one the outward scan reaches first) with
+      index arithmetic on an ``(N, n_j)`` consumed mask;
     * unmatched-exemplar residuals are compacted per row and summed in
       groups of equal residual count, so every row's residual sees the
       same pairwise-summation tree as the scalar path's
@@ -267,9 +215,14 @@ def packed_harmonic_distances(
             )[:, 0]
             gap_left = np.where(has_left, np.abs(f - fj_left), np.inf)
             gap_right = np.where(has_right, np.abs(f - fj_right), np.inf)
-            # The scalar scan visits the left candidate first and only
-            # lets the right one replace it on a strictly smaller gap.
-            use_left = has_left & (~has_right | ~(gap_right < gap_left))
+            # The scalar scan steps outward one slot per side per pass,
+            # left before right, and a later find replaces the best only
+            # on a strictly smaller gap: on a tie the side found in fewer
+            # steps wins, the left one when both take equally many.
+            left_first = pos - 1 - left_idx <= right_idx - pos
+            use_left = has_left & (
+                (gap_left < gap_right) | ((gap_left == gap_right) & left_first)
+            )
             j_star = np.where(use_left, left_idx, right_idx)
             has_any = has_left | has_right
             j_safe = np.clip(j_star, 0, n_j - 1)[:, None]
@@ -321,8 +274,7 @@ def peak_harmonic_distances(
     Semantically ``[peak_harmonic_distance(p, reference) for p in
     peaks_list]`` and bit-identical to that loop, but executed through
     the padded-array kernel (:func:`packed_harmonic_distances`) so the
-    whole batch runs in vectorized numpy passes — the single entry point
-    batched callers and the memoization layer wrap.
+    whole batch runs in vectorized numpy passes.
 
     Args:
         peaks_list: harmonic peak features, one per measurement.

@@ -71,18 +71,55 @@ class HarmonicPeaks:
         return float(self.frequencies.max()) if len(self) else 0.0
 
 
-def _trusted_peaks(freqs: np.ndarray, vals: np.ndarray) -> HarmonicPeaks:
-    """Build a :class:`HarmonicPeaks` from pre-validated float64 arrays.
+@dataclass(frozen=True)
+class PackedPeaks:
+    """A batch of harmonic peak features packed into padded matrices.
 
-    The batched selection produces slices that are float64, 1-D,
-    equal-length and strictly increasing by construction, so the
-    per-object ``__post_init__`` validation (an ``np.diff`` + ``np.all``
-    per row — real cost at fleet scale) is skipped.
+    Ragged per-measurement peak sets are stored as fixed-width rows so the
+    batched Algorithm 1 kernel can run whole-fleet vectorized passes.
+    Row ``i`` holds feature ``i``'s peaks in its first ``counts[i]``
+    columns (increasing frequency order, like :class:`HarmonicPeaks`);
+    the padding columns hold zeros and are never read through a valid
+    index.
+
+    Attributes:
+        frequencies: ``(N, P)`` peak frequencies in Hz, zero-padded.
+        values: ``(N, P)`` peak amplitudes, zero-padded, aligned with
+            ``frequencies``.
+        counts: ``(N,)`` number of real peaks per row.
     """
-    peaks = object.__new__(HarmonicPeaks)
-    object.__setattr__(peaks, "frequencies", freqs)
-    object.__setattr__(peaks, "values", vals)
-    return peaks
+
+    frequencies: np.ndarray
+    values: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        freqs = np.asarray(self.frequencies, dtype=np.float64)
+        vals = np.asarray(self.values, dtype=np.float64)
+        counts = np.asarray(self.counts, dtype=np.intp)
+        if freqs.ndim != 2 or freqs.shape != vals.shape:
+            raise ValueError("frequencies and values must be equal-shape 2-D arrays")
+        if counts.shape != (freqs.shape[0],):
+            raise ValueError("counts must have one entry per row")
+        if counts.size and (counts.min() < 0 or counts.max() > freqs.shape[1]):
+            raise ValueError("counts must lie in [0, P]")
+        object.__setattr__(self, "frequencies", freqs)
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "counts", counts)
+
+    def __len__(self) -> int:
+        return int(self.counts.shape[0])
+
+    @property
+    def valid(self) -> np.ndarray:
+        """``(N, P)`` boolean mask of real (non-padding) peak slots."""
+        width = self.frequencies.shape[1]
+        return np.arange(width)[None, :] < self.counts[:, None]
+
+    def row(self, i: int) -> HarmonicPeaks:
+        """Unpack one row back into a :class:`HarmonicPeaks` feature."""
+        n = int(self.counts[i])
+        return HarmonicPeaks(self.frequencies[i, :n].copy(), self.values[i, :n].copy())
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
@@ -251,15 +288,15 @@ def extract_harmonic_peaks_batch(
     window_size: int = DEFAULT_WINDOW_SIZE,
     skip_dc_bins: int = 2,
     min_significance: float = DEFAULT_MIN_SIGNIFICANCE,
-) -> list[HarmonicPeaks]:
+) -> PackedPeaks:
     """:func:`extract_harmonic_peaks` over PSD rows ``(n, K)`` in one pass.
 
     Every stage — Hann smoothing, the local-maxima scan, the significance
     floor, and the top-``num_peaks`` selection — runs vectorized over the
     whole matrix (one C convolution plus masked reductions and a single
-    stable argsort; no per-row Python selection loop).  Results are
-    bit-identical to the scalar function applied row by row, which is the
-    contract the batched analysis runtime's parity tests enforce.
+    stable argsort; no per-row Python loop).  ``PackedPeaks.row(i)`` is
+    bit-identical to the scalar function applied to row ``i``, which is
+    the contract the batched analysis runtime's parity tests enforce.
 
     Args:
         psds: PSD matrix, one measurement per row.
@@ -270,7 +307,7 @@ def extract_harmonic_peaks_batch(
         min_significance: per-row significance floor (see scalar docs).
 
     Returns:
-        One :class:`HarmonicPeaks` per input row, in row order.
+        The peaks of every row, in row order, packed ``num_peaks`` wide.
     """
     rows = np.atleast_2d(np.asarray(psds, dtype=np.float64))
     freq_arr = np.asarray(frequencies, dtype=np.float64)
@@ -294,7 +331,7 @@ def _select_peaks_batch(
     num_peaks: int,
     skip_dc_bins: int,
     min_significance: float,
-) -> list[HarmonicPeaks]:
+) -> PackedPeaks:
     """Vectorized :func:`_select_peaks` over every row at once.
 
     Candidate maxima are first *compacted*: ``np.nonzero`` lists them in
@@ -311,11 +348,13 @@ def _select_peaks_batch(
     n_rows, n_bins = smoothed.shape
     mask = mask.copy()
     mask[:, : min(skip_dc_bins, n_bins)] = False
+    freqs = np.zeros((n_rows, num_peaks))
+    vals = np.zeros((n_rows, num_peaks))
 
     counts = mask.sum(axis=1)
     max_cand = int(counts.max()) if n_rows else 0
     if max_cand == 0:
-        return [HarmonicPeaks(np.empty(0), np.empty(0)) for _ in range(n_rows)]
+        return PackedPeaks(freqs, vals, np.zeros(n_rows, dtype=np.intp))
 
     # Compact candidates: row-major nonzero order keeps each row's
     # columns increasing, so slot order == frequency order.
@@ -340,7 +379,7 @@ def _select_peaks_batch(
 
     take = np.minimum(counts, num_peaks)
     if not counts.any():
-        return [HarmonicPeaks(np.empty(0), np.empty(0)) for _ in range(n_rows)]
+        return PackedPeaks(freqs, vals, take)
 
     # Stable descending argsort: padding (-inf) sinks to the end, tied
     # candidates keep frequency order — the same tie rule as the scalar
@@ -348,15 +387,13 @@ def _select_peaks_batch(
     # final per-row index sort pushes them past every real selection.
     width = min(num_peaks, max_cand)
     order = np.argsort(-cand_vals, axis=1, kind="stable")[:, :width]
-    rank = np.arange(width)[None, :]
+    real = np.arange(width)[None, :] < take[:, None]
     selected = np.take_along_axis(cand_cols, order, axis=1)
-    selected = np.where(rank < take[:, None], selected, n_bins)
-    selected = np.sort(selected, axis=1)
+    selected = np.sort(np.where(real, selected, n_bins), axis=1)
 
+    # After the sort each row's real selections fill its first take[i]
+    # slots; the zero padding behind them is never read.
     safe = np.minimum(selected, n_bins - 1)
-    freqs = freq_arr[safe]
-    vals = np.take_along_axis(smoothed, safe, axis=1)
-    return [
-        _trusted_peaks(freqs[i, : take[i]].copy(), vals[i, : take[i]].copy())
-        for i in range(n_rows)
-    ]
+    freqs[:, :width] = np.where(real, freq_arr[safe], 0.0)
+    vals[:, :width] = np.where(real, np.take_along_axis(smoothed, safe, axis=1), 0.0)
+    return PackedPeaks(freqs, vals, take)

@@ -8,7 +8,8 @@ The pipeline mirrors the paper's layer stack:
   averages per sensor, moving-average denoising of the degradation-feature
   time series, and construction of the dense matrices used downstream;
 * **feature matrix extraction** — harmonic peak features and the peak
-  harmonic distance ``D_a`` from a Zone A exemplar;
+  harmonic distance ``D_a`` from a Zone A exemplar; each row's peaks are
+  memoized with its transform outputs, keyed by the row's content;
 * **RUL model layer** — zone classification thresholds, recursive-RANSAC
   lifetime models and per-pump RUL predictions.
 
@@ -28,19 +29,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.classify import ZoneClassifier
+from repro.core.classify import ZONE_A, OrderedThresholdClassifier, PeakHarmonicFeature
+from repro.core.distance import packed_harmonic_distances
 from repro.core.features import psd_frequencies
 from repro.core.outliers import OutlierConfig, detect_invalid_measurements
-from repro.core.peaks import DEFAULT_NUM_PEAKS, DEFAULT_WINDOW_SIZE
+from repro.core.peaks import (
+    DEFAULT_NUM_PEAKS,
+    DEFAULT_WINDOW_SIZE,
+    HarmonicPeaks,
+    PackedPeaks,
+    extract_harmonic_peaks_batch,
+)
 from repro.core.ransac import LineModel, RecursiveRANSAC
 from repro.core.rul import RULEstimator, RULPrediction, learn_zone_d_threshold
 from repro.core.window import moving_average
-from repro.runtime.batch import (
-    DEFAULT_CHUNK_ROWS,
-    BatchPeakHarmonicFeature,
-    transform_rows,
-)
-from repro.runtime.cache import PeakFeatureCache, default_peak_cache, row_digests
+from repro.runtime.batch import DEFAULT_CHUNK_ROWS, transform_rows
+from repro.runtime.cache import row_digests
 from repro.runtime.fleet import FleetExecutor
 from repro.runtime.profile import RuntimeProfile
 
@@ -114,7 +118,6 @@ class AnalysisPipeline:
         config: analytical parameters (defaults apply when None).
         executor: fleet executor for the per-pump RUL fan-out and the
             process-parallel transform; a default thread pool when None.
-        cache: peak-feature memo; the process-wide default when None.
         chunk_rows: rows per transform chunk, the checkpoint journal's
             unit.
         checkpoint: optional :class:`~repro.runtime.checkpoint.CheckpointManager`;
@@ -126,7 +129,6 @@ class AnalysisPipeline:
         self,
         config: PipelineConfig | None = None,
         executor: FleetExecutor | None = None,
-        cache: PeakFeatureCache | None = None,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
         checkpoint=None,
     ):
@@ -134,18 +136,22 @@ class AnalysisPipeline:
             raise ValueError("chunk_rows must be positive")
         self.config = config or PipelineConfig()
         self.executor = executor if executor is not None else FleetExecutor()
-        self.cache = cache if cache is not None else default_peak_cache()
         self.chunk_rows = chunk_rows
         self.checkpoint = checkpoint
-        self.classifier_: ZoneClassifier | None = None
         self.estimator_: RULEstimator | None = None
         #: Row memo of the last :meth:`transform` call: row digest →
-        #: row index into that call's frozen ``(offsets, rms, psd)``.
+        #: row index into that call's frozen ``(offsets, rms, psd)`` and
+        #: its peak rows ``(frequencies, values, counts, extracted)``,
+        #: which :meth:`run` fills in for the valid rows it scores.
         self._memo_rows: dict[bytes, int] = {}
         self._memo_outputs: tuple[np.ndarray, ...] = ()
+        self._memo_peaks: tuple[np.ndarray, ...] = ()
         #: Rows recalled from / missing in the row memo, cumulative.
         self.transform_hits = 0
         self.transform_misses = 0
+        #: Valid rows whose peaks were recalled / extracted, cumulative.
+        self.peak_hits = 0
+        self.peak_misses = 0
 
     # ------------------------------------------------------------------
     # Individual layers, usable on their own.
@@ -164,7 +170,9 @@ class AnalysisPipeline:
         op is row-local, so gathered and recomputed rows are
         bit-identical to a cold run.  The memo holds the last call's
         outputs only, and those are the arrays this call returns:
-        read-only, so no alias can change a memoized row.
+        read-only, so no alias can change a memoized row.  A recalled
+        row also brings back its harmonic peaks, if a :meth:`run` has
+        extracted them.
 
         Args:
             samples: measurement blocks, shape ``(n, K, 3)``.
@@ -179,6 +187,13 @@ class AnalysisPipeline:
         if n and k < 2:
             raise ValueError("measurement must contain at least 2 samples")
         digests = row_digests(blocks)
+        width = self.config.num_peaks
+        peaks = (
+            np.zeros((n, width)),
+            np.zeros((n, width)),
+            np.zeros(n, dtype=np.intp),
+            np.zeros(n, dtype=bool),
+        )
         seen = self._memo_rows
         hit: list[int] = []
         source: list[int] = []
@@ -192,7 +207,9 @@ class AnalysisPipeline:
                 source.append(index)
         if hit:
             outputs = (np.empty((n, 3)), np.empty(n), np.empty((n, k)))
-            for out, previous in zip(outputs, self._memo_outputs):
+            for out, previous in zip(
+                outputs + peaks, self._memo_outputs + self._memo_peaks
+            ):
                 out[hit] = previous[source]
             computed = 0
             if miss:
@@ -209,6 +226,7 @@ class AnalysisPipeline:
             out.setflags(write=False)
         self._memo_rows = dict(zip(digests, range(n)))
         self._memo_outputs = tuple(outputs)
+        self._memo_peaks = peaks
         self.transform_hits += len(hit)
         self.transform_misses += len(miss)
         if profile is not None:
@@ -310,19 +328,18 @@ class AnalysisPipeline:
             if train_idx.size == 0:
                 raise ValueError("all labelled measurements were flagged invalid")
             labels = np.asarray([train_labels[int(i)] for i in train_idx], dtype=object)
-            classifier = ZoneClassifier(
-                feature=BatchPeakHarmonicFeature(
-                    num_peaks=self.config.num_peaks,
-                    window_size=self.config.peak_window_size,
-                    cache=self.cache,
-                )
-            )
-            classifier.fit(psd[train_idx], labels, freqs)
-            self.classifier_ = classifier
+            reference = train_idx[labels == ZONE_A]
+            if reference.size == 0:
+                raise ValueError(f"no {ZONE_A!r} samples to build the baseline")
+            exemplar = PeakHarmonicFeature(
+                num_peaks=self.config.num_peaks,
+                window_size=self.config.peak_window_size,
+            ).fit(psd[reference], freqs).baseline_
 
         with profile.stage("score_da", int(valid_idx.size)):
             da = np.full(n, np.nan)
-            da[valid_idx] = classifier.decision_scores(psd[valid_idx], freqs)
+            da[valid_idx] = self._score_da(valid_idx, freqs, exemplar)
+            train_da = da[train_idx]
             if self.config.moving_average_window > 1:
                 for pump in np.unique(ids):
                     member = np.nonzero((ids == pump) & valid)[0]
@@ -332,9 +349,13 @@ class AnalysisPipeline:
                             da[member], self.config.moving_average_window
                         )
 
+        # The zone thresholds are fitted on the raw (pre-smoothing) D_a.
+        with profile.stage("fit_classifier"):
+            classifier = OrderedThresholdClassifier().fit(train_da, labels)
+
         with profile.stage("classify_zones", int(valid_idx.size)):
             zones = np.full(n, "", dtype=object)
-            zones[valid_idx] = classifier.classifier.predict(da[valid_idx])
+            zones[valid_idx] = classifier.predict(da[valid_idx])
 
         # The RUL model layer is two distinct costs worth separating in a
         # profile: the exact KDE threshold scan over the labelled records
@@ -374,7 +395,6 @@ class AnalysisPipeline:
                 {key: now[key] - supervision_before[key] for key in now}
             )
 
-        thresholds = classifier.thresholds_
         return PipelineResult(
             valid_mask=valid,
             offsets=offsets,
@@ -382,17 +402,49 @@ class AnalysisPipeline:
             psd=psd,
             da=da,
             zones=zones,
-            zone_thresholds=thresholds if thresholds is not None else np.empty(0),
+            zone_thresholds=classifier.thresholds_,
             zone_d_threshold=zone_d_threshold,
             lifetime_models=estimator.models_,
             rul=rul,
         )
 
+    def _score_da(
+        self, rows: np.ndarray, freqs: np.ndarray, exemplar: HarmonicPeaks
+    ) -> np.ndarray:
+        """Raw ``D_a`` of ``rows`` of the last :meth:`transform` call.
+
+        Peaks come from the row memo; the rows it lacks are extracted
+        from the memo's PSD in one batched call and written back, so a
+        later run recalls them.  The distances then run through the
+        packed Algorithm 1 kernel in one call.  Padding every row to
+        ``num_peaks`` columns leaves the kernel's output unchanged: it
+        reads only each row's real peaks.
+        """
+        psd = self._memo_outputs[2]
+        peak_freqs, peak_vals, counts, extracted = self._memo_peaks
+        fresh = rows[~extracted[rows]]
+        if fresh.size:
+            packed = extract_harmonic_peaks_batch(
+                psd[fresh],
+                freqs,
+                num_peaks=self.config.num_peaks,
+                window_size=self.config.peak_window_size,
+            )
+            peak_freqs[fresh] = packed.frequencies
+            peak_vals[fresh] = packed.values
+            counts[fresh] = packed.counts
+            extracted[fresh] = True
+        self.peak_hits += rows.size - fresh.size
+        self.peak_misses += fresh.size
+        return packed_harmonic_distances(
+            PackedPeaks(peak_freqs[rows], peak_vals[rows], counts[rows]), exemplar
+        )
+
     def _tallies(self) -> dict[str, int]:
         """Cumulative cache and checkpoint counters, for per-run deltas."""
         tallies = {
-            "peak_cache_hits": self.cache.hits,
-            "peak_cache_misses": self.cache.misses,
+            "peak_cache_hits": self.peak_hits,
+            "peak_cache_misses": self.peak_misses,
             "transform_cache_hits": self.transform_hits,
             "transform_cache_misses": self.transform_misses,
         }

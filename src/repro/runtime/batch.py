@@ -1,17 +1,12 @@
-"""Batched kernels of the Fig. 7 analytical workflow.
+"""Batched transform kernel of the Fig. 7 analytical workflow.
 
-:class:`~repro.core.pipeline.AnalysisPipeline` runs every layer through
-the whole-matrix kernels defined here:
-
-* **transform** — one batched DCT-II over ``(n, K, 3)`` plus broadcast
-  mean-offset calibration and a vectorized RMS reduction, computed in
-  row tiles (:func:`transform_rows`) spread over the executor's threads,
-  optionally journaled per chunk and fanned across worker processes
-  through shared memory;
-* **feature extraction** — :class:`BatchPeakHarmonicFeature` smooths and
-  scans every PSD row at once (``smooth_hann_batch`` + the vectorized
-  local-maxima mask) and memoizes exemplar peaks / per-row peak features
-  / peak distances in a :class:`~repro.runtime.cache.PeakFeatureCache`.
+:class:`~repro.core.pipeline.AnalysisPipeline` runs its transformation
+layer through :func:`transform_rows`: one batched DCT-II over
+``(n, K, 3)`` plus broadcast mean-offset calibration and a vectorized
+RMS reduction, computed in row tiles spread over the executor's threads,
+optionally journaled per chunk and fanned across worker processes
+through shared memory.  Feature extraction runs through the batched
+kernels of :mod:`repro.core.peaks` and :mod:`repro.core.distance`.
 
 Every kernel is bit-identical to the scalar per-row oracle in
 ``tests/reference/``; DESIGN.md states that contract at the pipeline
@@ -25,15 +20,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 import numpy as np
 from scipy.fft import dct
 
-from repro.core.classify import PeakHarmonicFeature
-from repro.core.peaks import (
-    DEFAULT_MIN_SIGNIFICANCE,
-    DEFAULT_NUM_PEAKS,
-    DEFAULT_WINDOW_SIZE,
-    extract_harmonic_peaks,
-    extract_harmonic_peaks_batch,
-)
-from repro.runtime.cache import PeakFeatureCache, array_digest, default_peak_cache
+from repro.runtime.cache import array_digest
 from repro.runtime.fleet import FleetExecutor
 from repro.runtime.shm import SharedArray, SharedArraySpec, attached_view
 
@@ -267,78 +254,3 @@ def finite_block_mask(blocks: np.ndarray) -> np.ndarray:
         return np.isfinite(arr)
     axes = tuple(range(1, arr.ndim))
     return np.isfinite(arr).all(axis=axes)
-
-
-class BatchPeakHarmonicFeature(PeakHarmonicFeature):
-    """Cache-backed, batch-extracting variant of the ``D_a`` feature.
-
-    Produces bit-identical scores to the scalar
-    :class:`~repro.core.classify.PeakHarmonicFeature`: smoothing runs
-    through the flattened single-convolution kernel and peak selection
-    shares the scalar selection code, so only the *batching* differs.
-    """
-
-    def __init__(
-        self,
-        num_peaks: int = DEFAULT_NUM_PEAKS,
-        window_size: int = DEFAULT_WINDOW_SIZE,
-        cache: PeakFeatureCache | None = None,
-    ):
-        super().__init__(num_peaks=num_peaks, window_size=window_size)
-        self.cache = cache if cache is not None else default_peak_cache()
-
-    def _params_key(self) -> tuple:
-        # extract_harmonic_peaks defaults, spelled out so the cache key
-        # pins every parameter that shapes the output.
-        return PeakFeatureCache.peak_params_key(
-            self.num_peaks, self.window_size, 2, DEFAULT_MIN_SIGNIFICANCE
-        )
-
-    def fit(
-        self, reference_psds: np.ndarray, frequencies: np.ndarray
-    ) -> "BatchPeakHarmonicFeature":
-        """Build (or recall) the Zone A exemplar from reference PSD rows."""
-        ref = np.atleast_2d(np.asarray(reference_psds, dtype=np.float64))
-        if ref.shape[0] == 0:
-            raise ValueError("at least one reference PSD is required")
-        mean_psd = ref.mean(axis=0)
-        freqs = np.asarray(frequencies, dtype=np.float64)
-        self.baseline_ = self.cache.exemplar(
-            mean_psd,
-            freqs,
-            self._params_key(),
-            lambda: extract_harmonic_peaks(
-                mean_psd,
-                freqs,
-                num_peaks=self.num_peaks,
-                window_size=self.window_size,
-            ),
-        )
-        return self
-
-    def score_many(self, psds: np.ndarray, frequencies: np.ndarray) -> np.ndarray:
-        """``D_a`` per PSD row, batch-extracting only the cache misses.
-
-        Runs through the cache's fused :meth:`~PeakFeatureCache.scores_for_rows`
-        so each PSD row is digested exactly once: a warm row resolves its
-        distance directly, a cold row fills the peaks entry and the
-        row-keyed distance entry from one batched extraction plus one
-        batched Algorithm 1 call.
-        """
-        if self.baseline_ is None:
-            raise RuntimeError("feature is not fitted")
-        rows = np.atleast_2d(np.asarray(psds, dtype=np.float64))
-        freqs = np.asarray(frequencies, dtype=np.float64)
-        return self.cache.scores_for_rows(
-            rows,
-            freqs,
-            self._params_key(),
-            self.baseline_,
-            float(DEFAULT_WINDOW_SIZE),
-            lambda miss_rows: extract_harmonic_peaks_batch(
-                miss_rows,
-                freqs,
-                num_peaks=self.num_peaks,
-                window_size=self.window_size,
-            ),
-        )

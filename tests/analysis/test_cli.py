@@ -240,6 +240,32 @@ class TestInputValidation:
         assert text == "error: max_workers must be non-negative\n"
         assert not db_path.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--capacity", "0", "capacity_per_period must be positive"),
+            ("--period-days", "0", "period_days must be positive"),
+            ("--margin-days", "-1", "safety_margin_days must be non-negative"),
+            ("--horizon", "0", "horizon_periods must be positive"),
+        ],
+    )
+    def test_schedule_rejects_bad_plan_parameters(self, tmp_path, flag, value, message):
+        db_path = tmp_path / "fleet.db"
+        code, text = run_cli(["schedule", "--db", str(db_path), flag, value])
+        assert code == 1
+        assert text == f"error: {message}\n"
+        assert not db_path.exists()
+
+    def test_simulate_infeasible_label_mix_leaves_no_database(self, tmp_path):
+        db_path = tmp_path / "fleet.db"
+        code, text = run_cli(
+            ["simulate", "--db", str(db_path), "--pumps", "2", "--days", "5",
+             "--interval", "0.5", "--labels", "1000,1,1"]
+        )
+        assert code == 2
+        assert text.startswith("error: cannot satisfy label mix: ")
+        assert not db_path.exists()
+
     @pytest.mark.parametrize("command", ["analyze", "schedule", "dashboard"])
     @pytest.mark.parametrize("window", ["0", "-5"])
     def test_rejects_non_positive_moving_average(self, tmp_path, command, window):

@@ -1,16 +1,18 @@
-"""A long-lived engine's rolling refresh reuses the transform row memo.
+"""A long-lived engine's rolling refresh reuses the pipeline's row memo.
 
 The paper refreshes its analysis period as ``Te_j = Te_{j-1} + delta``:
 each refresh sees every measurement of the previous one plus a new tail.
 One engine kept alive across refreshes must transform only that tail,
-and every report and dashboard it renders must be byte-identical to a
-fresh engine's on the same window.
+extract harmonic peaks only for the valid rows the memo lacks, and every
+report and dashboard it renders must be byte-identical to a fresh
+engine's on the same window.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.analysis.engine import EngineConfig, VibrationAnalysisEngine
@@ -95,3 +97,30 @@ def test_refresh_transforms_only_new_rows_and_matches_fresh_engine(
     assert outputs(report, tmp_path / "replaced.html") == fresh_outputs(
         db, api.period, tmp_path / "replaced-fresh.html"
     )
+
+
+def test_refresh_extracts_peaks_only_for_new_valid_rows(refresh_db):
+    db, held = refresh_db
+    api = DataRetrievalAPI(db, AnalysisPeriod(0.0, T0))
+    engine = VibrationAnalysisEngine(api, CONFIG)
+    first = engine.run()
+    db.measurements.add_many([m for m in held if m.timestamp_day < T0 + 1.0])
+    api.advance(1.0)
+    profile = RuntimeProfile()
+    second = engine.run(profile=profile)
+
+    def valid_rows(report) -> set[tuple[int, int]]:
+        valid = report.pipeline.valid_mask
+        return set(
+            zip(report.pump_ids[valid].tolist(), report.measurement_ids[valid].tolist())
+        )
+
+    seen, now = valid_rows(first), valid_rows(second)
+    new_rows = set(zip(second.pump_ids.tolist(), second.measurement_ids.tolist()))
+    new_rows -= set(zip(first.pump_ids.tolist(), first.measurement_ids.tolist()))
+    assert new_rows & now, "the refresh must bring new valid measurements"
+    assert profile.counters["peak_cache_hits"] == len(now & seen)
+    assert profile.counters["peak_cache_misses"] == len(now - seen)
+    assert now - seen == new_rows & now
+    fresh = VibrationAnalysisEngine(DataRetrievalAPI(db, api.period), CONFIG).run()
+    assert second.pipeline.da.tobytes() == fresh.pipeline.da.tobytes()

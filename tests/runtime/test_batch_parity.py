@@ -11,19 +11,21 @@ import numpy as np
 import pytest
 
 from repro.core.classify import PeakHarmonicFeature
+from repro.core.distance import packed_harmonic_distances
 from repro.core.features import psd_frequencies
+from repro.core.peaks import extract_harmonic_peaks_batch
 from repro.core.pipeline import AnalysisPipeline, PipelineConfig
-from repro.runtime import BatchPeakHarmonicFeature, FleetExecutor, PeakFeatureCache
+from repro.runtime import FleetExecutor
 from repro.runtime.batch import DEFAULT_CHUNK_ROWS, transform_rows
 from repro.runtime.checkpoint import CheckpointManager
+from repro.runtime.profile import RuntimeProfile
 from tests.reference.pipeline import ReferencePipeline, transform_reference
 
 from .conftest import make_workload
 
 
 def fresh_batch(config: PipelineConfig | None = None, **kwargs) -> AnalysisPipeline:
-    """A pipeline with private caches (no cross-test pollution)."""
-    kwargs.setdefault("cache", PeakFeatureCache())
+    """A pipeline with an empty row memo."""
     return AnalysisPipeline(config, **kwargs)
 
 
@@ -144,30 +146,36 @@ class TestThreadedTransformParity:
 
 class TestFeatureParity:
     def test_score_many_bit_identical(self, workload):
+        """The batched peak scan plus the packed Algorithm 1 kernel score
+        every row exactly like the scalar feature."""
         _, _, blocks, _ = workload
         _, _, psd = transform_reference(blocks)
         freqs = psd_frequencies(psd.shape[1], 4000.0)
         reference_rows = psd[:10]
 
         scalar = PeakHarmonicFeature().fit(reference_rows, freqs)
-        batch = BatchPeakHarmonicFeature(cache=PeakFeatureCache()).fit(
-            reference_rows, freqs
+        kernel = packed_harmonic_distances(
+            extract_harmonic_peaks_batch(psd, freqs), scalar.baseline_
         )
-        assert np.array_equal(
-            scalar.score_many(psd, freqs), batch.score_many(psd, freqs)
-        )
+        assert np.array_equal(scalar.score_many(psd, freqs), kernel)
 
     def test_cached_rescore_bit_identical(self, workload):
-        _, _, blocks, _ = workload
-        _, _, psd = transform_reference(blocks)
-        freqs = psd_frequencies(psd.shape[1], 4000.0)
-        batch = BatchPeakHarmonicFeature(cache=PeakFeatureCache()).fit(
-            psd[:10], freqs
-        )
-        first = batch.score_many(psd, freqs)
-        second = batch.score_many(psd, freqs)  # now fully cache-served
-        assert batch.cache.hits > 0
-        assert np.array_equal(first, second)
+        """A rerun scores every valid row from peaks recalled from the
+        row memo, and still matches the scalar feature bit for bit."""
+        ids, days, blocks, labels = workload
+        pipeline = fresh_batch()
+        first = pipeline.run(ids, days, blocks, labels)
+        valid = first.valid_mask
+        assert (pipeline.peak_hits, pipeline.peak_misses) == (0, valid.sum())
+        second = pipeline.run(ids, days, blocks, labels)
+        assert (pipeline.peak_hits, pipeline.peak_misses) == (valid.sum(),) * 2
+
+        freqs = psd_frequencies(first.psd.shape[1], 4000.0)
+        zone_a = [i for i, zone in sorted(labels.items()) if zone == "A" and valid[i]]
+        scalar = PeakHarmonicFeature().fit(first.psd[zone_a], freqs)
+        expected = scalar.score_many(first.psd[valid], freqs)
+        assert np.array_equal(first.da[valid], expected)
+        assert np.array_equal(second.da[valid], expected)
 
 
 class TestFullRunParity:
@@ -202,11 +210,14 @@ class TestFullRunParity:
         scalar = ReferencePipeline().run(ids, days, blocks, labels)
         batch = fresh_batch()
         batch.run(ids, days, blocks, labels)
-        warm = batch.run(ids, days, blocks, labels)
-        # Every row of the rerun comes from the transform row memo.
+        profile = RuntimeProfile()
+        warm = batch.run(ids, days, blocks, labels, profile=profile)
+        # Every row of the rerun comes from the row memo, and so do the
+        # peaks of every valid row.
         assert batch.transform_hits == blocks.shape[0]
         assert batch.transform_misses == blocks.shape[0]
-        assert batch.cache.hits > 0
+        assert profile.counters["peak_cache_misses"] == 0
+        assert profile.counters["peak_cache_hits"] == warm.valid_mask.sum()
         assert_results_identical(scalar, warm)
 
     def test_validation_error_parity(self, workload):

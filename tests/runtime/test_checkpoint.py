@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.pipeline import PipelineConfig
 from repro.core.pipeline import AnalysisPipeline
-from repro.runtime.cache import PeakFeatureCache, array_digest
+from repro.runtime.cache import array_digest
 from repro.runtime.checkpoint import MANIFEST_NAME, CheckpointManager
 
 N, K = 40, 64
@@ -32,7 +32,6 @@ def make_pipeline(ckpt_dir=None, run_key="test-v1") -> AnalysisPipeline:
     checkpoint = CheckpointManager(ckpt_dir, run_key=run_key) if ckpt_dir else None
     return AnalysisPipeline(
         PipelineConfig(),
-        cache=PeakFeatureCache(),
         chunk_rows=CHUNK_ROWS,
         checkpoint=checkpoint,
     )
@@ -145,8 +144,7 @@ class TestStaleCacheRevalidation:
         changed = blocks + 1.0
         other = AnalysisPipeline(
             PipelineConfig(),
-            cache=PeakFeatureCache(),
-            chunk_rows=CHUNK_ROWS,
+                chunk_rows=CHUNK_ROWS,
             checkpoint=pipeline.checkpoint,
         )
         other.transform(changed)

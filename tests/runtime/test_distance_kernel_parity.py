@@ -160,6 +160,19 @@ class TestToleranceBoundaryTies:
         rows = [make_peaks([100.0, 100.5], [5.0, 1.0])]
         assert_bit_identical(rows, reference, tol=50.0)
 
+    def test_equidistant_tie_goes_to_the_neighbour_reached_first(self):
+        """The scalar scan steps outward one slot per side per pass: with
+        a consumed peak between the target and its free left neighbour,
+        the equidistant right neighbour is reached first and keeps the
+        tie."""
+        reference = make_peaks([8.0, 9.0, 12.0, 16.0], [1.0, 0.5, 0.2, 0.1])
+        rows = [make_peaks([9.0, 10.0], [0.5, 0.3])]
+        out = assert_bit_identical(rows, reference)
+        f_max, p_max = 16.0, 1.0
+        matched_right = np.hypot(10.0 / f_max - 12.0 / f_max, 0.3 - 0.2)
+        residual = (1.0 + 0.1) / p_max
+        assert out[0] == (0.0 + matched_right + residual) / 4.0
+
     def test_all_consumed_reference(self):
         """More row peaks than exemplar peaks: the surplus must see an
         exhausted consumed mask identically."""

@@ -30,10 +30,9 @@ from repro.core.classify import (
     OrderedThresholdClassifier,
     PeakHarmonicFeature,
 )
-from repro.core.distance import peak_harmonic_distance
-from repro.core.peaks import extract_harmonic_peaks, extract_harmonic_peaks_batch
+from repro.core.distance import packed_harmonic_distances
+from repro.core.peaks import extract_harmonic_peaks_batch
 from repro.core.rul import learn_zone_d_threshold
-from repro.runtime import BatchPeakHarmonicFeature, PeakFeatureCache
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 ARTIFACTS_DIR = REPO_ROOT / "artifacts"
@@ -75,11 +74,11 @@ class TestFig11BoundaryGolden:
         boundary = learn_zone_d_threshold(da_scalar, labels)
         assert f"{boundary:.4f}" == recorded
 
-        # The batch feature must land on the identical boundary.
-        batch_feature = BatchPeakHarmonicFeature(cache=PeakFeatureCache()).fit(
-            psds[train_a], freqs
+        # The batched peak scan + packed distance kernel must land on the
+        # identical boundary.
+        da_batch = packed_harmonic_distances(
+            extract_harmonic_peaks_batch(psds, freqs), scalar_feature.baseline_
         )
-        da_batch = batch_feature.score_many(psds, freqs)
         assert np.array_equal(da_scalar, da_batch)
         assert learn_zone_d_threshold(da_batch, labels) == boundary
 
@@ -110,11 +109,11 @@ class TestTable3ConfusionGolden:
         train_idx, test_idx = stratified_train_test(labels, 5, rng)
 
         a_train = train_idx[labels[train_idx] == ZONE_A]
-        baseline_psd = psds[a_train].mean(axis=0)
-        baseline = extract_harmonic_peaks(baseline_psd, freqs)
-
-        peaks = extract_harmonic_peaks_batch(psds, freqs)
-        da = np.asarray([peak_harmonic_distance(p, baseline) for p in peaks])
+        feature = PeakHarmonicFeature().fit(psds[a_train], freqs)
+        da = packed_harmonic_distances(
+            extract_harmonic_peaks_batch(psds, freqs), feature.baseline_
+        )
+        assert np.array_equal(da, feature.score_many(psds, freqs))
 
         clf = OrderedThresholdClassifier().fit(da[train_idx], labels[train_idx])
         report = evaluate_labels(labels[test_idx], clf.predict(da[test_idx]))

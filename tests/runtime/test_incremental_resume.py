@@ -15,7 +15,6 @@ import pytest
 import repro.runtime.batch as batch_mod
 from repro.core.pipeline import PipelineConfig
 from repro.core.pipeline import AnalysisPipeline
-from repro.runtime.cache import PeakFeatureCache
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.profile import RuntimeProfile
 
@@ -28,7 +27,6 @@ def make_pipeline(ckpt_dir=None) -> AnalysisPipeline:
     checkpoint = CheckpointManager(ckpt_dir) if ckpt_dir else None
     return AnalysisPipeline(
         PipelineConfig(),
-        cache=PeakFeatureCache(),
         chunk_rows=CHUNK_ROWS,
         checkpoint=checkpoint,
     )

@@ -1,4 +1,4 @@
-"""Unit tests for the runtime primitives: executor, caches, profiler."""
+"""Unit tests for the runtime primitives: executor, row memo, profiler."""
 
 from __future__ import annotations
 
@@ -7,13 +7,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.peaks import HarmonicPeaks
 from repro.core.pipeline import AnalysisPipeline
-from repro.runtime import (
-    FleetExecutor,
-    PeakFeatureCache,
-    RuntimeProfile,
-)
+from repro.runtime import FleetExecutor, RuntimeProfile
 from repro.runtime.cache import array_digest
 from repro.runtime.fleet import resolve_workers
 
@@ -69,44 +64,6 @@ class TestFleetExecutor:
         assert len(seen) == 2
 
 
-class TestPeakFeatureCache:
-    def make_peaks(self, seed: int) -> HarmonicPeaks:
-        rng = np.random.default_rng(seed)
-        freqs = np.sort(rng.uniform(0, 2000, 8))
-        return HarmonicPeaks(frequencies=freqs, values=rng.uniform(0, 5, 8))
-
-    def test_distance_memoized(self):
-        cache = PeakFeatureCache()
-        a, b = self.make_peaks(1), self.make_peaks(2)
-        first = cache.distance(a, b, 24.0)
-        second = cache.distance(a, b, 24.0)
-        assert first == second
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_tolerance_is_part_of_the_key(self):
-        cache = PeakFeatureCache()
-        a, b = self.make_peaks(1), self.make_peaks(2)
-        cache.distance(a, b, 24.0)
-        cache.distance(a, b, 48.0)
-        assert cache.misses == 2
-
-    def test_eviction_bound(self):
-        cache = PeakFeatureCache(max_entries=3)
-        for seed in range(6):
-            cache.distance(self.make_peaks(seed), self.make_peaks(seed + 100), 24.0)
-        assert len(cache) == 3
-
-    def test_clear_resets_counters(self):
-        cache = PeakFeatureCache()
-        cache.distance(self.make_peaks(1), self.make_peaks(2), 24.0)
-        cache.clear()
-        assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
-
-    def test_rejects_nonpositive_budget(self):
-        with pytest.raises(ValueError):
-            PeakFeatureCache(max_entries=0)
-
-
 class TestTransformCache:
     """Unit behaviour of the pipeline's transform row memo."""
 
@@ -114,7 +71,7 @@ class TestTransformCache:
         return np.random.default_rng(seed).normal(size=(n, 16, 3))
 
     def test_roundtrip_and_counters(self):
-        pipeline = AnalysisPipeline(cache=PeakFeatureCache())
+        pipeline = AnalysisPipeline()
         a = self.rows(0)
         cold = pipeline.transform(a)
         warm = pipeline.transform(a)
@@ -123,7 +80,7 @@ class TestTransformCache:
         assert pipeline.transform_hits == 4 and pipeline.transform_misses == 4
 
     def test_hits_return_private_copies(self):
-        pipeline = AnalysisPipeline(cache=PeakFeatureCache())
+        pipeline = AnalysisPipeline()
         a = self.rows(0)
         first = pipeline.transform(a)
         reordered = pipeline.transform(a[::-1])  # all hits, gathered anew
@@ -133,18 +90,18 @@ class TestTransformCache:
             assert not np.shares_memory(new, old)
 
     def test_store_is_isolated_from_caller_buffers(self):
-        pipeline = AnalysisPipeline(cache=PeakFeatureCache())
+        pipeline = AnalysisPipeline()
         a = self.rows(0)
         pipeline.transform(a)
         a[0] += 99.0  # caller reuses its buffer after the call
         got = pipeline.transform(a)
         assert pipeline.transform_misses == 5  # the rewritten row misses
-        expected = AnalysisPipeline(cache=PeakFeatureCache()).transform(a)
+        expected = AnalysisPipeline().transform(a)
         for want, have in zip(expected, got):
             assert np.array_equal(want, have)
 
     def test_last_call_replaces_memo(self):
-        pipeline = AnalysisPipeline(cache=PeakFeatureCache())
+        pipeline = AnalysisPipeline()
         a = self.rows(0)
         b = np.concatenate([a[:2], self.rows(1, n=2)])
         pipeline.transform(a)
