@@ -50,14 +50,9 @@ class EngineConfig:
             disables diagnosis).
         diagnosis_window: number of most recent valid measurements whose
             mean PSD feeds each pump's diagnosis.
-        max_workers: fleet-executor worker count for the per-pump RUL
-            and diagnosis fan-out; None auto-sizes, 0/1 forces serial.
-        executor_backend: ``"thread"`` (default) or ``"process"`` for
-            the fleet executor and the transform fan-out.  A process
-            request is honoured only for file-backed databases — worker
-            processes cannot see an in-memory SQLite, so in-memory
-            engines silently fall back to threads (results are
-            bit-identical either way).
+        max_workers: thread count for the transform tiles and the
+            per-pump RUL and diagnosis fan-out; None auto-sizes, 0/1
+            forces serial.  Results are bit-identical at every count.
         supervision: optional
             :class:`~repro.runtime.fleet.SupervisionPolicy` arming the
             fleet executor's self-healing path (deadlines, bounded
@@ -73,7 +68,6 @@ class EngineConfig:
     rotation_hz: float | None = None
     diagnosis_window: int = 10
     max_workers: int | None = None
-    executor_backend: str = "thread"
     supervision: SupervisionPolicy | None = None
     checkpoint_dir: str | None = None
 
@@ -84,11 +78,6 @@ class EngineConfig:
             raise ValueError("diagnosis_window must be positive")
         if self.max_workers is not None and self.max_workers < 0:
             raise ValueError("max_workers must be non-negative")
-        if self.executor_backend not in ("thread", "process"):
-            raise ValueError(
-                f"executor_backend must be 'thread' or 'process',"
-                f" got {self.executor_backend!r}"
-            )
 
 
 @dataclass
@@ -201,19 +190,6 @@ class AnalysisReport:
         return lines
 
 
-class _DiagnosePump:
-    """Picklable per-pump diagnosis task (a closure could not cross the
-    process boundary, silently forcing the diagnosis fan-out onto the
-    thread pool even under ``executor_backend="process"``)."""
-
-    def __init__(self, diagnoser: SpectralDiagnoser, freqs: np.ndarray):
-        self.diagnoser = diagnoser
-        self.freqs = freqs
-
-    def __call__(self, mean_psd: np.ndarray) -> Diagnosis:
-        return self.diagnoser.diagnose(extract_harmonic_peaks(mean_psd, self.freqs))
-
-
 class VibrationAnalysisEngine:
     """Orchestrates retrieval → pipeline → report for one analysis period."""
 
@@ -238,20 +214,6 @@ class VibrationAnalysisEngine:
         self.executor = executor
         self._pipeline: AnalysisPipeline | None = None
 
-    def _resolve_backend(self) -> str:
-        """Honour a process-backend request only for file-backed DBs.
-
-        Worker processes cannot reach an in-memory SQLite, so engines
-        over in-memory databases keep the thread pool (the two backends
-        produce bit-identical results — only throughput differs).
-        """
-        backend = self.config.executor_backend
-        if backend == "process":
-            database = getattr(self.api, "database", None)
-            if database is not None and getattr(database, "in_memory", False):
-                return "thread"
-        return backend
-
     def _make_pipeline(self) -> AnalysisPipeline:
         """The pipeline this engine runs, built on first use.
 
@@ -263,7 +225,6 @@ class VibrationAnalysisEngine:
         """
         executor = self.executor or FleetExecutor(
             max_workers=self.config.max_workers,
-            backend=self._resolve_backend(),
             supervision=self.config.supervision,
         )
         checkpoint = None
@@ -389,7 +350,9 @@ class VibrationAnalysisEngine:
         diagnoser.fit_baseline(extract_harmonic_peaks(healthy_psd, freqs))
 
         window = max(1, self.config.diagnosis_window)
-        diagnose_pump = _DiagnosePump(diagnoser, freqs)
+
+        def diagnose_pump(mean_psd: np.ndarray) -> Diagnosis:
+            return diagnoser.diagnose(extract_harmonic_peaks(mean_psd, freqs))
 
         items: list[tuple[int, np.ndarray]] = []
         for pump in np.unique(pumps):

@@ -82,7 +82,6 @@ class ChaosScenario:
             to match the small fleet.
         max_workers: fleet-executor thread count (0 = serial, the
             deterministic reference).
-        backend: fleet-executor backend (``"thread"`` or ``"process"``).
         supervision: explicit fleet supervision policy; ``None`` lets
             the runner auto-arm a fast policy whenever the plan carries
             worker kill/hang faults (and run unsupervised otherwise).
@@ -99,7 +98,6 @@ class ChaosScenario:
     scale_g_per_count: float = 1.0 / 1024.0
     ransac_min_inliers: int = 12
     max_workers: int = 0
-    backend: str = "thread"
     supervision: SupervisionPolicy | None = None
     seed: int = 11
 
@@ -359,11 +357,11 @@ def run_chaos_scenario(
         ),
         max_workers=scenario.max_workers,
     )
-    # A retry policy on the executor forces the thread backend and is
-    # only useful against per-task faults, so it rides along only when
-    # the plan actually carries ``fleet.task`` specs.  Worker kill/hang
-    # faults are the supervisor's job: auto-arm a fast policy (tight
-    # backoff, generous restart budget) unless the scenario pinned one.
+    # A retry policy on the executor is only useful against per-task
+    # faults, so it rides along only when the plan actually carries
+    # ``fleet.task`` specs.  Worker kill/hang faults are the supervisor's
+    # job: auto-arm a fast policy (tight backoff, generous restart
+    # budget) unless the scenario pinned one.
     task_faults = bool(chaos and plan.for_point(FLEET_TASK))
     worker_faults = bool(
         chaos
@@ -381,7 +379,6 @@ def run_chaos_scenario(
         max_workers=scenario.max_workers,
         injector=injector,
         task_retry=io_policy if task_faults else None,
-        backend=scenario.backend,
         supervision=supervision,
     )
     engine = VibrationAnalysisEngine(api, engine_config, executor=executor)

@@ -73,15 +73,6 @@ def _add_analyze_parser(subparsers) -> None:
         help="fleet-executor worker count (default auto; 0/1 forces serial)",
     )
     p.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help=(
-            "fleet-executor backend; 'process' sidesteps the GIL for"
-            " file-backed databases (in-memory DBs fall back to threads)"
-        ),
-    )
-    p.add_argument(
         "--supervise",
         action="store_true",
         help=(
@@ -284,7 +275,6 @@ def _cmd_analyze(args, out) -> int:
         config = EngineConfig(
             pipeline=PipelineConfig(moving_average_window=args.moving_average),
             max_workers=args.workers,
-            executor_backend=args.backend,
             supervision=SupervisionPolicy() if args.supervise else None,
             checkpoint_dir=checkpoint_dir,
         )

@@ -116,8 +116,9 @@ class AnalysisPipeline:
 
     Args:
         config: analytical parameters (defaults apply when None).
-        executor: fleet executor for the per-pump RUL fan-out and the
-            process-parallel transform; a default thread pool when None.
+        executor: fleet executor for the per-pump RUL fan-out; its
+            worker count also sizes the threaded transform.  A default
+            thread pool when None.
         chunk_rows: rows per transform chunk, the checkpoint journal's
             unit.
         checkpoint: optional :class:`~repro.runtime.checkpoint.CheckpointManager`;
@@ -376,7 +377,7 @@ class AnalysisPipeline:
         with profile.stage("predict_rul", int(np.unique(ids).size)):
             # Work items are built in np.unique(ids) order and map_pumps
             # preserves submission order, so the dict iterates pumps in
-            # sorted order whatever the executor's backend or width.
+            # sorted order whatever the executor's width.
             rul: dict[object, RULPrediction] = {}
             if estimator.n_models:
                 items = []

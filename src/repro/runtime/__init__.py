@@ -4,14 +4,12 @@
 measurement matrix through transform → preprocess → features → RUL on
 the pieces this package provides:
 
-* :mod:`repro.runtime.batch` — the tiled 2-D DCT transform with optional
-  chunk journaling and process fan-out, bit-identical to the scalar
+* :mod:`repro.runtime.batch` — the tiled 2-D DCT transform, spread over
+  threads with optional chunk journaling, bit-identical to the scalar
   oracle in ``tests/reference/``;
 * :class:`~repro.runtime.fleet.FleetExecutor` — per-pump RUL and
-  diagnosis chains fanned across worker threads or processes with
-  chunked scheduling and deterministic result ordering (the process
-  backend ships large matrices through shared memory, see
-  :mod:`repro.runtime.shm`);
+  diagnosis chains fanned across worker threads with chunked scheduling
+  and deterministic result ordering;
 * :mod:`repro.runtime.cache` — the row digests that key the pipeline's
   one row memo (transform outputs and harmonic peaks per row, so a
   rolling refresh transforms and extracts only its new rows), and the
@@ -32,7 +30,6 @@ from repro.runtime.fleet import (
     WorkerKilledError,
 )
 from repro.runtime.profile import RuntimeProfile, StageStats
-from repro.runtime.shm import SharedArray, SharedArraySpec, attached_view
 
 __all__ = [
     "ABANDONED",
@@ -40,13 +37,10 @@ __all__ = [
     "FleetExecutor",
     "ModelFitCache",
     "RuntimeProfile",
-    "SharedArray",
-    "SharedArraySpec",
     "StageStats",
     "SupervisionExhaustedError",
     "SupervisionPolicy",
     "SupervisionReport",
     "WorkerKilledError",
-    "attached_view",
     "default_model_fit_cache",
 ]

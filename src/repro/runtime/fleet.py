@@ -24,30 +24,23 @@ Supervision
 -----------
 Passing a :class:`SupervisionPolicy` arms the self-healing execution
 path: each chunk runs under a deadline budget, dead workers (a raised
-:class:`WorkerKilledError` on the thread backend, a broken pool on the
-process backend) trigger a bounded restart with exponential backoff, and
-chunks that exhaust their restart budget are either salvaged (their items
-come back as the :data:`ABANDONED` sentinel and ``map_pumps`` drops the
-pump) or raise :class:`SupervisionExhaustedError`.  All activity is
-tallied in a :class:`SupervisionReport` on the executor.  Because chunk
-boundaries and result assembly are unchanged, a supervised run that
-needed zero interventions is bit-identical to an unsupervised one.
+:class:`WorkerKilledError`) trigger a bounded restart with exponential
+backoff, and chunks that exhaust their restart budget are either
+salvaged (their items come back as the :data:`ABANDONED` sentinel and
+``map_pumps`` drops the pump) or raise :class:`SupervisionExhaustedError`.
+All activity is tallied in a :class:`SupervisionReport` on the executor.
+Because chunk boundaries and result assembly are unchanged, a supervised
+run that needed zero interventions is bit-identical to an unsupervised
+one.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -55,12 +48,9 @@ R = TypeVar("R")
 
 DEFAULT_MAX_WORKERS = 4
 
-#: Supported execution backends.
-BACKENDS = ("thread", "process")
-
 
 class WorkerKilledError(RuntimeError):
-    """A fleet worker died mid-chunk (injected or real)."""
+    """A fleet worker died mid-chunk."""
 
 
 class SupervisionExhaustedError(RuntimeError):
@@ -84,8 +74,10 @@ class SupervisionPolicy:
     Attributes:
         chunk_deadline_s: wall-clock budget per chunk attempt before it is
             declared hung and restarted; ``None`` disables the deadline.
-            Enforced only on pooled backends — a serial run has no second
-            worker to take over a hung chunk.
+            Enforced only on the thread pool — a serial run has no second
+            worker to take over a hung chunk.  The clock starts when the
+            attempt starts on a thread, so a restart queued behind busy
+            threads is not timed while it waits.
         max_restarts: restart budget per chunk (beyond the first attempt).
         backoff_base_s: initial restart backoff; doubles per attempt.
         backoff_max_s: backoff ceiling.
@@ -152,41 +144,6 @@ class SupervisionReport:
         }
 
 
-def _run_chunk_in_process(payload: tuple) -> list:
-    """Top-level chunk runner for the process pool (must be picklable)."""
-    fn, chunk_items = payload
-    return [fn(item) for item in chunk_items]
-
-
-def _run_supervised_chunk_in_process(payload: tuple) -> list:
-    """Supervised chunk runner: honours parent-drawn kill/hang faults.
-
-    A ``kill`` is a hard ``os._exit`` — the pool genuinely loses the
-    worker, exactly like an OOM kill or segfault, so the parent-side
-    recovery path (rebuild pool, requeue in-flight chunks) is exercised
-    for real rather than simulated.
-    """
-    fn, chunk_items, kill, hang_s = payload
-    if hang_s > 0:
-        time.sleep(hang_s)
-    if kill:
-        os._exit(3)
-    return [fn(item) for item in chunk_items]
-
-
-class _StarApply:
-    """Picklable adapter turning ``fn(args_tuple)`` into ``fn(*args)``.
-
-    Replaces the lambda the pump fan-out used to build, so per-pump work
-    can cross a process boundary whenever ``fn`` itself pickles.
-    """
-
-    def __init__(self, fn: Callable[..., R]):
-        self.fn = fn
-
-    def __call__(self, args: tuple) -> R:
-        return self.fn(*args)
-
 #: Injection point names (duck-typed contract with repro.chaos.inject).
 FLEET_TASK_POINT = "fleet.task"
 FLEET_KILL_POINT = "fleet.worker_kill"
@@ -223,7 +180,6 @@ class FleetExecutor:
         chunk_size: int | None = None,
         injector=None,
         task_retry=None,
-        backend: str = "thread",
         supervision: SupervisionPolicy | None = None,
     ):
         """Create an executor.
@@ -244,34 +200,23 @@ class FleetExecutor:
                 :class:`repro.chaos.retry.RetryPolicy`) wrapping each
                 task; transient errors are retried in place, preserving
                 result ordering.
-            backend: ``"thread"`` (default) or ``"process"``.  The
-                process pool sidesteps the GIL for Python-heavy per-pump
-                chains, but requires picklable work; calls that cannot
-                cross a process boundary (unpicklable ``fn``/items, a
-                retry policy, or an injector with ``fleet.task`` specs —
-                whose counters live in this process) silently fall back
-                to threads, preserving the exact same chunking and
-                result order.
             supervision: optional :class:`SupervisionPolicy` arming the
                 self-healing execution path; activity is tallied in
                 :attr:`supervision_report`.
         """
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be positive")
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         self.max_workers = resolve_workers(max_workers)
         self.chunk_size = chunk_size
         self.injector = injector
         self.task_retry = task_retry
-        self.backend = backend
         self.supervision = supervision
         #: Cumulative supervision tally (None when unsupervised).
         self.supervision_report: SupervisionReport | None = (
             SupervisionReport() if supervision is not None else None
         )
-        #: Backend the most recent map actually used ("serial" /
-        #: "thread" / "process") — observability for tests and profiles.
+        #: Path the most recent map actually took ("serial" or
+        #: "thread") — observability for tests and profiles.
         self.last_backend: str | None = None
 
     def _call(self, fn: Callable[[T], R], item: T) -> R:
@@ -304,9 +249,8 @@ class FleetExecutor:
         """Parent-side kill/hang draws for one chunk attempt.
 
         Drawn in the supervisor (never in workers) so the fault stream is
-        a deterministic function of the submission sequence and works
-        identically for the thread and process backends — the injector's
-        lock does not need to cross a process boundary.
+        a deterministic function of the submission sequence, whatever the
+        thread scheduling.
         """
         inj = self.injector
         if inj is None:
@@ -368,8 +312,14 @@ class FleetExecutor:
         chunk: range,
         kill: bool,
         hang_s: float,
+        started: list,
     ) -> list:
-        """Thread-backend chunk body honouring parent-drawn faults."""
+        """Pooled chunk body honouring parent-drawn faults.
+
+        Stamps ``started[0]`` on entry: the supervisor times the attempt's
+        deadline from there, not from its submission.
+        """
+        started[0] = time.monotonic()
         if hang_s > 0:
             time.sleep(hang_s)
         if kill:
@@ -381,33 +331,30 @@ class FleetExecutor:
         fn: Callable[[T], R],
         items: Sequence[T],
         chunks: list[range],
-        use_processes: bool,
     ) -> list:
         policy = self.supervision
         report = self.supervision_report
-        self.last_backend = "process" if use_processes else "thread"
+        self.last_backend = "thread"
         n_chunks = len(chunks)
         results: dict[int, list] = {}
         #: (chunk_index, attempt) queue; attempts beyond 0 are restarts.
         pending: deque[tuple[int, int]] = deque((ci, 0) for ci in range(n_chunks))
-        #: future -> (chunk_index, attempt, submitted_at, kill_flagged)
+        #: future -> (chunk_index, attempt, [started_at or None])
         inflight: dict = {}
-
-        def new_pool():
-            if use_processes:
-                return ProcessPoolExecutor(max_workers=self.max_workers)
-            return ThreadPoolExecutor(max_workers=self.max_workers)
 
         def submit(pool, ci: int, attempt: int) -> None:
             kill, hang_s = self._draw_worker_faults()
-            if use_processes:
-                payload = (fn, [items[i] for i in chunks[ci]], kill, hang_s)
-                fut = pool.submit(_run_supervised_chunk_in_process, payload)
-            else:
-                fut = pool.submit(
-                    self._run_chunk_with_faults, fn, items, chunks[ci], kill, hang_s
-                )
-            inflight[fut] = (ci, attempt, time.monotonic(), kill)
+            started: list = [None]
+            fut = pool.submit(
+                self._run_chunk_with_faults,
+                fn,
+                items,
+                chunks[ci],
+                kill,
+                hang_s,
+                started,
+            )
+            inflight[fut] = (ci, attempt, started)
 
         def requeue(ci: int, attempt: int) -> None:
             """Restart a failed chunk attempt (or give up on it)."""
@@ -418,7 +365,7 @@ class FleetExecutor:
             report.restarts += 1
             pending.append((ci, attempt + 1))
 
-        pool = new_pool()
+        pool = ThreadPoolExecutor(max_workers=self.max_workers)
         try:
             while len(results) < n_chunks:
                 while pending and len(inflight) < self.max_workers:
@@ -435,49 +382,22 @@ class FleetExecutor:
                 done, _ = wait(
                     list(inflight), timeout=timeout, return_when=FIRST_COMPLETED
                 )
-                pool_broken = False
                 for fut in done:
-                    if fut not in inflight:
-                        continue
-                    ci, attempt, _, kill_flagged = inflight.pop(fut)
+                    ci, attempt, _ = inflight.pop(fut)
                     try:
                         results[ci] = fut.result()
                         report.chunks += 1
                     except WorkerKilledError:
                         report.worker_deaths += 1
                         requeue(ci, attempt)
-                    except BrokenProcessPool:
-                        # The worker running this chunk died and took the
-                        # whole pool with it.  Rebuild, requeue the
-                        # culprit with its attempt spent, and requeue
-                        # collateral in-flight chunks for free — their
-                        # failure was not their own.
-                        report.worker_deaths += 1
-                        requeue(ci, attempt)
-                        flagged_any = kill_flagged
-                        for other in list(inflight):
-                            oci, oattempt, _, okill = inflight.pop(other)
-                            if okill and not flagged_any:
-                                report.worker_deaths += 1
-                                requeue(oci, oattempt)
-                                flagged_any = True
-                            else:
-                                pending.append((oci, oattempt))
-                        pool.shutdown(wait=False)
-                        pool = new_pool()
-                        pool_broken = True
-                        break
-                if pool_broken:
-                    continue
                 if policy.chunk_deadline_s is not None:
                     now = time.monotonic()
                     for fut in list(inflight):
-                        ci, attempt, t0, _ = inflight[fut]
-                        if now - t0 > policy.chunk_deadline_s:
+                        ci, attempt, (t0,) = inflight[fut]
+                        if t0 is not None and now - t0 > policy.chunk_deadline_s:
                             # Can't preempt the worker — drop the future
                             # (its late result is ignored) and restart
                             # the chunk elsewhere.
-                            fut.cancel()
                             del inflight[fut]
                             report.hung_chunks += 1
                             report.worker_deaths += 1
@@ -519,52 +439,19 @@ class FleetExecutor:
             return [self._call(fn, item) for item in items]
 
         chunks = self._chunks(n)
-        use_processes = self._processes_usable(fn, items)
         if self.supervision is not None:
-            return self._map_supervised_pooled(fn, items, chunks, use_processes)
-        if use_processes:
-            payloads = [(fn, [items[i] for i in chunk]) for chunk in chunks]
-            self.last_backend = "process"
-            with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-                chunk_results = list(pool.map(_run_chunk_in_process, payloads))
-        else:
+            return self._map_supervised_pooled(fn, items, chunks)
 
-            def run_chunk(chunk: range) -> list[R]:
-                return [self._call(fn, items[i]) for i in chunk]
+        def run_chunk(chunk: range) -> list[R]:
+            return [self._call(fn, items[i]) for i in chunk]
 
-            self.last_backend = "thread"
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                chunk_results = list(pool.map(run_chunk, chunks))
+        self.last_backend = "thread"
+        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
+            chunk_results = list(pool.map(run_chunk, chunks))
         out: list[R] = []
         for partial in chunk_results:
             out.extend(partial)
         return out
-
-    def _processes_usable(self, fn: Callable[[T], R], items: Sequence[T]) -> bool:
-        """Whether this map can actually run on the process pool.
-
-        A retry policy disqualifies it outright — its counters are
-        in-process state that must observe every task.  An injector
-        disqualifies it only when its plan carries ``fleet.task`` specs
-        (per-task hooks can't cross the boundary); worker kill/hang and
-        storage faults are drawn parent-side, so plans limited to those
-        points keep the process pool.  Otherwise a one-item pickle probe
-        decides: if ``fn`` and a work item round-trip, so will the rest.
-        """
-        if self.backend != "process":
-            return False
-        if self.task_retry is not None:
-            return False
-        if self.injector is not None:
-            plan = getattr(self.injector, "plan", None)
-            for_point = getattr(plan, "for_point", None)
-            if for_point is None or for_point(FLEET_TASK_POINT):
-                return False
-        try:
-            pickle.dumps((fn, items[0]))
-        except Exception:
-            return False
-        return True
 
     def map_pumps(
         self,
@@ -581,7 +468,7 @@ class FleetExecutor:
         """
         entries = list(pump_items)
         results = self.map_ordered(
-            _StarApply(fn), [tuple(entry[1:]) for entry in entries]
+            lambda args: fn(*args), [tuple(entry[1:]) for entry in entries]
         )
         return {
             entry[0]: result

@@ -91,12 +91,6 @@ class DataRetrievalAPI:
         self._retry = retry
         self._clock = clock
 
-    @property
-    def database(self) -> VibrationDatabase:
-        """The backing database (engines inspect ``in_memory`` for the
-        process-backend fallback)."""
-        return self._db
-
     def advance(self, delta_days: float) -> None:
         """Slide the analysis window forward (periodic refresh)."""
         self.period = self.period.advanced(delta_days)

@@ -286,14 +286,16 @@ class TestInputValidation:
 class TestImportFootprint:
     """``repro analyze`` loads only ``scipy.fft`` (and what it pulls in)
     from scipy; the welch/envelope/drift/Mahalanobis call sites import
-    the rest on first use."""
+    the rest on first use.  It runs on threads, so it loads no
+    ``multiprocessing`` module either."""
 
     def test_analyze_imports_skip_scipy_signal_stats_linalg(self):
         probe = (
             "import sys\n"
             "import repro.__main__, repro.analysis.engine, repro.analysis.reporting\n"
             "import repro.core.pipeline, repro.runtime, repro.storage\n"
-            "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy.'))))\n"
+            "print(' '.join(sorted(m for m in sys.modules\n"
+            "                      if m.startswith(('scipy.', 'multiprocessing')))))\n"
         )
         src = os.path.dirname(os.path.dirname(repro.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -305,7 +307,7 @@ class TestImportFootprint:
             check=True,
         ).stdout.split()
         assert "scipy.fft" in loaded
-        for heavy in ("scipy.signal", "scipy.stats", "scipy.linalg"):
+        for heavy in ("scipy.signal", "scipy.stats", "scipy.linalg", "multiprocessing"):
             assert heavy not in loaded
 
 

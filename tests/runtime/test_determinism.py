@@ -1,10 +1,10 @@
 """Determinism guarantees of the runtime layer.
 
 The fleet executor's contract is that parallel execution is invisible:
-for the same seeded database, the production engine — serial, threaded,
-process-backed or supervised — must render the *byte-identical* operator
-report the scalar oracle engine (``tests/reference/``) renders, and
-repeated runs of the same engine must agree with themselves.
+for the same seeded database, the production engine — serial, threaded
+or supervised — must render the *byte-identical* operator report the
+scalar oracle engine (``tests/reference/``) renders, and repeated runs
+of the same engine must agree with themselves.
 """
 
 from __future__ import annotations
@@ -21,27 +21,15 @@ from repro.storage.database import VibrationDatabase
 from tests.reference.engine import ReferenceEngine
 
 
-def _seed(small_fleet, db) -> DataRetrievalAPI:
-    small_fleet.to_database(db)
-    records, _ = small_fleet.expert_labels({"A": 30, "BC": 30, "D": 20})
-    db.labels.add_many(records)
-    return DataRetrievalAPI(
-        db, AnalysisPeriod(0.0, small_fleet.config.duration_days + 1)
-    )
-
-
 @pytest.fixture(scope="module")
 def seeded_api(small_fleet):
     db = VibrationDatabase()
-    yield _seed(small_fleet, db)
-    db.close()
-
-
-@pytest.fixture(scope="module")
-def seeded_file_api(small_fleet, tmp_path_factory):
-    """File-backed twin: only file-backed engines honour the process backend."""
-    db = VibrationDatabase(str(tmp_path_factory.mktemp("determinism") / "fleet.db"))
-    yield _seed(small_fleet, db)
+    small_fleet.to_database(db)
+    records, _ = small_fleet.expert_labels({"A": 30, "BC": 30, "D": 20})
+    db.labels.add_many(records)
+    yield DataRetrievalAPI(
+        db, AnalysisPeriod(0.0, small_fleet.config.duration_days + 1)
+    )
     db.close()
 
 
@@ -64,14 +52,6 @@ class TestReportDeterminism:
         scalar_text = render_report(engine_for(seeded_api, batch=False).run())
         batch_text = render_report(engine_for(seeded_api, batch=True).run())
         assert batch_text == scalar_text
-
-    def test_process_backend_report_matches_oracle(self, seeded_file_api):
-        oracle_text = render_report(engine_for(seeded_file_api, batch=False).run())
-        engine = engine_for(
-            seeded_file_api, batch=True, workers=2, executor_backend="process"
-        )
-        assert engine._resolve_backend() == "process"
-        assert render_report(engine.run()) == oracle_text
 
     def test_supervised_report_matches_oracle(self, seeded_api):
         oracle_text = render_report(engine_for(seeded_api, batch=False).run())
