@@ -231,7 +231,7 @@ class VibrationAnalysisEngine:
         if self.config.checkpoint_dir is not None:
             checkpoint = CheckpointManager(
                 self.config.checkpoint_dir,
-                run_key=f"transform-v1:chunk_rows={DEFAULT_CHUNK_ROWS}",
+                run_key=f"transform-v2:chunk_rows={DEFAULT_CHUNK_ROWS}",
             )
         return AnalysisPipeline(
             self.config.pipeline, executor=executor, checkpoint=checkpoint

@@ -43,8 +43,13 @@ from repro.core.peaks import (
 from repro.core.ransac import LineModel, RecursiveRANSAC
 from repro.core.rul import RULEstimator, RULPrediction, learn_zone_d_threshold
 from repro.core.window import moving_average
-from repro.runtime.batch import DEFAULT_CHUNK_ROWS, transform_rows
-from repro.runtime.cache import row_digests
+from repro.runtime.batch import (
+    DEFAULT_CHUNK_ROWS,
+    TRANSFORM_TILE_ROWS,
+    run_tiles,
+    transform_rows,
+)
+from repro.runtime.cache import as_float, row_digests
 from repro.runtime.fleet import FleetExecutor
 from repro.runtime.profile import RuntimeProfile
 
@@ -175,13 +180,18 @@ class AnalysisPipeline:
         row also brings back its harmonic peaks, if a :meth:`run` has
         extracted them.
 
+        Float32 samples (the stored precision) and float64 samples are
+        used as given — no whole-matrix upcast; each transform tile
+        upcasts its own rows exactly — and any other dtype is cast to
+        float64.  Row digests hash the rows in that dtype.
+
         Args:
             samples: measurement blocks, shape ``(n, K, 3)``.
             profile: optional collector for the ``transform`` stage; its
                 item count is the rows actually transformed.
         """
         start = time.perf_counter()
-        blocks = np.asarray(samples, dtype=np.float64)
+        blocks = as_float(samples)
         if blocks.ndim != 3 or blocks.shape[2] != 3:
             raise ValueError(f"samples must have shape (n, K, 3), got {blocks.shape}")
         n, k = blocks.shape[0], blocks.shape[1]
@@ -208,10 +218,16 @@ class AnalysisPipeline:
                 source.append(index)
         if hit:
             outputs = (np.empty((n, 3)), np.empty(n), np.empty((n, k)))
-            for out, previous in zip(
-                outputs + peaks, self._memo_outputs + self._memo_peaks
-            ):
-                out[hit] = previous[source]
+            # Gather tile by tile: one whole-matrix fancy index would
+            # allocate a third PSD-sized temporary next to the old and
+            # new memo.
+            for lo in range(0, len(hit), TRANSFORM_TILE_ROWS):
+                rows = hit[lo : lo + TRANSFORM_TILE_ROWS]
+                from_rows = source[lo : lo + TRANSFORM_TILE_ROWS]
+                for out, previous in zip(
+                    outputs + peaks, self._memo_outputs + self._memo_peaks
+                ):
+                    out[rows] = previous[from_rows]
             computed = 0
             if miss:
                 *fresh, computed = transform_rows(
@@ -289,7 +305,8 @@ class AnalysisPipeline:
         Args:
             pump_ids: pump identifier per measurement, shape ``(n,)``.
             service_days: pump service time (days) per measurement.
-            samples: raw blocks ``(n, K, 3)`` in g.
+            samples: raw blocks ``(n, K, 3)`` in g, float32 or float64
+                (see :meth:`transform`).
             train_labels: mapping from measurement index to expert zone
                 label; must contain at least one measurement of each zone
                 (A, BC and D).
@@ -301,7 +318,7 @@ class AnalysisPipeline:
         """
         ids = np.asarray(pump_ids)
         days = np.asarray(service_days, dtype=np.float64)
-        blocks = np.asarray(samples, dtype=np.float64)
+        blocks = as_float(samples)
         n = ids.shape[0]
         if days.shape[0] != n or blocks.shape[0] != n:
             raise ValueError("pump_ids, service_days and samples must align")
@@ -415,25 +432,33 @@ class AnalysisPipeline:
         """Raw ``D_a`` of ``rows`` of the last :meth:`transform` call.
 
         Peaks come from the row memo; the rows it lacks are extracted
-        from the memo's PSD in one batched call and written back, so a
-        later run recalls them.  The distances then run through the
-        packed Algorithm 1 kernel in one call.  Padding every row to
-        ``num_peaks`` columns leaves the kernel's output unchanged: it
-        reads only each row's real peaks.
+        from the memo's PSD in tiles of ``TRANSFORM_TILE_ROWS`` rows on
+        the transform's threads (:func:`~repro.runtime.batch.run_tiles`)
+        and written back, so a later run recalls them.  Extraction is
+        row-local, so tiling leaves every peak bit-identical.  The
+        distances then run through the packed Algorithm 1 kernel in one
+        call.  Padding every row to ``num_peaks`` columns leaves the
+        kernel's output unchanged: it reads only each row's real peaks.
         """
         psd = self._memo_outputs[2]
         peak_freqs, peak_vals, counts, extracted = self._memo_peaks
         fresh = rows[~extracted[rows]]
+
+        def extract(lo: int, hi: int) -> None:
+            for start in range(lo, hi, TRANSFORM_TILE_ROWS):
+                tile = fresh[start : min(start + TRANSFORM_TILE_ROWS, hi)]
+                packed = extract_harmonic_peaks_batch(
+                    psd[tile],
+                    freqs,
+                    num_peaks=self.config.num_peaks,
+                    window_size=self.config.peak_window_size,
+                )
+                peak_freqs[tile] = packed.frequencies
+                peak_vals[tile] = packed.values
+                counts[tile] = packed.counts
+
         if fresh.size:
-            packed = extract_harmonic_peaks_batch(
-                psd[fresh],
-                freqs,
-                num_peaks=self.config.num_peaks,
-                window_size=self.config.peak_window_size,
-            )
-            peak_freqs[fresh] = packed.frequencies
-            peak_vals[fresh] = packed.values
-            counts[fresh] = packed.counts
+            run_tiles(extract, 0, fresh.size, max(1, self.executor.max_workers))
             extracted[fresh] = True
         self.peak_hits += rows.size - fresh.size
         self.peak_misses += fresh.size

@@ -14,6 +14,7 @@ boundary.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,15 +23,16 @@ from scipy.fft import dct
 from repro.runtime.cache import array_digest
 from repro.runtime.fleet import FleetExecutor
 
-#: Rows per transform chunk.  8192 blocks of (1024, 3) float64 is ~192 MiB
-#: of input per chunk — enough to amortize the DCT call, small enough to
-#: keep peak memory bounded on fleet-scale matrices.
+#: Rows per transform chunk, the checkpoint journal's unit.  8192 stored
+#: float32 blocks of (1024, 3) are ~96 MiB of input per chunk; a crash
+#: loses at most one chunk of work.
 DEFAULT_CHUNK_ROWS = 8192
 
-#: Rows per transform compute tile *within* a chunk.  The chunk is the
-#: checkpoint journal's unit; the tile is the unit of actual compute.
-#: Small tiles keep the working set (normalized block, transposed DCT
-#: scratch) inside a few MiB that the two preallocated buffers recycle,
+#: Rows per compute tile *within* a chunk.  The chunk is the checkpoint
+#: journal's unit; the tile is the unit of actual compute, for the
+#: transform and for harmonic-peak extraction alike.  Small tiles keep
+#: the working set (float64 block, normalized block, transposed DCT
+#: scratch) inside a few MiB that the preallocated buffers recycle,
 #: instead of faulting in hundreds of MiB of fresh temporaries per
 #: chunk — measured ~4x faster on the 8,640-row fleet matrix with
 #: bit-identical output (the DCT and every reduction are row-local, so
@@ -48,21 +50,27 @@ def _transform_tiled(
 ) -> None:
     """Compute transform outputs for rows ``[lo, hi)`` tile by tile.
 
-    Writes the mean offsets, RMS and PSD rows in place.  Every tile runs
-    this exact op sequence, so outputs are bit-identical regardless of
-    which thread (or which chunking) executed a row.
+    Each tile is first copied into a reused float64 tile buffer — the
+    one place a float32 block is upcast, exactly — so ``blocks`` can
+    stay in its stored precision.  Writes the mean offsets, RMS and PSD
+    rows in place.  Every tile runs this exact op sequence, so outputs
+    are bit-identical regardless of which thread (or which chunking)
+    executed a row.
 
     Raises:
         ValueError: if any sample in ``[lo, hi)`` is non-finite.
     """
     k = blocks.shape[1]
     tile = TRANSFORM_TILE_ROWS
-    norm = np.empty((min(tile, max(hi - lo, 1)), k, 3))
-    work = np.empty((norm.shape[0], 3, k))
+    rows = min(tile, max(hi - lo, 1))
+    block = np.empty((rows, k, 3))
+    norm = np.empty((rows, k, 3))
+    work = np.empty((rows, 3, k))
     for tlo in range(lo, hi, tile):
         thi = min(tlo + tile, hi)
         m = thi - tlo
-        chunk = blocks[tlo:thi]
+        chunk = block[:m]
+        chunk[...] = blocks[tlo:thi]
         if not np.all(np.isfinite(chunk)):
             raise ValueError("measurement contains non-finite samples")
         means = chunk.mean(axis=1)
@@ -86,38 +94,32 @@ def _transform_tiled(
         psd[tlo:thi] = coeffs.sum(axis=1)
 
 
-def _transform_threaded(
-    pool: ThreadPoolExecutor,
-    workers: int,
-    blocks: np.ndarray,
-    lo: int,
-    hi: int,
-    offsets: np.ndarray,
-    rms: np.ndarray,
-    psd: np.ndarray,
+def run_tiles(
+    fn: Callable[[int, int], None], lo: int, hi: int, workers: int
 ) -> None:
-    """Run :func:`_transform_tiled` on rows ``[lo, hi)`` across ``pool``.
+    """Call ``fn(start, stop)`` over rows ``[lo, hi)`` on ``workers`` threads.
 
-    The rows split into ``min(workers, tiles)`` tile-aligned contiguous
-    ranges, one per pool thread; one worker or a single tile is the
-    plain serial call.  Pocketfft's DCT and numpy's reductions release
-    the GIL, and every op is row-local, so the outputs are bit-identical
-    whichever thread computed a tile.  A non-finite row raises the same
-    ``ValueError`` as the serial call, earliest range first.
+    The rows split into ``min(workers, tiles)`` contiguous ranges
+    aligned to :data:`TRANSFORM_TILE_ROWS`, one per thread; one worker
+    or a single tile is the plain call ``fn(lo, hi)``.  ``fn`` must be
+    row-local and write only its own rows, so the result is
+    bit-identical whichever thread ran a range.  An exception raises as
+    in the serial call, earliest range first.  The transform and the
+    harmonic-peak extraction both run through here.
     """
     tiles = -(-(hi - lo) // TRANSFORM_TILE_ROWS)
     parts = min(workers, tiles)
     if parts <= 1:
-        _transform_tiled(blocks, lo, hi, offsets, rms, psd)
+        fn(lo, hi)
         return
     bounds = [lo + (tiles * i // parts) * TRANSFORM_TILE_ROWS for i in range(parts)]
     bounds.append(hi)
-    futures = [
-        pool.submit(_transform_tiled, blocks, start, stop, offsets, rms, psd)
-        for start, stop in zip(bounds, bounds[1:])
-    ]
-    for future in futures:
-        future.result()
+    with ThreadPoolExecutor(parts) as pool:
+        futures = [
+            pool.submit(fn, start, stop) for start, stop in zip(bounds, bounds[1:])
+        ]
+        for future in futures:
+            future.result()
 
 
 def transform_rows(
@@ -128,41 +130,45 @@ def transform_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Transform every row of ``blocks`` chunk by chunk.
 
+    ``blocks`` may be float32 or float64; tiles upcast as they go.
     With a checkpoint armed, each chunk is first looked up in the
-    journal by its input digest and every computed chunk is journaled
-    the moment it completes.  Each missed chunk's tiles spread over
-    ``executor.max_workers`` plain threads (``0``/``1`` is serial).  The
-    threads bypass the executor itself, so its fault injection,
-    supervision tally and ``last_backend`` never see transform tiles.
-    Returns ``(offsets, rms, psd, computed)``, where ``computed`` counts
-    the rows actually transformed rather than recalled from the journal.
+    journal by its input digest — hashed in the chunk's own dtype, so
+    no float64 copy — and every computed chunk is journaled the moment
+    it completes.  Each missed chunk's tiles spread over
+    ``executor.max_workers`` plain threads (``0``/``1`` is serial) via
+    :func:`run_tiles`.  The threads bypass the executor itself, so its
+    fault injection, supervision tally and ``last_backend`` never see
+    transform tiles.  Returns ``(offsets, rms, psd, computed)``, where
+    ``computed`` counts the rows actually transformed rather than
+    recalled from the journal.
     """
     n, k = blocks.shape[0], blocks.shape[1]
     offsets = np.empty((n, 3))
     rms = np.empty(n)
     psd = np.empty((n, k))
     computed = 0
-    # The pool starts threads only on first submit, so a serial run pays
-    # nothing for it.
     workers = max(1, executor.max_workers)
-    with ThreadPoolExecutor(workers) as pool:
-        for index, lo in enumerate(range(0, n, chunk_rows)):
-            hi = min(lo + chunk_rows, n)
-            chunk_key = None
-            if checkpoint is not None:
-                chunk_key = array_digest(blocks[lo:hi])
-                journaled = checkpoint.load_chunk(index, chunk_key)
-                if journaled is not None:
-                    offsets[lo:hi], rms[lo:hi], psd[lo:hi] = journaled
-                    continue
-            _transform_threaded(pool, workers, blocks, lo, hi, offsets, rms, psd)
-            computed += hi - lo
-            # Journal each chunk the moment it completes, so a crash
-            # mid-run resumes from here rather than from scratch.
-            if checkpoint is not None:
-                checkpoint.record_chunk(
-                    index, lo, hi, chunk_key, offsets[lo:hi], rms[lo:hi], psd[lo:hi]
-                )
+
+    def transform(lo: int, hi: int) -> None:
+        _transform_tiled(blocks, lo, hi, offsets, rms, psd)
+
+    for index, lo in enumerate(range(0, n, chunk_rows)):
+        hi = min(lo + chunk_rows, n)
+        chunk_key = None
+        if checkpoint is not None:
+            chunk_key = array_digest(blocks[lo:hi])
+            journaled = checkpoint.load_chunk(index, chunk_key)
+            if journaled is not None:
+                offsets[lo:hi], rms[lo:hi], psd[lo:hi] = journaled
+                continue
+        run_tiles(transform, lo, hi, workers)
+        computed += hi - lo
+        # Journal each chunk the moment it completes, so a crash
+        # mid-run resumes from here rather than from scratch.
+        if checkpoint is not None:
+            checkpoint.record_chunk(
+                index, lo, hi, chunk_key, offsets[lo:hi], rms[lo:hi], psd[lo:hi]
+            )
     return offsets, rms, psd, computed
 
 
@@ -179,9 +185,11 @@ def finite_block_mask(blocks: np.ndarray) -> np.ndarray:
 
     Returns:
         Shape ``(N,)`` boolean array; ``True`` where every sample of the
-        block is finite.
+        block is finite.  The input is not cast: ``isfinite`` on the
+        stored float32 samples gives the same mask as on their float64
+        upcast, without a float64 copy of the whole matrix.
     """
-    arr = np.asarray(blocks, dtype=np.float64)
+    arr = np.asarray(blocks)
     if arr.ndim < 2:
         return np.isfinite(arr)
     axes = tuple(range(1, arr.ndim))

@@ -6,8 +6,9 @@
 * :class:`ModelFitCache` memoizes recursive-RANSAC fits for the
   walk-forward backtest.
 
-Keys are SHA-1 digests of raw float64 bytes — content-addressed, so two
-inputs that hash equal *are* equal work and no entry can go stale.
+Keys are SHA-1 digests of raw float32 or float64 bytes, with the dtype
+in the key — content-addressed, so two inputs that hash equal *are*
+equal work and no entry can go stale.
 """
 
 from __future__ import annotations
@@ -19,26 +20,46 @@ from collections import OrderedDict
 import numpy as np
 
 
+def as_float(arr) -> np.ndarray:
+    """``arr`` as a float32 or float64 array, not copied if already one.
+
+    Every other dtype is cast to float64.  Stored measurements arrive
+    as float32 and stay so until a transform tile upcasts them.
+    """
+    data = np.asarray(arr)
+    if data.dtype in (np.float32, np.float64):
+        return data
+    return data.astype(np.float64)
+
+
 def array_digest(arr: np.ndarray) -> bytes:
-    """Content digest of an array's float64 bytes (shape included)."""
-    data = np.ascontiguousarray(arr, dtype=np.float64)
-    digest = hashlib.sha1(repr(data.shape).encode())
+    """Content digest of an array's float bytes (shape and dtype included).
+
+    Float32 and float64 arrays hash their own bytes, so a float32 chunk
+    is keyed without a float64 copy; other dtypes hash as float64.
+    """
+    data = np.ascontiguousarray(as_float(arr))
+    digest = hashlib.sha1(repr((data.shape, data.dtype.str)).encode())
     # memoryview feeds the hash without materializing a bytes copy.
     digest.update(data.data)
     return digest.digest()
 
 
 def row_digests(blocks: np.ndarray) -> list[bytes]:
-    """SHA-1 digest of each row's float64 bytes, in row order.
+    """Dtype-tagged SHA-1 digest of each row's bytes, in row order.
 
-    The key of the pipeline's transform row memo.  Rows of equal
-    digest hold equal bytes — hence equal length and equal transform
-    output — so no shape prefix is needed.  A key is the row's content,
-    never its measurement id: a row rewritten under the same id (a
-    replaced upload, injected corruption) gets a new key.
+    The key of the pipeline's transform row memo.  Each row hashes in
+    the dtype it arrives in, with the dtype in the key, so a float32
+    row and a float64 row never share a key and the stored float32 rows
+    hash half the bytes of an upcast copy.  Rows of equal digest hold
+    equal bytes — hence equal length and equal transform output — so
+    no shape prefix is needed.  A key is the row's content, never its
+    measurement id: a row rewritten under the same id (a replaced
+    upload, injected corruption) gets a new key.
     """
-    data = np.ascontiguousarray(blocks, dtype=np.float64)
-    return [hashlib.sha1(row).digest() for row in data]
+    data = np.ascontiguousarray(blocks)
+    dtype = data.dtype.str.encode()
+    return [dtype + hashlib.sha1(row).digest() for row in data]
 
 
 class ModelFitCache:

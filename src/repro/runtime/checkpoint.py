@@ -9,8 +9,9 @@ of restarting from scratch.  Resume is *idempotent and bit-identical*:
 
 * chunks are addressed by their input digest
   (:func:`~repro.runtime.cache.array_digest` over the raw measurement
-  bytes), so a resumed run only reuses a payload when the input bytes
-  are exactly the ones that produced it;
+  bytes in their stored dtype, float32 from the database), so a resumed
+  run only reuses a payload when the input bytes are exactly the ones
+  that produced it;
 * payloads carry an output digest that is re-verified on load, so a
   torn or bit-rotted payload is recomputed instead of trusted;
 * every write is atomic (write to a temp file, ``fsync``, then
@@ -27,10 +28,10 @@ Format (``manifest.json``, version 1)::
 
     {
       "version": 1,
-      "run_key": "transform-v1",
+      "run_key": "transform-v2",
       "chunks": {
         "0": {"lo": 0, "hi": 8192,
-               "input_digest": "<sha1 hex of raw chunk bytes>",
+               "input_digest": "<sha1 hex of shape, dtype, chunk bytes>",
                "payload": "chunk-00000.npz",
                "output_digest": "<sha1 hex over offsets|rms|psd>"},
         ...
@@ -40,7 +41,9 @@ Format (``manifest.json``, version 1)::
 
 A checkpoint directory belongs to one logical run configuration; the
 ``run_key`` pins it (a manifest written under a different key is ignored
-and overwritten on the first record).  See ``docs/RELIABILITY.md`` for
+and overwritten on the first record).  ``transform-v2`` keys chunks by
+their stored-dtype bytes; a ``transform-v1`` journal, keyed by float64
+upcast bytes, is such a different key and starts a fresh run.  See ``docs/RELIABILITY.md`` for
 the recovery runbook.
 """
 
@@ -96,7 +99,7 @@ class CheckpointManager:
         hits / misses: chunk-level recall counters for profiling.
     """
 
-    def __init__(self, directory: str | os.PathLike, run_key: str = "transform-v1"):
+    def __init__(self, directory: str | os.PathLike, run_key: str = "transform-v2"):
         self.directory = Path(directory)
         self.run_key = str(run_key)
         self.hits = 0

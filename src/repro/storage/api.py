@@ -169,9 +169,10 @@ class DataRetrievalAPI:
             rows quarantined for a stored-BLOB checksum mismatch.
         """
         if self._injector is None and self._retry is None:
-            # Fast path: no chaos hooks to honour, so the store can decode
-            # BLOBs straight into one preallocated matrix (bit-identical
-            # to the record path below, without materializing records).
+            # Fast path: no chaos hooks to honour, so the store can stream
+            # BLOBs straight into one preallocated float32 matrix
+            # (bit-identical to the record path below, without
+            # materializing records).
             return self._db.measurements.query_arrays(
                 self.period.start_day, self.period.end_day, pump_ids
             )
@@ -185,7 +186,7 @@ class DataRetrievalAPI:
                 empty.astype(int),
                 empty.astype(int),
                 empty,
-                np.empty((0, 0, 3)),
+                np.empty((0, 0, 3), dtype=np.float32),
                 {},
                 corrupt,
             )

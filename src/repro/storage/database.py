@@ -90,6 +90,11 @@ CREATE INDEX IF NOT EXISTS idx_dead_letters_pump ON dead_letters (pump_id);
 """
 
 
+def _majority(counts: dict[int, int]) -> int:
+    """The most frequent block length; the smallest on a tie (0 if none)."""
+    return min(counts, key=lambda length: (-counts[length], length), default=0)
+
+
 class DatabaseCorruptionError(RuntimeError):
     """SQLite's own structures failed ``PRAGMA quick_check`` on open.
 
@@ -233,43 +238,56 @@ class MeasurementStore:
     def _checksum(blob: bytes) -> int:
         return zlib.crc32(blob)
 
-    def _verify(self, pump_id: int, mid: int, blob: bytes, checksum) -> bool:
-        """True when the BLOB is trustworthy; quarantines it otherwise.
+    def _intact(self, blob: bytes, checksum) -> bool:
+        """True when the BLOB matches its stored CRC32.
 
         ``checksum IS NULL`` marks a legacy row written before the
         durability layer — nothing to verify against, so it passes.
         """
-        if checksum is None or self._checksum(blob) == checksum:
-            return True
-        self.last_corrupt[pump_id] = self.last_corrupt.get(pump_id, 0) + 1
+        return checksum is None or self._checksum(blob) == checksum
+
+    def _quarantine(self, rows: list[tuple[int, int, int]]) -> None:
+        """Dead-letter ``(pump_id, measurement_id, blob_bytes)`` rows.
+
+        Tallies :attr:`last_corrupt` and writes every quarantine row in
+        one transaction.  Callers pass the rows only once their SELECT
+        cursor is exhausted: on Python 3.10 a commit resets every open
+        statement of the connection.
+        """
+        for pump_id, _, _ in rows:
+            self.last_corrupt[pump_id] = self.last_corrupt.get(pump_id, 0) + 1
+        if not rows:
+            return
         with self._conn:
             # NOT EXISTS dedupe: transient-read retries re-query the same
             # rows; the quarantine record must not multiply.
-            self._conn.execute(
+            self._conn.executemany(
                 "INSERT INTO dead_letters"
                 " SELECT ?, ?, ?, ?, ?, NULL"
                 " WHERE NOT EXISTS (SELECT 1 FROM dead_letters"
                 "  WHERE stage = ? AND pump_id = ? AND measurement_id = ?"
                 "  AND reason = ?)",
-                (
-                    self.QUARANTINE_STAGE,
-                    pump_id,
-                    mid,
-                    self.QUARANTINE_REASON,
-                    f"stored CRC32 does not match {len(blob)}-byte BLOB",
-                    self.QUARANTINE_STAGE,
-                    pump_id,
-                    mid,
-                    self.QUARANTINE_REASON,
-                ),
+                [
+                    (
+                        self.QUARANTINE_STAGE,
+                        pump_id,
+                        mid,
+                        self.QUARANTINE_REASON,
+                        f"stored CRC32 does not match {size}-byte BLOB",
+                        self.QUARANTINE_STAGE,
+                        pump_id,
+                        mid,
+                        self.QUARANTINE_REASON,
+                    )
+                    for pump_id, mid, size in rows
+                ],
             )
-        return False
 
     @staticmethod
     def _decode(blob: bytes, num_samples: int) -> np.ndarray:
         # Zero-copy: a read-only float32 view over the BLOB bytes — no
         # per-row allocation and no silent float64 upcast.  Consumers that
-        # need float64 math cast at the batch level (exactly: every
+        # need float64 math cast per transform tile (exactly: every
         # float32 value is representable in float64).
         return np.frombuffer(blob, dtype="<f4").reshape(num_samples, 3)
 
@@ -300,6 +318,19 @@ class MeasurementStore:
                 rows,
             )
 
+    @staticmethod
+    def _window(
+        start_day: float, end_day: float, pump_ids: Sequence[int] | None
+    ) -> tuple[str, list[object]]:
+        """``WHERE`` clause and parameters selecting one analysis window."""
+        where = " WHERE timestamp_day >= ? AND timestamp_day < ?"
+        params: list[object] = [float(start_day), float(end_day)]
+        if pump_ids is not None:
+            placeholders = ",".join("?" * len(pump_ids))
+            where += f" AND pump_id IN ({placeholders})"
+            params.extend(int(p) for p in pump_ids)
+        return where, params
+
     def query(
         self,
         start_day: float = -np.inf,
@@ -307,22 +338,20 @@ class MeasurementStore:
         pump_ids: Sequence[int] | None = None,
     ) -> list[Measurement]:
         """Measurements with ``start_day <= timestamp_day < end_day``."""
-        sql = (
+        where, params = self._window(start_day, end_day, pump_ids)
+        rows = self._conn.execute(
             "SELECT pump_id, measurement_id, timestamp_day, service_day,"
             " sampling_rate_hz, num_samples, samples, checksum FROM measurements"
-            " WHERE timestamp_day >= ? AND timestamp_day < ?"
-        )
-        params: list[object] = [float(start_day), float(end_day)]
-        if pump_ids is not None:
-            placeholders = ",".join("?" * len(pump_ids))
-            sql += f" AND pump_id IN ({placeholders})"
-            params.extend(int(p) for p in pump_ids)
-        sql += " ORDER BY timestamp_day, pump_id, measurement_id"
-        rows = self._conn.execute(sql, params).fetchall()
+            + where
+            + " ORDER BY timestamp_day, pump_id, measurement_id",
+            params,
+        ).fetchall()
         self.last_corrupt = {}
         out = []
+        corrupt = []
         for pump_id, mid, ts, service, fs, k, blob, checksum in rows:
-            if not self._verify(pump_id, mid, blob, checksum):
+            if not self._intact(blob, checksum):
+                corrupt.append((pump_id, mid, len(blob)))
                 continue
             out.append(
                 Measurement(
@@ -334,6 +363,7 @@ class MeasurementStore:
                     sampling_rate_hz=fs,
                 )
             )
+        self._quarantine(corrupt)
         return out
 
     def query_arrays(
@@ -348,70 +378,103 @@ class MeasurementStore:
 
         Same selection, ordering, checksum verification and
         majority-``K`` filtering as :meth:`query` followed by record
-        stacking — and bit-identical output — but each BLOB is decoded
-        with ``np.frombuffer`` directly into one preallocated contiguous
-        ``(N, K, 3)`` float64 matrix: no per-row :class:`Measurement`
-        objects, no per-row array allocations, one exact
-        float32→float64 upcast on assignment.
+        stacking, with bit-identical samples.  The rows stream from the
+        cursor: a ``GROUP BY num_samples`` count over the window sizes
+        one ``(N, K, 3)`` float32 matrix — the stored precision, so
+        there is no upcast — and each verified BLOB is decoded straight
+        into its row.  Consumers upcast per transform tile (exactly:
+        every float32 value is a float64 value).  Verified rows of
+        another length wait in a side list, so when checksum failures
+        move the verified majority onto another length, its rows are
+        already at hand.  Quarantine rows are written once the cursor
+        is exhausted.
 
         Returns:
             ``(pump_ids, measurement_ids, service_days, samples,
-            dropped_incomplete, corrupt)`` where ``samples`` has shape
-            ``(N, K, 3)``, ``dropped_incomplete`` maps pump id →
+            dropped_incomplete, corrupt)`` where ``samples`` is float32
+            of shape ``(N, K, 3)``, ``dropped_incomplete`` maps pump id →
             measurements discarded for not matching the majority block
             length, and ``corrupt`` maps pump id → rows quarantined for
             checksum mismatch.
         """
-        sql = (
-            "SELECT pump_id, measurement_id, service_day, num_samples, samples,"
-            " checksum"
-            " FROM measurements WHERE timestamp_day >= ? AND timestamp_day < ?"
-        )
-        params: list[object] = [float(start_day), float(end_day)]
-        if pump_ids is not None:
-            placeholders = ",".join("?" * len(pump_ids))
-            sql += f" AND pump_id IN ({placeholders})"
-            params.extend(int(p) for p in pump_ids)
-        sql += " ORDER BY timestamp_day, pump_id, measurement_id"
-        fetched = self._conn.execute(sql, params).fetchall()
-        self.last_corrupt = {}
-        rows = [
-            row
-            for row in fetched
-            if self._verify(row[0], row[1], row[4], row[5])
-        ]
-        corrupt = dict(self.last_corrupt)
-        if not rows:
-            empty = np.empty(0)
-            return (
-                empty.astype(int),
-                empty.astype(int),
-                empty,
-                np.empty((0, 0, 3)),
-                {},
-                corrupt,
+        where, params = self._window(start_day, end_day, pump_ids)
+        others = []
+        corrupt_rows = []
+        kept = 0
+        # One read snapshot for the count and the rows, so a concurrent
+        # writer cannot outgrow the preallocated matrix.
+        self._conn.execute("SAVEPOINT query_arrays")
+        try:
+            lengths = dict(
+                self._conn.execute(
+                    "SELECT num_samples, COUNT(*) FROM measurements"
+                    + where
+                    + " GROUP BY num_samples",
+                    params,
+                ).fetchall()
             )
+            k = _majority(lengths)
+            out = self._allocate(lengths.get(k, 0), k)
+            cursor = self._conn.execute(
+                "SELECT pump_id, measurement_id, service_day, num_samples,"
+                " samples, checksum FROM measurements"
+                + where
+                + " ORDER BY timestamp_day, pump_id, measurement_id",
+                params,
+            )
+            for row in cursor:
+                if not self._intact(row[4], row[5]):
+                    corrupt_rows.append((row[0], row[1], len(row[4])))
+                    lengths[row[3]] -= 1
+                elif row[3] == k:
+                    self._put(out, kept, row)
+                    kept += 1
+                else:
+                    others.append(row)
+        finally:
+            self._conn.execute("RELEASE query_arrays")
+        self.last_corrupt = {}
+        self._quarantine(corrupt_rows)
+        corrupt = dict(self.last_corrupt)
+        verified = {length: n for length, n in lengths.items() if n}
+        if not verified:
+            return (*self._allocate(0, 0), {}, corrupt)
 
-        lengths = np.asarray([row[3] for row in rows])
-        k = int(np.bincount(lengths).argmax())
-        keep = lengths == k
-        n_keep = int(keep.sum())
         dropped_incomplete: dict[int, int] = {}
-        pumps = np.empty(n_keep, dtype=int)
-        mids = np.empty(n_keep, dtype=int)
-        service = np.empty(n_keep)
-        samples = np.empty((n_keep, k, 3))
-        i = 0
-        for (pump_id, mid, service_day, num_samples, blob, _), kept in zip(rows, keep):
-            if not kept:
+        majority = _majority(verified)
+        if majority != k:
+            # Checksum failures moved the verified majority: every row
+            # decoded so far is dropped and the side list holds the rows
+            # to keep.
+            for pump_id in out[0][:kept].tolist():
                 dropped_incomplete[pump_id] = dropped_incomplete.get(pump_id, 0) + 1
-                continue
-            pumps[i] = pump_id
-            mids[i] = mid
-            service[i] = service_day
-            samples[i] = np.frombuffer(blob, dtype="<f4").reshape(k, 3)
-            i += 1
-        return pumps, mids, service, samples, dropped_incomplete, corrupt
+            out = self._allocate(verified[majority], majority)
+            kept = 0
+            for row in others:
+                if row[3] == majority:
+                    self._put(out, kept, row)
+                    kept += 1
+        for row in others:
+            if row[3] != majority:
+                dropped_incomplete[row[0]] = dropped_incomplete.get(row[0], 0) + 1
+        return (*(column[:kept] for column in out), dropped_incomplete, corrupt)
+
+    @staticmethod
+    def _allocate(n: int, k: int) -> tuple[np.ndarray, ...]:
+        """Empty ``(pump_ids, measurement_ids, service_days, samples)``."""
+        return (
+            np.empty(n, dtype=int),
+            np.empty(n, dtype=int),
+            np.empty(n),
+            np.empty((n, k, 3), dtype=np.float32),
+        )
+
+    @staticmethod
+    def _put(out: tuple[np.ndarray, ...], index: int, row: tuple) -> None:
+        """Decode one verified row into slot ``index`` of ``out``."""
+        pumps, mids, service, samples = out
+        pumps[index], mids[index], service[index] = row[0], row[1], row[2]
+        samples[index] = np.frombuffer(row[4], dtype="<f4").reshape(row[3], 3)
 
     def count(self) -> int:
         (n,) = self._conn.execute("SELECT COUNT(*) FROM measurements").fetchone()

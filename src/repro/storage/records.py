@@ -71,8 +71,8 @@ class Measurement:
     def __post_init__(self) -> None:
         # float32 blocks (the storage layer's zero-copy BLOB views) are
         # kept as-is — upcasting here would force a copy per record and
-        # every analysis consumer casts to float64 itself (exactly, since
-        # every float32 is representable).  Everything else is coerced to
+        # the transform upcasts per tile itself (exactly, since every
+        # float32 is representable).  Everything else is coerced to
         # float64 as before.
         arr = np.asarray(self.samples)
         if arr.dtype != np.float32:

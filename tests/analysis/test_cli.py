@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import repro
@@ -341,3 +342,60 @@ class TestOracleParity:
             )
             oracle = render_report(engine.run(), horizon_days=30.0)
         assert production == oracle + "\n"
+
+
+class TestCheckpointResume:
+    """``--checkpoint`` then ``--resume`` render a plain run's bytes, and a
+    journal written under the float64-keyed ``transform-v1`` run key is
+    ignored rather than recalled."""
+
+    @pytest.fixture(scope="class")
+    def smoke(self, tmp_path_factory):
+        db_path = str(tmp_path_factory.mktemp("ckpt") / "smoke.db")
+        code, _ = run_cli(
+            ["simulate", "--db", db_path, "--pumps", "6", "--days", "40",
+             "--interval", "0.25", "--labels", "20,20,15", "--seed", "7"]
+        )
+        assert code == 0
+        code, plain = run_cli(["analyze", "--db", db_path])
+        assert code == 0
+        return db_path, plain
+
+    def test_checkpoint_then_resume_is_byte_identical(self, smoke, tmp_path):
+        db_path, plain = smoke
+        ckpt = str(tmp_path / "ckpt")
+        code, journaled = run_cli(["analyze", "--db", db_path, "--checkpoint", ckpt])
+        assert code == 0
+        assert journaled == plain
+        code, resumed = run_cli(["analyze", "--db", db_path, "--resume", ckpt,
+                                 "--profile"])
+        assert code == 0
+        assert resumed.startswith(plain)
+        assert "checkpoint_hits=1" in resumed
+
+    def test_v1_journal_is_ignored_not_misread(self, smoke, tmp_path):
+        import json
+
+        from repro.runtime.cache import array_digest
+        from repro.runtime.checkpoint import MANIFEST_NAME, CheckpointManager
+        from repro.storage.database import VibrationDatabase
+
+        db_path, plain = smoke
+        with VibrationDatabase(db_path) as db:
+            samples = db.measurements.query_arrays(0.0, 1e9)[3]
+        n, k = samples.shape[:2]
+        # A poisoned chunk journaled under the old run key, addressed by
+        # the very digest the current code computes: only the run key
+        # keeps it from being recalled.
+        ckpt = tmp_path / "ckpt"
+        CheckpointManager(ckpt, run_key="transform-v1:chunk_rows=8192").record_chunk(
+            0, 0, n, array_digest(samples),
+            np.zeros((n, 3)), np.zeros(n), np.zeros((n, k)),
+        )
+        code, resumed = run_cli(["analyze", "--db", db_path, "--resume", str(ckpt),
+                                 "--profile"])
+        assert code == 0
+        assert resumed.startswith(plain)
+        assert "checkpoint_hits=0" in resumed
+        manifest = json.loads((ckpt / MANIFEST_NAME).read_text())
+        assert manifest["run_key"] == "transform-v2:chunk_rows=8192"

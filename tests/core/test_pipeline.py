@@ -144,3 +144,49 @@ class TestEpochSplitting:
         without_epochs = pipeline.preprocess(pumps, offsets, None)
         # Without epoch awareness, one regime gets flagged wholesale.
         assert without_epochs.sum() <= 30
+
+
+class TestStoredPrecision:
+    """Float32 samples — the stored precision — run without a whole-matrix
+    float64 upcast, and render exactly what their float64 upcast renders."""
+
+    def test_float32_run_equals_float64_run(self):
+        from repro.runtime.fleet import FleetExecutor
+        from tests.runtime.conftest import make_workload
+
+        ids, days, blocks, labels = make_workload(seed=2)
+        samples = blocks.astype(np.float32)
+        results = [
+            AnalysisPipeline(executor=FleetExecutor(max_workers=2)).run(
+                ids, days, data, labels
+            )
+            for data in (samples, samples.astype(np.float64))
+        ]
+        for name in ("valid_mask", "offsets", "rms", "psd", "da", "zones"):
+            np.testing.assert_array_equal(
+                getattr(results[0], name), getattr(results[1], name), err_msg=name
+            )
+
+    def test_peak_memory_stays_below_one_float64_copy(self):
+        """``transform`` then ``run`` (a full memo hit) on float32 samples
+        peak below the bytes of one float64 copy of the input:
+        tracemalloc counts numpy buffers, and only tiles are upcast."""
+        import tracemalloc
+
+        from repro.runtime.fleet import FleetExecutor
+        from tests.runtime.conftest import make_workload
+
+        ids, days, blocks, labels = make_workload(
+            n_pumps=32, per_pump=256, num_samples=256, seed=5
+        )
+        samples = blocks.astype(np.float32)
+        del blocks
+        pipeline = AnalysisPipeline(executor=FleetExecutor(max_workers=1))
+        tracemalloc.start()
+        try:
+            pipeline.transform(samples)
+            pipeline.run(ids, days, samples, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < samples.size * 8

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.pipeline import AnalysisPipeline
 from repro.runtime import FleetExecutor, RuntimeProfile
-from repro.runtime.cache import array_digest
+from repro.runtime.cache import array_digest, row_digests
 from repro.runtime.fleet import resolve_workers
 
 
@@ -126,6 +126,15 @@ class TestArrayDigest:
         a = np.arange(24, dtype=np.float64).reshape(4, 6)
         strided = a[:, ::2]
         assert array_digest(strided) == array_digest(strided.copy())
+
+    def test_float32_and_float64_never_share_a_key(self):
+        """Digests hash the bytes in the dtype they arrive in, dtype in
+        the key: equal values in float32 and float64 key differently."""
+        rows = np.arange(12, dtype=np.float32).reshape(2, 2, 3)
+        upcast = rows.astype(np.float64)
+        assert set(row_digests(rows)).isdisjoint(row_digests(upcast))
+        assert array_digest(rows) != array_digest(upcast)
+        assert row_digests(rows) == row_digests(rows.copy())
 
 
 class TestRuntimeProfile:

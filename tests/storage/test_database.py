@@ -117,8 +117,9 @@ class TestQueryArrays:
         assert list(pumps) == [m.pump_id for m in records]
         assert list(mids) == [m.measurement_id for m in records]
         assert list(service) == [m.service_day for m in records]
-        stacked = np.stack([m.samples for m in records]).astype(np.float64)
-        assert samples.dtype == np.float64
+        stacked = np.stack([m.samples for m in records])
+        assert stacked.dtype == np.float32
+        assert samples.dtype == np.float32
         assert np.array_equal(samples, stacked)
 
     def test_filters_match_record_query(self, db):
@@ -149,6 +150,184 @@ class TestQueryArrays:
         )
         assert pumps.size == 0 and samples.shape == (0, 0, 3) and dropped == {}
         assert corrupt == {}
+
+
+class _TrackedCursor:
+    """A query cursor that reports when it has been read to the end."""
+
+    def __init__(self, cursor, open_cursors):
+        self._cursor = cursor
+        self._open = open_cursors
+        self._open.append(self)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        try:
+            return next(self._cursor)
+        except StopIteration:
+            self._close()
+            raise
+
+    def fetchall(self):
+        rows = self._cursor.fetchall()
+        self._close()
+        return rows
+
+    def _close(self):
+        if self in self._open:
+            self._open.remove(self)
+
+
+class _CommitGuard:
+    """Connection proxy that fails a commit made while a query cursor is
+    still open: on Python 3.10 ``commit()`` resets every open statement,
+    so the cursor would restart or lose its remaining rows."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.open_cursors = []
+
+    def execute(self, sql, params=()):
+        cursor = self._conn.execute(sql, params)
+        if cursor.description is None:
+            return cursor
+        return _TrackedCursor(cursor, self.open_cursors)
+
+    def executemany(self, sql, rows):
+        return self._conn.executemany(sql, rows)
+
+    def commit(self):
+        assert not self.open_cursors, "commit while a query cursor is open"
+        self._conn.commit()
+
+    def __enter__(self):
+        return self._conn.__enter__()
+
+    def __exit__(self, *exc_info):
+        assert not self.open_cursors, "commit while a query cursor is open"
+        return self._conn.__exit__(*exc_info)
+
+
+class TestStreamedQueryArrays:
+    """Edge cases of the cursor-streamed ``query_arrays``: each must equal
+    the record path (``measurement_matrices_with_health`` with a retry
+    policy set, which stacks :meth:`MeasurementStore.query` records)."""
+
+    @staticmethod
+    def assert_matches_record_path(db, start_day=-np.inf, end_day=np.inf):
+        from repro.chaos.retry import RetryPolicy
+        from repro.storage.api import AnalysisPeriod, DataRetrievalAPI
+
+        fast = db.measurements.query_arrays(start_day, end_day)
+        api = DataRetrievalAPI(
+            db, AnalysisPeriod(start_day, end_day), retry=RetryPolicy()
+        )
+        records = api.measurement_matrices_with_health()
+        for got, expected in zip(fast[:4], records[:4]):
+            assert got.dtype == expected.dtype
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+        assert fast[4:] == records[4:]
+        return fast
+
+    def test_corrupt_row_mid_window_keeps_every_later_row(self, db):
+        db.measurements.add_many(
+            make_measurement(pump=i % 3, mid=i, day=float(i), seed=i)
+            for i in range(12)
+        )
+        db.measurements.corrupt_blob(0, 3, byte_index=5)
+        guard = _CommitGuard(db.measurements._conn)
+        db.measurements._conn = guard
+        try:
+            pumps, mids, _, samples, dropped, corrupt = (
+                db.measurements.query_arrays()
+            )
+        finally:
+            db.measurements._conn = guard._conn
+        assert not guard.open_cursors
+        assert list(mids) == [0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11]
+        assert samples.dtype == np.float32 and samples.shape == (11, 16, 3)
+        assert corrupt == {0: 1} and dropped == {}
+        assert db.dead_letters.count() == 1
+        self.assert_matches_record_path(db)
+        assert db.dead_letters.count() == 1
+
+    def test_corruption_flips_the_majority_length(self, db):
+        # Five rows of K=16 against four of K=8: the GROUP BY majority is
+        # 16, but two corrupt 16-sample rows leave 8 the verified majority.
+        db.measurements.add_many(
+            make_measurement(pump=i % 2, mid=i, day=float(i), k=8 if i % 2 else 16,
+                             seed=i)
+            for i in range(9)
+        )
+        db.measurements.corrupt_blob(0, 0)
+        db.measurements.corrupt_blob(0, 4)
+        pumps, mids, _, samples, dropped, corrupt = self.assert_matches_record_path(
+            db
+        )
+        assert samples.shape == (4, 8, 3)
+        assert list(mids) == [1, 3, 5, 7]
+        assert dropped == {0: 3} and corrupt == {0: 2}
+
+    def test_two_length_tie_keeps_the_smaller_length(self, db):
+        db.measurements.add_many(
+            make_measurement(pump=i % 2, mid=i, day=float(i), k=16 if i % 2 else 8,
+                             seed=i)
+            for i in range(6)
+        )
+        pumps, mids, _, samples, dropped, corrupt = self.assert_matches_record_path(
+            db
+        )
+        assert samples.shape == (3, 8, 3)
+        assert dropped == {1: 3} and corrupt == {}
+
+    def test_empty_window(self, db):
+        db.measurements.add_many(
+            make_measurement(mid=i, day=float(i), seed=i) for i in range(3)
+        )
+        pumps, mids, service, samples, dropped, corrupt = (
+            self.assert_matches_record_path(db, 10.0, 20.0)
+        )
+        assert pumps.size == mids.size == service.size == 0
+        assert samples.shape == (0, 0, 3) and samples.dtype == np.float32
+        assert dropped == {} and corrupt == {}
+
+    def test_rows_written_between_count_and_read_stay_out(self, tmp_path):
+        path = str(tmp_path / "vibes.db")
+        with VibrationDatabase(path) as db, VibrationDatabase(path) as writer:
+            db.measurements.add_many(
+                make_measurement(mid=i, day=float(i), seed=i) for i in range(4)
+            )
+            conn = db.measurements._conn
+
+            class _WriteAfterCount:
+                """Lets a second connection write right after the count."""
+
+                def execute(self, sql, params=()):
+                    cursor = conn.execute(sql, params)
+                    if "GROUP BY" in sql:
+                        writer.measurements.add_many(
+                            make_measurement(mid=10 + i, day=0.5, seed=i)
+                            for i in range(3)
+                        )
+                    return cursor
+
+                def __enter__(self):
+                    return conn.__enter__()
+
+                def __exit__(self, *exc_info):
+                    return conn.__exit__(*exc_info)
+
+            db.measurements._conn = _WriteAfterCount()
+            try:
+                _, mids, _, samples, _, _ = db.measurements.query_arrays()
+            finally:
+                db.measurements._conn = conn
+            assert list(mids) == [0, 1, 2, 3]
+            assert samples.shape == (4, 16, 3)
+            assert db.measurements.query_arrays()[3].shape == (7, 16, 3)
 
 
 class TestConnectionPragmas:
