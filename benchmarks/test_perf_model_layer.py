@@ -1,15 +1,8 @@
 """Performance benchmark: the vectorized RUL model layer.
 
-Two gated speedups, both measured against the scalar oracles in
+One gated speedup, measured against the scalar oracle in
 ``tests/reference/``:
 
-* **RANSAC fit** — the batched :meth:`RANSACLineFitter.fit` (vectorized
-  trial evaluation plus the fused C consensus kernel when it compiles)
-  against ``tests.reference.ransac.fit_reference``, the per-trial scalar
-  loop, at fleet scale (N = 5000 points, 2000 trials).  Gate: **≥ 5x**.
-  Bit-identity of the two fits is asserted before timing; the gate is
-  skipped on hosts where the fused kernel cannot compile, because the
-  numpy tiled fallback alone does not clear 5x on a single core.
 * **Walk-forward backtest** — the incremental :func:`backtest_rul`
   (prefix windows, precomputed per-pump groups, batched fits) against
   ``tests.reference.backtest.backtest_rul_reference`` (per-day rescan,
@@ -17,8 +10,16 @@ Two gated speedups, both measured against the scalar oracles in
   over a 24-pump fleet, identically configured engines so both runs
   perform the same model fits.  Gate: **≥ 3x** end-to-end.
 
-Two informational entries carry no gate:
+Three informational entries carry no gate:
 
+* **RANSAC fit** — the batched :meth:`RANSACLineFitter.fit` (tiled numpy
+  trial evaluation) against ``tests.reference.ransac.fit_reference``,
+  the per-trial scalar loop, at fleet scale (N = 5000 points, 2000
+  trials), recorded as ``ransac_fit_speedup``.  Bit-identity of the two
+  fits is asserted before timing.  The fit's cost on the user's path is
+  bounded end to end instead: the ``analyze-cold`` and
+  ``refresh-rolling`` workloads of ``perfbench/`` both time
+  ``fit_lifetime_models``;
 * the tiled KDE ``pdf`` timing — its tiling bounds memory, it does not
   change the flop count;
 * ``backtest_fast_fresh_memo`` — the incremental backtest with an empty
@@ -46,7 +47,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.backtest import backtest_rul
-from repro.core import _native
 from repro.core.kde import GaussianKDE1D
 from repro.core.ransac import RANSACLineFitter, RecursiveRANSAC
 from repro.runtime.cache import ModelFitCache
@@ -71,7 +71,6 @@ RELAXED = os.environ.get("REPRO_PERF_RELAXED", "") not in ("", "0")
 
 #: Reference wall-clock divided by vectorized wall-clock, min over rounds.
 GATES = {
-    "ransac_fit_speedup": 2.0 if RELAXED else 5.0,
     "backtest_speedup": 1.5 if RELAXED else 3.0,
 }
 
@@ -81,7 +80,6 @@ _REPORT: dict = {
     "benchmark": "model_layer",
     "relaxed_gates": RELAXED,
     "gates": dict(GATES),
-    "native_kernel": _native.available(),
     "workload": {
         "fit": {
             "points": FIT_POINTS,
@@ -182,7 +180,8 @@ class TestRansacFit:
         )
         _TIMINGS["fit_batched"] = benchmark.stats.stats.min
 
-    def test_perf_ransac_fit_gate(self):
+    def test_perf_ransac_fit_ratio(self):
+        """Informational: recorded, no gate."""
         if "fit_batched" not in _TIMINGS:  # pragma: no cover
             pytest.skip("timing benchmarks did not run")
         speedup = _TIMINGS["fit_reference"] / _TIMINGS["fit_batched"]
@@ -191,20 +190,12 @@ class TestRansacFit:
             fit_batched=_TIMINGS["fit_batched"],
         )
         _REPORT["ransac_fit_speedup"] = speedup
-        gated = _native.available()
-        _REPORT.setdefault("gate_pass", {})["ransac_fit_speedup"] = (
-            speedup >= GATES["ransac_fit_speedup"] if gated else None
-        )
         print(
             f"\nbatched RANSAC fit ({FIT_POINTS} pts x {FIT_TRIALS} trials): "
             f"{speedup:.2f}x over scalar reference "
             f"(reference {_TIMINGS['fit_reference'] * 1e3:.1f} ms, "
-            f"batched {_TIMINGS['fit_batched'] * 1e3:.1f} ms, "
-            f"native kernel {'on' if gated else 'off'})"
+            f"batched {_TIMINGS['fit_batched'] * 1e3:.1f} ms; no gate)"
         )
-        if not gated:
-            pytest.skip("fused C kernel unavailable; speedup recorded ungated")
-        assert speedup >= GATES["ransac_fit_speedup"]
 
 
 class TestBacktest:
@@ -288,8 +279,7 @@ class TestBacktest:
             _REPORT["backtest_fresh_memo_speedup"] = speedup
             print(
                 f"\nincremental backtest, fresh fit memo per round: "
-                f"{speedup:.2f}x over the reference ({seconds * 1e3:.0f} ms, "
-                f"native kernel {'on' if _native.available() else 'off'}; no gate)"
+                f"{speedup:.2f}x over the reference ({seconds * 1e3:.0f} ms; no gate)"
             )
 
 

@@ -15,7 +15,6 @@ from repro.analysis.scheduling import (
     ScheduledReplacement,
 )
 from repro.analysis.online import OnlinePumpTracker, TrackerUpdate
-from repro.analysis.drift import DriftMonitor, DriftVerdict, population_stability_index
 from repro.analysis.backtest import BacktestPoint, BacktestResult, backtest_rul
 
 __all__ = [
@@ -37,9 +36,6 @@ __all__ = [
     "ScheduledReplacement",
     "OnlinePumpTracker",
     "TrackerUpdate",
-    "DriftMonitor",
-    "DriftVerdict",
-    "population_stability_index",
     "backtest_rul",
     "BacktestResult",
     "BacktestPoint",

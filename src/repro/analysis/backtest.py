@@ -22,10 +22,7 @@ incremental:
   :class:`~repro.runtime.cache.ModelFitCache` keyed by the engine's
   :meth:`~repro.core.ransac.RecursiveRANSAC.config_key` plus incremental
   SHA-1 digests of the prefix window — refresh days that saw no new data
-  reuse the previous fit outright; and
-* independent as-of days can be fanned across a
-  :class:`~repro.runtime.fleet.FleetExecutor`, since every day clones
-  its engine from pristine RNG state.
+  reuse the previous fit outright.
 
 The straightforward per-day rescan loop over the same time-sorted data
 lives in ``tests/reference/`` as the oracle; the parity tests assert the
@@ -46,7 +43,6 @@ from repro.core.rul import RULEstimator
 from repro.runtime.cache import ModelFitCache, default_model_fit_cache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.fleet import FleetExecutor
     from repro.runtime.profile import RuntimeProfile
 
 
@@ -231,7 +227,6 @@ def backtest_rul(
     ransac: RecursiveRANSAC | None = None,
     *,
     fit_cache: ModelFitCache | None = None,
-    executor: "FleetExecutor | None" = None,
     profile: "RuntimeProfile | None" = None,
 ) -> BacktestResult:
     """Walk-forward RUL evaluation over a fleet's feature history.
@@ -254,10 +249,6 @@ def backtest_rul(
             sensible per-day default is built when omitted.
         fit_cache: memo for per-day model fits, keyed by engine config +
             window content digest; the process-wide default when None.
-        executor: optional :class:`~repro.runtime.fleet.FleetExecutor`
-            to fan independent as-of days across worker threads;
-            results are ordering-independent because each day's fit
-            starts from pristine engine state.
         profile: optional :class:`~repro.runtime.profile.RuntimeProfile`
             receiving ``backtest.fit_models`` / ``backtest.predict``
             stages and fit-cache hit/miss counters.
@@ -311,8 +302,7 @@ def backtest_rul(
     def _stage(name: str, items: int = 0):
         return profile.stage(name, items) if profile is not None else nullcontext()
 
-    def run_day(spec: tuple[float, int]) -> list[BacktestPoint]:
-        asof, prefix = spec
+    def run_day(asof: float, prefix: int) -> list[BacktestPoint]:
         if prefix < min_fleet_points:
             return []
         engine = _day_engine(ransac, prefix)
@@ -339,17 +329,11 @@ def backtest_rul(
         return day_points
 
     hits0, misses0 = fit_cache.hits, fit_cache.misses
-    day_specs = [
-        (asof, int(prefix))
-        for asof, prefix in zip(plan.asof_days, plan.prefix_counts)
-    ]
-    if executor is not None:
-        per_day = executor.map_ordered(run_day, day_specs)
-    else:
-        per_day = [run_day(spec) for spec in day_specs]
-    points = [point for day_points in per_day for point in day_points]
+    points: list[BacktestPoint] = []
+    for asof, prefix in zip(plan.asof_days, plan.prefix_counts):
+        points.extend(run_day(asof, int(prefix)))
     if profile is not None:
-        profile.count("backtest.days", len(day_specs))
+        profile.count("backtest.days", len(plan.asof_days))
         profile.count("backtest.predictions", len(points))
         profile.count("backtest.fit_cache_hits", fit_cache.hits - hits0)
         profile.count("backtest.fit_cache_misses", fit_cache.misses - misses0)

@@ -197,21 +197,24 @@ def _cmd_simulate(args, out) -> int:
 
     try:
         counts = [int(c) for c in args.labels.split(",")]
-        if len(counts) != 3:
+        if len(counts) != 3 or min(counts) < 0:
             raise ValueError
     except ValueError:
-        print("error: --labels must be three integers A,BC,D", file=out)
+        print("error: --labels must be three integers A,BC,D, none negative", file=out)
         return 2
-
-    config = FleetConfig(
-        num_pumps=args.pumps,
-        duration_days=args.days,
-        report_interval_days=args.interval,
-        pm_interval_days=args.pm_interval,
-        unstable_sensor_fraction=args.unstable_fraction,
-        max_initial_age_fraction=0.9,
-        seed=args.seed,
-    )
+    try:
+        config = FleetConfig(
+            num_pumps=args.pumps,
+            duration_days=args.days,
+            report_interval_days=args.interval,
+            pm_interval_days=args.pm_interval,
+            unstable_sensor_fraction=args.unstable_fraction,
+            max_initial_age_fraction=0.9,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=out)
+        return 2
     dataset = FleetSimulator(config).run()
     # Draw the labels before opening the database, so an infeasible mix
     # leaves no labelless file behind.

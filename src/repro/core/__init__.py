@@ -53,13 +53,7 @@ from repro.core.forecast import (
     crossing_forecast,
 )
 from repro.core.diagnosis import Diagnosis, SpectralDiagnoser
-from repro.core.changepoint import (
-    Changepoint,
-    detect_changepoints,
-    detect_replacements,
-)
 from repro.core.severity import SeverityAssessment, assess_severity, velocity_rms_mm_s
-from repro.core.spectral import envelope_spectrum
 
 __all__ = [
     "FeatureConfig",
@@ -106,11 +100,7 @@ __all__ = [
     "draw_trial_pairs",
     "Diagnosis",
     "SpectralDiagnoser",
-    "Changepoint",
-    "detect_changepoints",
-    "detect_replacements",
     "SeverityAssessment",
     "assess_severity",
     "velocity_rms_mm_s",
-    "envelope_spectrum",
 ]

@@ -19,15 +19,11 @@ every minimal-sample pair is drawn up front (:func:`draw_trial_pairs`,
 the RNG-stream contract), slopes/intercepts/admissibility are computed
 as vectors, and the (trials × N) residual matrix is walked in tiled
 blocks through reused scratch buffers so the working set stays cache
-resident at fleet scale.  When the optional fused C kernel
-(:mod:`repro.core._native`) compiles on the host machine, consensus
-counting runs through it instead of the tiled numpy passes — same
-operation sequence, same bits, one memory traversal instead of six.
-The per-trial scalar loop over the *same* drawn pairs lives in
-``tests/reference/`` as the oracle: both consume the identical RNG
-stream and return bit-identical models (same slope/intercept floats,
-same inlier indices) — ``tests/core/test_ransac_parity.py`` enforces
-this.
+resident at fleet scale.  The per-trial scalar loop over the *same*
+drawn pairs lives in ``tests/reference/`` as the oracle: both consume
+the identical RNG stream and return bit-identical models (same
+slope/intercept floats, same inlier indices) —
+``tests/core/test_ransac_parity.py`` enforces this.
 """
 
 from __future__ import annotations
@@ -36,8 +32,6 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.core import _native
 
 #: float64 elements per tiled residual block (~2 MiB): the scratch row
 #: block stays inside L2 while each tile still amortizes numpy dispatch
@@ -250,18 +244,13 @@ class RANSACLineFitter:
         admissible: np.ndarray,
         threshold: float,
     ) -> np.ndarray:
-        """Inlier count per trial: fused C kernel, else numpy tiles.
+        """Inlier count per trial, walked in tiled numpy blocks.
 
-        Only admissible trials are evaluated.  Both kernels compute
+        Only admissible trials are evaluated.  Each tile computes
         ``|z - (slope * x + intercept)| <= threshold`` with the exact
         elementwise operation sequence of the scalar loop, so the counts
         — and therefore the winning trial — are bit-identical to it.
         """
-        native = _native.consensus_counts(
-            xs, zs, slopes, intercepts, admissible, threshold
-        )
-        if native is not None:
-            return native
         n = xs.size
         counts = np.zeros(slopes.size, dtype=np.int64)
         rows = max(1, RANSAC_TILE_ELEMENTS // max(1, n))

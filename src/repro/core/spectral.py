@@ -2,10 +2,9 @@
 
 The paper's pipeline rests on RMS and the harmonic peak feature, but a
 production vibration-analytics engine also exposes the standard scalar
-condition indicators that maintenance engineers expect (ISO 10816-style
-severity assessment, bearing diagnostics).  They complement ``D_a``: all
-are cheap per-measurement scalars the GUI can trend, and several are used
-by the extended examples.
+condition indicators that maintenance engineers expect.  They complement
+``D_a``: all are cheap per-measurement scalars the GUI can trend, and
+``examples/condition_monitoring.py`` trends them over a pump's life.
 
 All indicators operate on a normalized measurement block or its PSD.
 """
@@ -52,37 +51,6 @@ def peak_to_peak(samples: np.ndarray) -> float:
     return float(np.ptp(normalized, axis=0).max())
 
 
-def band_energies(
-    psd: np.ndarray,
-    frequencies: np.ndarray,
-    edges: tuple[float, ...],
-) -> np.ndarray:
-    """Total PSD energy inside each band ``[edges[i], edges[i+1])``.
-
-    Args:
-        psd: 1-D PSD vector.
-        frequencies: bin frequencies aligned with ``psd``.
-        edges: strictly increasing band edges in Hz (``n`` edges define
-            ``n - 1`` bands).
-
-    Returns:
-        Array of ``len(edges) - 1`` band energies.
-    """
-    psd_arr = np.asarray(psd, dtype=np.float64)
-    freq_arr = np.asarray(frequencies, dtype=np.float64)
-    if psd_arr.shape != freq_arr.shape:
-        raise ValueError("psd and frequencies must align")
-    edge_arr = np.asarray(edges, dtype=np.float64)
-    if edge_arr.size < 2 or not np.all(np.diff(edge_arr) > 0):
-        raise ValueError("edges must be at least 2 strictly increasing values")
-    # Bin each frequency into its band (0 = below the first edge) and
-    # accumulate band sums in one pass; bincount index n_bands+1 collects
-    # the at-or-above-last-edge tail, dropped with the below-first bucket.
-    band = np.searchsorted(edge_arr, freq_arr, side="right")
-    sums = np.bincount(band, weights=psd_arr, minlength=edge_arr.size + 1)
-    return sums[1 : edge_arr.size]
-
-
 def spectral_centroid(psd: np.ndarray, frequencies: np.ndarray) -> float:
     """Energy-weighted mean frequency of the spectrum.
 
@@ -114,56 +82,6 @@ def spectral_entropy(psd: np.ndarray) -> float:
     nonzero = p[p > 0]
     entropy = float(-(nonzero * np.log(nonzero)).sum())
     return entropy / float(np.log(psd_arr.size))
-
-
-def envelope_spectrum(
-    samples: np.ndarray,
-    sampling_rate_hz: float,
-    carrier_band_hz: tuple[float, float] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Envelope (demodulated) spectrum — the classical bearing analysis.
-
-    Early bearing defects produce periodic *impacts* that amplitude-
-    modulate the machine's high-frequency resonances: the defect's
-    repetition rate is invisible in the raw spectrum but dominates the
-    spectrum of the signal's *envelope*.  The analysis: band-pass around
-    the resonance carrier, take the analytic signal's magnitude (Hilbert
-    transform), and return that envelope's spectrum.
-
-    Args:
-        samples: raw acceleration block ``(K, 3)`` in g.
-        sampling_rate_hz: sampling rate.
-        carrier_band_hz: band to demodulate; defaults to the upper half
-            of the spectrum (resonance territory).
-
-    Returns:
-        ``(frequencies, envelope_psd)`` of the demodulated signal; the
-        frequency axis spans DC to Nyquist like the ordinary PSD.
-    """
-    from scipy.signal import hilbert  # lazy: not on the analyze path
-
-    normalized = normalize_measurement(samples)
-    k = normalized.shape[0]
-    if carrier_band_hz is None:
-        carrier_band_hz = (sampling_rate_hz / 8.0, sampling_rate_hz / 2.0)
-    lo, hi = carrier_band_hz
-    if not 0 <= lo < hi:
-        raise ValueError("carrier_band_hz must satisfy 0 <= low < high")
-
-    # Band-pass via FFT masking (zero-phase, exact band edges).
-    spectrum = np.fft.rfft(normalized, axis=0)
-    freqs = np.fft.rfftfreq(k, d=1.0 / sampling_rate_hz)
-    mask = (freqs >= lo) & (freqs <= hi)
-    spectrum[~mask] = 0.0
-    band_signal = np.fft.irfft(spectrum, n=k, axis=0)
-
-    # Envelope per axis, combined by magnitude; its mean is removed so
-    # the envelope spectrum shows modulation, not the carrier level.
-    envelope = np.abs(hilbert(band_signal, axis=0))
-    combined = np.linalg.norm(envelope, axis=1)
-    combined -= combined.mean()
-    env_block = np.stack([combined, np.zeros(k), np.zeros(k)], axis=1)
-    return psd_frequencies(k, sampling_rate_hz), psd_feature(env_block)
 
 
 @dataclass(frozen=True)

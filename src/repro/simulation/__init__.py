@@ -26,12 +26,6 @@ from repro.simulation.fics import TemperatureSource
 from repro.simulation.labels import ExpertLabeler, LabelerConfig
 from repro.simulation.fleet import FleetConfig, FleetDataset, FleetSimulator
 from repro.simulation.faults import FaultInjector, FaultSpec, FaultType
-from repro.simulation.scenarios import (
-    conservative_fab,
-    mixed_health_fleet,
-    noisy_deployment,
-    paper_fleet,
-)
 
 __all__ = [
     "LifetimeModelSpec",
@@ -57,8 +51,4 @@ __all__ = [
     "FaultInjector",
     "FaultSpec",
     "FaultType",
-    "paper_fleet",
-    "mixed_health_fleet",
-    "noisy_deployment",
-    "conservative_fab",
 ]

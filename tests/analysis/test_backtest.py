@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis.backtest import BacktestPoint, BacktestResult, backtest_rul
 from repro.core.ransac import RecursiveRANSAC
-from repro.runtime import FleetExecutor, RuntimeProfile
+from repro.runtime import RuntimeProfile
 from repro.runtime.cache import ModelFitCache
 from tests.reference.backtest import backtest_rul_reference
 from tests.reference.ransac import ReferenceRecursiveRANSAC
@@ -175,19 +175,6 @@ class TestIncrementalBacktestParity:
         self.assert_identical(cold, warm)
         assert cache.misses == cold_misses  # warm run fitted nothing
         assert cache.hits == cold_misses
-
-    def test_executor_fanout_matches_serial(self):
-        pumps, times, service, da, lives = synthetic_fleet_history(seed=4)
-        serial = backtest_rul(
-            pumps, times, service, da, lives, THRESHOLD,
-            refresh_every_days=20.0, fit_cache=ModelFitCache(),
-        )
-        parallel = backtest_rul(
-            pumps, times, service, da, lives, THRESHOLD,
-            refresh_every_days=20.0, fit_cache=ModelFitCache(),
-            executor=FleetExecutor(max_workers=3),
-        )
-        self.assert_identical(serial, parallel)
 
     def test_profile_receives_model_layer_stages(self):
         pumps, times, service, da, lives = synthetic_fleet_history(seed=5)

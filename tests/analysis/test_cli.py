@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ class TestDashboardCommand:
         )
         assert code == 0
         assert "dashboard written" in text
-        content = open(out_path).read()
+        content = Path(out_path).read_text()
         assert "Line 3 pumps" in content
         assert "<svg" in content
 
@@ -267,6 +268,26 @@ class TestInputValidation:
         assert text.startswith("error: cannot satisfy label mix: ")
         assert not db_path.exists()
 
+    @pytest.mark.parametrize(
+        "arg, message",
+        [
+            ("--pumps=0", "num_pumps must be positive"),
+            ("--days=-5", "duration_days must be positive"),
+            ("--interval=0", "report_interval_days must be positive"),
+            ("--unstable-fraction=2", "unstable_sensor_fraction must be in [0, 1]"),
+            (
+                "--labels=-1,3,2",
+                "--labels must be three integers A,BC,D, none negative",
+            ),
+        ],
+    )
+    def test_simulate_rejects_bad_fleet_parameters(self, tmp_path, arg, message):
+        db_path = tmp_path / "fleet.db"
+        code, text = run_cli(["simulate", "--db", str(db_path), arg])
+        assert code == 2
+        assert text == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["analyze", "schedule", "dashboard"])
     @pytest.mark.parametrize("window", ["0", "-5"])
     def test_rejects_non_positive_moving_average(self, tmp_path, command, window):
@@ -286,7 +307,7 @@ class TestInputValidation:
 
 class TestImportFootprint:
     """``repro analyze`` loads only ``scipy.fft`` (and what it pulls in)
-    from scipy; the welch/envelope/drift/Mahalanobis call sites import
+    from scipy; the welch/Mahalanobis call sites import
     the rest on first use.  It runs on threads, so it loads no
     ``multiprocessing`` module either."""
 

@@ -51,7 +51,7 @@ class TestRenderDashboard:
         doc = render_dashboard(report)
         assert "prefers-color-scheme: dark" in doc
 
-    def test_marks_have_native_tooltips(self, report):
+    def test_marks_have_svg_title_tooltips(self, report):
         doc = render_dashboard(report)
         assert "<title>" in doc
 

@@ -7,34 +7,14 @@ through :func:`draw_trial_pairs`).  These tests drive that contract across
 random fleets, slope constraints, and degenerate inputs.
 """
 
-import contextlib
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.core.ransac as ransac_module
-from repro.core import _native
 from repro.core.ransac import RANSACLineFitter, RecursiveRANSAC, draw_trial_pairs
 from tests.reference.ransac import ReferenceRecursiveRANSAC, fit_reference
-
-
-class _NativeDisabled:
-    @staticmethod
-    def consensus_counts(*args, **kwargs):
-        return None
-
-
-@contextlib.contextmanager
-def numpy_kernel_only():
-    """Force the tiled-numpy consensus kernel for the enclosed block."""
-    original = ransac_module._native
-    ransac_module._native = _NativeDisabled
-    try:
-        yield
-    finally:
-        ransac_module._native = original
 
 
 def assert_same_fit(model_a, model_b):
@@ -83,13 +63,68 @@ class TestDrawTrialPairs:
         assert off_diag.min() > 1600 and off_diag.max() < 2400
 
 
+BAND_EDGE_THRESHOLD = 0.25
+
+
+def band_edge_points(gen, n):
+    """Distinct integer ``x`` on three parallel lines ``0.5 x + {-t, 0, t}``.
+
+    Every value is dyadic, so a trial through two centre-line points fits
+    ``0.5 x`` exactly and every off-centre residual against it is exactly
+    the threshold ``t``: the consensus count must keep ``<=`` on the band
+    edge, as the scalar loop does.  Mixed-line trials add residuals a
+    rounding step either side of the edge.
+    """
+    x = gen.permutation(n).astype(np.float64)
+    z = 0.5 * x + BAND_EDGE_THRESHOLD * gen.integers(-1, 2, n)
+    return x, z
+
+
+def nan_feature_points(gen, n):
+    """A noisy line with about a quarter of its features NaN.
+
+    ``_prepare`` does not filter NaN, so NaN features reach the consensus
+    kernel, where they must never count as inliers.
+    """
+    x = gen.uniform(0, 80, n)
+    z = 0.05 * x + gen.normal(0, 0.3, n)
+    z[gen.random(n) < 0.25] = np.nan
+    return x, z
+
+
+UNCONSTRAINED = {"max_trials": 200, "min_slope": None, "max_slope": None, "seed": 0}
+BAND_EDGE_EXAMPLE = (
+    *band_edge_points(np.random.default_rng(0), 90),
+    {**UNCONSTRAINED, "residual_threshold": BAND_EDGE_THRESHOLD},
+)
+NAN_FEATURES_EXAMPLE = (
+    *nan_feature_points(np.random.default_rng(1), 60),
+    {**UNCONSTRAINED, "residual_threshold": 0.2},
+)
+
+
 @st.composite
 def fleet_case(draw):
     n = draw(st.integers(2, 120))
     seed = draw(st.integers(0, 2**31 - 1))
     gen = np.random.default_rng(seed)
-    kind = draw(st.sampled_from(["noisy-line", "two-lines", "duplicate-x", "collinear"]))
-    if kind == "collinear":
+    kind = draw(
+        st.sampled_from(
+            [
+                "noisy-line",
+                "two-lines",
+                "duplicate-x",
+                "collinear",
+                "nan-features",
+                "band-edge",
+            ]
+        )
+    )
+    if kind == "band-edge":
+        x, z = band_edge_points(gen, n)
+    elif kind == "nan-features":
+        x, z = nan_feature_points(gen, n)
+    elif kind == "collinear":
         x = np.linspace(0.0, 50.0, n)
         z = 0.03 * x + 0.1
     elif kind == "duplicate-x":
@@ -111,11 +146,15 @@ def fleet_case(draw):
         "max_slope": draw(st.sampled_from([None, 0.06, 10.0])),
         "seed": draw(st.integers(0, 2**31 - 1)),
     }
+    if kind == "band-edge":
+        params["residual_threshold"] = BAND_EDGE_THRESHOLD
     return x, z, params
 
 
 class TestBatchedScalarParity:
     @given(fleet_case())
+    @example(BAND_EDGE_EXAMPLE)
+    @example(NAN_FEATURES_EXAMPLE)
     @settings(max_examples=120, deadline=None)
     def test_fit_bit_identical_to_reference(self, case):
         x, z, params = case
@@ -134,21 +173,9 @@ class TestBatchedScalarParity:
         original = ransac_module.RANSAC_TILE_ELEMENTS
         ransac_module.RANSAC_TILE_ELEMENTS = 7
         try:
-            with numpy_kernel_only():
-                assert_same_fit(batched.fit(x, z), fit_reference(scalar, x, z))
+            assert_same_fit(batched.fit(x, z), fit_reference(scalar, x, z))
         finally:
             ransac_module.RANSAC_TILE_ELEMENTS = original
-
-    @given(fleet_case())
-    @settings(max_examples=40, deadline=None)
-    def test_numpy_fallback_matches_reference(self, case):
-        """The tiled-numpy kernel must stay correct on machines where
-        the fused C kernel never compiles."""
-        x, z, params = case
-        batched = RANSACLineFitter(**params)
-        scalar = RANSACLineFitter(**params)
-        with numpy_kernel_only():
-            assert_same_fit(batched.fit(x, z), fit_reference(scalar, x, z))
 
     def test_n_equals_two(self):
         batched = RANSACLineFitter(seed=0, max_trials=16)
@@ -174,18 +201,15 @@ class TestBatchedScalarParity:
         fitter = RANSACLineFitter(seed=3, max_trials=64)
         gen = np.random.default_rng(4)
         reference = RANSACLineFitter(seed=3, max_trials=64)
-        with numpy_kernel_only():
-            for n in (50, 200, 50, 128):
-                x = gen.uniform(0, 10, n)
-                z = 0.4 * x + gen.normal(0, 0.1, n)
-                assert_same_fit(fitter.fit(x, z), fit_reference(reference, x, z))
+        for n in (50, 200, 50, 128):
+            x = gen.uniform(0, 10, n)
+            z = 0.4 * x + gen.normal(0, 0.1, n)
+            assert_same_fit(fitter.fit(x, z), fit_reference(reference, x, z))
 
 
-@pytest.mark.skipif(
-    not _native.available(), reason="fused C kernel unavailable on this host"
-)
 class TestNativeKernel:
-    """The fused C kernel must count bit-identically to the numpy tiles."""
+    """The tiled consensus kernel must count bit-identically to a
+    per-trial loop over ``|z - (slope * x + intercept)| <= threshold``."""
 
     @staticmethod
     def random_trials(seed, n=700, trials=400):
@@ -201,48 +225,41 @@ class TestNativeKernel:
         intercepts = zs[pairs[:, 0]] - slopes * xs[pairs[:, 0]]
         return xs, zs, slopes, intercepts, admissible
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_counts_match_numpy_tiles(self, seed):
-        xs, zs, slopes, intercepts, admissible = self.random_trials(seed)
-        thr = 0.25
-        native = _native.consensus_counts(
-            xs, zs, slopes, intercepts, admissible, thr
-        )
-        assert native is not None
-        fitter = RANSACLineFitter(seed=0)
-        with numpy_kernel_only():
-            tiled = fitter._consensus_counts(
-                xs, zs, slopes, intercepts, admissible, thr
-            )
-        assert np.array_equal(native, tiled)
+    @staticmethod
+    def loop_counts(xs, zs, slopes, intercepts, admissible, thr):
+        counts = np.zeros(slopes.size, dtype=np.int64)
+        for t in np.nonzero(admissible)[0]:
+            residuals = np.abs(zs - (slopes[t] * xs + intercepts[t]))
+            counts[t] = int((residuals <= thr).sum())
+        return counts
 
-    def test_inadmissible_trials_count_zero(self):
-        xs, zs, slopes, intercepts, admissible = self.random_trials(5)
-        admissible[::3] = False
-        counts = _native.consensus_counts(
-            xs, zs, slopes, intercepts, admissible, 0.25
-        )
-        assert (counts[::3] == 0).all()
-        assert counts[admissible].min() >= 2  # each trial supports its pair
+    def assert_tiles_match_loop(self, xs, zs, slopes, intercepts, admissible, thr):
+        expected = self.loop_counts(xs, zs, slopes, intercepts, admissible, thr)
+        original = ransac_module.RANSAC_TILE_ELEMENTS
+        try:
+            for tile in (original, 7):
+                ransac_module.RANSAC_TILE_ELEMENTS = tile
+                tiled = RANSACLineFitter(seed=0)._consensus_counts(
+                    xs, zs, slopes, intercepts, admissible, thr
+                )
+                assert np.array_equal(tiled, expected)
+        finally:
+            ransac_module.RANSAC_TILE_ELEMENTS = original
 
     def test_nan_features_never_count_as_inliers(self):
-        """NaN residuals fail <= in C exactly as in numpy."""
+        """NaN residuals fail ``<=`` in every tile."""
         xs, zs, slopes, intercepts, admissible = self.random_trials(6, n=64)
         zs = zs.copy()
         zs[::4] = np.nan
-        native = _native.consensus_counts(
+        self.assert_tiles_match_loop(xs, zs, slopes, intercepts, admissible, 0.25)
+        counts = RANSACLineFitter(seed=0)._consensus_counts(
             xs, zs, slopes, intercepts, admissible, 0.25
         )
-        fitter = RANSACLineFitter(seed=0)
-        with numpy_kernel_only():
-            tiled = fitter._consensus_counts(
-                xs, zs, slopes, intercepts, admissible, 0.25
-            )
-        assert np.array_equal(native, tiled)
+        assert counts.max() <= np.isfinite(zs).sum()
 
     def test_boundary_residuals_decide_identically(self):
         """Points engineered to land near the band edge must resolve to
-        the same side in both kernels (the FMA-contraction hazard)."""
+        the same side in the tiles as in the per-trial loop."""
         gen = np.random.default_rng(7)
         xs = gen.uniform(0, 100, 2000)
         slopes = gen.uniform(0.01, 0.1, 300)
@@ -252,15 +269,16 @@ class TestNativeKernel:
         # float rounding; many residuals then sit on the boundary.
         zs = slopes[0] * xs + intercepts[0] + thr * gen.choice([-1.0, 1.0], 2000)
         admissible = np.ones(300, dtype=bool)
-        native = _native.consensus_counts(
-            xs, zs, slopes, intercepts, admissible, thr
+        self.assert_tiles_match_loop(xs, zs, slopes, intercepts, admissible, thr)
+        # Dyadic values put the residuals against 0.5 x exactly on the edge,
+        # where only ``<=`` counts them.
+        xs, zs = band_edge_points(gen, 90)
+        slopes = np.array([0.5, 0.5 + 2.0**-20])
+        intercepts = np.zeros(2)
+        admissible = np.ones(2, dtype=bool)
+        self.assert_tiles_match_loop(
+            xs, zs, slopes, intercepts, admissible, BAND_EDGE_THRESHOLD
         )
-        fitter = RANSACLineFitter(seed=0)
-        with numpy_kernel_only():
-            tiled = fitter._consensus_counts(
-                xs, zs, slopes, intercepts, admissible, thr
-            )
-        assert np.array_equal(native, tiled)
 
 
 class TestRecursiveEngineParity:

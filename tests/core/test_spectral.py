@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.features import psd_feature, psd_frequencies
 from repro.core.spectral import (
-    band_energies,
     condition_indicators,
     crest_factor,
     kurtosis,
@@ -67,35 +66,6 @@ class TestPeakToPeak:
         block = make_sine_block(amplitude=0.5, offset=(3.0, -2.0, 5.0))
         base = make_sine_block(amplitude=0.5, offset=(0.0, 0.0, 0.0))
         assert peak_to_peak(block) == pytest.approx(peak_to_peak(base))
-
-
-class TestBandEnergies:
-    def test_partitions_total_energy(self):
-        gen = np.random.default_rng(3)
-        block = gen.normal(size=(K, 3))
-        psd = psd_feature(block)
-        freqs = psd_frequencies(K, FS)
-        bands = band_energies(psd, freqs, (0.0, 500.0, 1000.0, 2000.0 + 1))
-        assert bands.sum() == pytest.approx(psd.sum(), rel=1e-9)
-
-    def test_tone_lands_in_its_band(self):
-        block = make_sine_block(freq_hz=750.0, amplitude=1.0)
-        psd = psd_feature(block)
-        freqs = psd_frequencies(K, FS)
-        bands = band_energies(psd, freqs, (0.0, 500.0, 1000.0, 2001.0))
-        assert bands[1] > 10 * (bands[0] + bands[2])
-
-    def test_rejects_bad_edges(self):
-        psd = np.ones(8)
-        freqs = np.arange(8.0)
-        with pytest.raises(ValueError):
-            band_energies(psd, freqs, (5.0,))
-        with pytest.raises(ValueError):
-            band_energies(psd, freqs, (5.0, 1.0))
-
-    def test_rejects_misaligned(self):
-        with pytest.raises(ValueError):
-            band_energies(np.ones(8), np.arange(4.0), (0.0, 2.0))
 
 
 class TestSpectralCentroid:
@@ -182,81 +152,3 @@ class TestConditionIndicators:
         assert worn["rms"] > healthy["rms"]
         assert worn["high_frequency_energy"] > healthy["high_frequency_energy"]
         assert worn["peak_to_peak"] > healthy["peak_to_peak"]
-
-
-class TestEnvelopeSpectrum:
-    def test_detects_modulation_rate_of_impacts(self):
-        """An impact train at f_rep amplitude-modulating a high carrier
-        shows a peak at f_rep in the envelope spectrum."""
-        from repro.core.spectral import envelope_spectrum
-
-        fs, k = 4000.0, 4096
-        f_carrier, f_rep = 1500.0, 87.0
-        t = np.arange(k) / fs
-        modulation = 0.5 * (1 + np.sign(np.sin(2 * np.pi * f_rep * t)))
-        signal = modulation * np.sin(2 * np.pi * f_carrier * t)
-        block = np.stack([signal, signal, signal], axis=1)
-
-        freqs, env_psd = envelope_spectrum(block, fs)
-        band = (freqs > 20) & (freqs < 400)
-        dominant = freqs[band][np.argmax(env_psd[band])]
-        assert abs(dominant - f_rep) < 10.0
-
-    def test_unmodulated_carrier_has_flat_envelope(self):
-        from repro.core.spectral import envelope_spectrum
-
-        fs, k = 4000.0, 4096
-        t = np.arange(k) / fs
-        signal = np.sin(2 * np.pi * 1500.0 * t)
-        block = np.stack([signal, signal, signal], axis=1)
-        freqs, env_psd = envelope_spectrum(block, fs)
-        band = (freqs > 20) & (freqs < 400)
-        # Envelope of a pure tone is constant: negligible in-band energy
-        # relative to the modulated case.
-        assert env_psd[band].max() < 1e-3
-
-    def test_out_of_band_carrier_is_rejected(self):
-        from repro.core.spectral import envelope_spectrum
-
-        fs, k = 4000.0, 2048
-        t = np.arange(k) / fs
-        modulation = 0.5 * (1 + np.sin(2 * np.pi * 50.0 * t))
-        low_carrier = modulation * np.sin(2 * np.pi * 100.0 * t)
-        block = np.stack([low_carrier] * 3, axis=1)
-        freqs, env_psd = envelope_spectrum(block, fs, carrier_band_hz=(1000.0, 2000.0))
-        # Only spectral leakage of the non-bin-aligned tone reaches the
-        # band; the signal's own power (~0.1 g^2) must be rejected by
-        # several orders of magnitude.
-        assert env_psd.sum() < 1e-3
-
-    def test_rejects_bad_band(self):
-        from repro.core.spectral import envelope_spectrum
-
-        block = np.zeros((128, 3))
-        with pytest.raises(ValueError):
-            envelope_spectrum(block, 4000.0, carrier_band_hz=(500.0, 100.0))
-
-    def test_bearing_defect_visible_in_envelope(self):
-        """The simulated bearing fault's defect rate appears in the
-        envelope of the resonance band."""
-        from repro.core.spectral import envelope_spectrum
-        from repro.simulation.faults import FaultInjector, FaultSpec, FaultType
-
-        injector = FaultInjector()
-        gen = np.random.default_rng(0)
-        # Synthesize an impact-like bearing signature manually: the
-        # injector's tones model spectral lines; for the envelope test we
-        # modulate a resonance by the defect rate explicitly.
-        fs, k = 4000.0, 4096
-        f0 = injector.profile.rotation_hz
-        f_defect = injector.profile.bearing_tone_ratios[0] * f0
-        t = np.arange(k) / fs
-        impacts = (np.sin(2 * np.pi * f_defect * t) > 0.95).astype(float)
-        resonance = impacts * np.sin(2 * np.pi * 1400.0 * t)
-        base = injector.synthesize(FaultSpec(FaultType.NONE), k, fs, gen, wear=0.1)
-        block = base + 0.8 * resonance[:, None]
-
-        freqs, env_psd = envelope_spectrum(block, fs)
-        band = (freqs > 30) & (freqs < 300)
-        dominant = freqs[band][np.argmax(env_psd[band])]
-        assert abs(dominant - f_defect) < 12.0

@@ -171,50 +171,3 @@ class TestSensorNetworkToAnalysis:
         # Some measurements are excluded, but the analysis completes and
         # keeps the majority.
         assert 0.4 < result.valid_mask.mean() <= 1.0
-
-
-class TestDriftDetectionOnSensorSwap:
-    def test_sensor_generation_change_triggers_retraining_alarm(self):
-        """A deployment swaps MEMS parts for a noisier batch: the D_a
-        distribution shifts and the drift monitor demands retraining."""
-        from repro.analysis.drift import DriftMonitor
-        from repro.core.classify import PeakHarmonicFeature
-        from repro.core.features import psd_feature, psd_frequencies
-        from repro.simulation.mems import MEMSSensor, MEMSSensorConfig, SensorSpec
-        from repro.simulation.signal import VibrationSynthesizer
-
-        gen = np.random.default_rng(0)
-        synth = VibrationSynthesizer()
-        freqs = psd_frequencies(1024, 4000.0)
-
-        def da_sample(sensor, n, wear_range, seed):
-            local = np.random.default_rng(seed)
-            out = []
-            for _ in range(n):
-                wear = float(local.uniform(*wear_range))
-                block = sensor.measure_g(
-                    synth.synthesize(wear, 1024, 4000.0, gen), 0.0, 4000.0
-                )
-                out.append(psd_feature(block))
-            return np.stack(out)
-
-        original = MEMSSensor(rng=np.random.default_rng(1))
-        reference_psds = da_sample(original, 60, (0.05, 0.6), seed=2)
-        feature = PeakHarmonicFeature().fit(reference_psds[:10], freqs)
-        reference_da = feature.score_many(reference_psds, freqs)
-        monitor = DriftMonitor(reference_da)
-
-        # Same sensors, later window: no drift.
-        same = feature.score_many(da_sample(original, 40, (0.05, 0.6), seed=3), freqs)
-        assert not monitor.evaluate(same).drifted
-
-        # New sensor batch with 5x the noise density: drift.
-        noisy_spec = SensorSpec(
-            name="bad-batch", price_usd=8.0, power_mw=3.0,
-            size_inches=(0.2, 0.2, 0.05), noise_density_ug_per_rthz=20000.0,
-            resonance_khz=22.0, accel_range_g=100.0,
-        )
-        swapped = MEMSSensor(MEMSSensorConfig(spec=noisy_spec),
-                             np.random.default_rng(4))
-        drifted = feature.score_many(da_sample(swapped, 40, (0.05, 0.6), seed=5), freqs)
-        assert monitor.evaluate(drifted).drifted
