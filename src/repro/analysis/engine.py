@@ -25,7 +25,7 @@ from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.fleet import FleetExecutor, SupervisionPolicy, SupervisionReport
 from repro.runtime.profile import RuntimeProfile
 from repro.storage.api import DataRetrievalAPI
-from repro.storage.records import MaintenanceEvent
+from repro.storage.records import LabelRecord, MaintenanceEvent
 
 
 class InsufficientDataError(ValueError):
@@ -190,6 +190,37 @@ class AnalysisReport:
         return lines
 
 
+def label_rows(
+    pumps: np.ndarray, mids: np.ndarray, labels: list[LabelRecord]
+) -> dict[int, str]:
+    """Row index → zone of every label whose measurement is a row.
+
+    Rows are matched on ``(pump_id, measurement_id)`` by one sorted
+    lookup over dense ranks of both columns.  When a key occurs on
+    several rows the label goes to the last one, and when several label
+    records name one row the last record wins.
+    """
+    if not labels or not pumps.size:
+        return {}
+    label_pumps = np.fromiter((r.pump_id for r in labels), int, len(labels))
+    label_mids = np.fromiter((r.measurement_id for r in labels), int, len(labels))
+    _, pump_rank = np.unique(np.concatenate([pumps, label_pumps]), return_inverse=True)
+    mid_values, mid_rank = np.unique(
+        np.concatenate([mids, label_mids]), return_inverse=True
+    )
+    code = pump_rank * mid_values.size + mid_rank
+    row_code, label_code = code[: pumps.size], code[pumps.size :]
+    order = np.argsort(row_code, kind="stable")
+    ordered = row_code[order]
+    # The last row of each run of equal codes is the largest row index.
+    slot = np.searchsorted(ordered, label_code, side="right") - 1
+    found = (slot >= 0) & (ordered[np.maximum(slot, 0)] == label_code)
+    train_labels: dict[int, str] = {}
+    for label, row in zip(np.nonzero(found)[0].tolist(), order[slot[found]].tolist()):
+        train_labels[row] = labels[label].zone
+    return train_labels
+
+
 class VibrationAnalysisEngine:
     """Orchestrates retrieval → pipeline → report for one analysis period."""
 
@@ -252,24 +283,50 @@ class VibrationAnalysisEngine:
                 thresholds).  A :class:`ValueError` subclass, so legacy
                 callers keep working.
         """
-        matrices = self.api.measurement_matrices_with_health()
-        pumps, mids, service, samples, dropped_incomplete, corrupt_blobs = matrices
+        if self._pipeline is None:
+            self._pipeline = self._make_pipeline()
+        pipeline = self._pipeline
+        # Retrieval verifies every row but decodes only the rows the row
+        # memo lacks; the memo gathers the rest by key.
+        self.api.known_row_keys = pipeline.memo_keys
+        try:
+            window = self.api.measurement_matrices_with_health()
+        finally:
+            self.api.known_row_keys = frozenset()
+        pumps, mids, service, samples = window[:4]
+        keys = window.row_keys
         total_retrieved = int(pumps.size)
+        if profile is not None:
+            # Kept, dropped and quarantined rows: every row whose BLOB
+            # retrieval read.  All were CRC-checked except legacy rows
+            # stored without a checksum, which are counted too.
+            profile.count(
+                "rows_verified",
+                total_retrieved
+                + sum(window.dropped_incomplete.values())
+                + sum(window.corrupt.values()),
+            )
+            profile.count("rows_decoded", len(window.decoded))
         if pumps.size == 0:
             raise InsufficientDataError("analysis period contains no measurements")
 
         # Quarantine non-finite blocks (corrupted uploads, poisoned
         # storage reads) instead of letting them fail the whole run.
+        # Only decoded rows need the check: a memo-known row's key is its
+        # content, which was finite when the memo took it.
         finite = finite_block_mask(samples)
         quarantined_nonfinite: dict[int, int] = {}
         if not finite.all():
-            for pump in pumps[~finite]:
+            keep = np.ones(pumps.size, dtype=bool)
+            keep[np.asarray(window.decoded)[~finite]] = False
+            for pump in pumps[~keep]:
                 pump = int(pump)
                 quarantined_nonfinite[pump] = quarantined_nonfinite.get(pump, 0) + 1
-            pumps = pumps[finite]
-            mids = mids[finite]
-            service = service[finite]
+            pumps = pumps[keep]
+            mids = mids[keep]
+            service = service[keep]
             samples = samples[finite]
+            keys = [key for key, ok in zip(keys, keep.tolist()) if ok]
         if pumps.size == 0:
             raise InsufficientDataError(
                 "analysis period contains no finite measurements"
@@ -278,31 +335,23 @@ class VibrationAnalysisEngine:
             total_retrieved=total_retrieved,
             analyzed=int(pumps.size),
             quarantined_nonfinite=quarantined_nonfinite,
-            dropped_incomplete=dropped_incomplete,
-            corrupt_blobs=corrupt_blobs,
+            dropped_incomplete=window.dropped_incomplete,
+            corrupt_blobs=window.corrupt,
         )
 
         # Map stored labels onto the retrieved measurement ordering
         # (after the quarantine, so indices address surviving rows).
-        position = {
-            (int(p), int(m)): idx for idx, (p, m) in enumerate(zip(pumps, mids))
-        }
-        train_labels: dict[int, str] = {}
-        for record in self.api.get_labels():
-            idx = position.get((record.pump_id, record.measurement_id))
-            if idx is not None:
-                train_labels[idx] = record.zone
+        train_labels = label_rows(pumps, mids, self.api.get_labels())
         if not train_labels:
             raise InsufficientDataError(
                 "no valid labels fall inside the analysis period"
             )
 
-        if self._pipeline is None:
-            self._pipeline = self._make_pipeline()
-        pipeline = self._pipeline
         sup_tally = pipeline.executor.supervision_report
         sup_before = sup_tally.as_dict() if sup_tally is not None else None
-        result = pipeline.run(pumps, service, samples, train_labels, profile=profile)
+        result = pipeline.run(
+            pumps, service, samples, train_labels, profile=profile, row_keys=keys
+        )
 
         events = self.api.get_events()
         wasted = self.config.cost.wasted_rul_value(events)

@@ -159,16 +159,25 @@ class AnalysisPipeline:
         self.peak_hits = 0
         self.peak_misses = 0
 
+    @property
+    def memo_keys(self):
+        """Row keys the row memo holds (a read-only view)."""
+        return self._memo_rows.keys()
+
     # ------------------------------------------------------------------
     # Individual layers, usable on their own.
     # ------------------------------------------------------------------
     def transform(
-        self, samples: np.ndarray, profile: RuntimeProfile | None = None
+        self,
+        samples: np.ndarray,
+        profile: RuntimeProfile | None = None,
+        row_keys: list[bytes] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Data transformation layer: ``(offsets, rms, psd)`` per block.
 
-        Rows are memoized by content.  Each row is digested once
-        (:func:`~repro.runtime.cache.row_digests`); a row the previous
+        Rows are memoized by content.  Each row has one key: given in
+        ``row_keys``, or else digested here
+        (:func:`~repro.runtime.cache.row_digests`).  A row the previous
         call also saw is gathered from that call's frozen result
         matrices, and only the other rows — compacted — go through
         :func:`~repro.runtime.batch.transform_rows`.  A rolling-window
@@ -186,18 +195,27 @@ class AnalysisPipeline:
         float64.  Row digests hash the rows in that dtype.
 
         Args:
-            samples: measurement blocks, shape ``(n, K, 3)``.
+            samples: measurement blocks, shape ``(n, K, 3)``; with
+                ``row_keys``, only the rows whose key the memo lacks, in
+                row order (``(0, K, 3)`` when it lacks none).
             profile: optional collector for the ``transform`` stage; its
                 item count is the rows actually transformed.
+            row_keys: optional row key of every row, as
+                :func:`~repro.runtime.cache.row_digests` would compute
+                it (the measurement store writes them at ingest).
+
+        Raises:
+            ValueError: when ``samples`` does not hold exactly the rows
+                of ``row_keys`` that the memo lacks.
         """
         start = time.perf_counter()
         blocks = as_float(samples)
         if blocks.ndim != 3 or blocks.shape[2] != 3:
             raise ValueError(f"samples must have shape (n, K, 3), got {blocks.shape}")
-        n, k = blocks.shape[0], blocks.shape[1]
+        digests = row_digests(blocks) if row_keys is None else row_keys
+        n, k = len(digests), blocks.shape[1]
         if n and k < 2:
             raise ValueError("measurement must contain at least 2 samples")
-        digests = row_digests(blocks)
         width = self.config.num_peaks
         peaks = (
             np.zeros((n, width)),
@@ -216,6 +234,15 @@ class AnalysisPipeline:
             else:
                 hit.append(row)
                 source.append(index)
+        if row_keys is None:
+            fresh = blocks[miss] if hit else blocks
+        elif len(miss) == blocks.shape[0]:
+            fresh = blocks
+        else:
+            raise ValueError(
+                f"{blocks.shape[0]} sample rows passed for the {len(miss)}"
+                " row keys the memo lacks"
+            )
         if hit:
             outputs = (np.empty((n, 3)), np.empty(n), np.empty((n, k)))
             # Gather tile by tile: one whole-matrix fancy index would
@@ -230,14 +257,14 @@ class AnalysisPipeline:
                     out[rows] = previous[from_rows]
             computed = 0
             if miss:
-                *fresh, computed = transform_rows(
-                    blocks[miss], self.chunk_rows, self.executor, self.checkpoint
+                *new, computed = transform_rows(
+                    fresh, self.chunk_rows, self.executor, self.checkpoint
                 )
-                for out, rows in zip(outputs, fresh):
+                for out, rows in zip(outputs, new):
                     out[miss] = rows
         else:
             *outputs, computed = transform_rows(
-                blocks, self.chunk_rows, self.executor, self.checkpoint
+                fresh, self.chunk_rows, self.executor, self.checkpoint
             )
         for out in outputs:
             out.setflags(write=False)
@@ -299,6 +326,7 @@ class AnalysisPipeline:
         samples: np.ndarray,
         train_labels: dict[int, str],
         profile: RuntimeProfile | None = None,
+        row_keys: list[bytes] | None = None,
     ) -> PipelineResult:
         """Execute the full workflow.
 
@@ -306,21 +334,29 @@ class AnalysisPipeline:
             pump_ids: pump identifier per measurement, shape ``(n,)``.
             service_days: pump service time (days) per measurement.
             samples: raw blocks ``(n, K, 3)`` in g, float32 or float64
-                (see :meth:`transform`).
+                (see :meth:`transform`); with ``row_keys``, only the rows
+                whose key the row memo lacks.
             train_labels: mapping from measurement index to expert zone
                 label; must contain at least one measurement of each zone
                 (A, BC and D).
             profile: optional collector of per-stage wall-clock timings
                 and cache, checkpoint, executor and supervision counters.
+            row_keys: optional row-memo key per measurement (see
+                :meth:`transform`); None digests ``samples``.
 
         Returns:
             PipelineResult with every layer's artifacts.
+
+        Raises:
+            ValueError: on misaligned inputs, or when ``samples`` is not
+                exactly the rows of ``row_keys`` the memo lacks.
         """
         ids = np.asarray(pump_ids)
         days = np.asarray(service_days, dtype=np.float64)
         blocks = as_float(samples)
         n = ids.shape[0]
-        if days.shape[0] != n or blocks.shape[0] != n:
+        rows = blocks.shape[0] if row_keys is None else len(row_keys)
+        if days.shape[0] != n or rows != n:
             raise ValueError("pump_ids, service_days and samples must align")
         if not train_labels:
             raise ValueError("train_labels must not be empty")
@@ -332,7 +368,7 @@ class AnalysisPipeline:
         supervision = self.executor.supervision_report
         supervision_before = supervision.as_dict() if supervision is not None else None
 
-        offsets, rms, psd = self.transform(blocks, profile)
+        offsets, rms, psd = self.transform(blocks, profile, row_keys)
 
         with profile.stage("preprocess", n):
             valid = self.preprocess(ids, offsets, days)

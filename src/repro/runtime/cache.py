@@ -1,7 +1,9 @@
 """Content digests and the lifetime-model fit memo.
 
-* :func:`row_digests` keys :class:`~repro.core.pipeline.AnalysisPipeline`'s
-  row memo, which holds each row's transform outputs and harmonic peaks;
+* :func:`row_key` / :func:`row_digests` key
+  :class:`~repro.core.pipeline.AnalysisPipeline`'s row memo, which holds
+  each row's transform outputs and harmonic peaks; the measurement store
+  writes each stored row's key once, at ingest;
 * :func:`array_digest` keys transform checkpoint chunks and model fits;
 * :class:`ModelFitCache` memoizes recursive-RANSAC fits for the
   walk-forward backtest.
@@ -45,8 +47,18 @@ def array_digest(arr: np.ndarray) -> bytes:
     return digest.digest()
 
 
+def row_key(dtype: str, data) -> bytes:
+    """The row memo's key: dtype tag + SHA-1 of one row's bytes.
+
+    ``data`` is the row's contiguous bytes in ``dtype`` (a numpy dtype
+    string such as ``"<f4"``).  The measurement store keys a stored
+    BLOB, the raw ``"<f4"`` bytes, the same way at ingest.
+    """
+    return dtype.encode() + hashlib.sha1(data).digest()
+
+
 def row_digests(blocks: np.ndarray) -> list[bytes]:
-    """Dtype-tagged SHA-1 digest of each row's bytes, in row order.
+    """:func:`row_key` of each row, in row order.
 
     The key of the pipeline's transform row memo.  Each row hashes in
     the dtype it arrives in, with the dtype in the key, so a float32
@@ -58,8 +70,7 @@ def row_digests(blocks: np.ndarray) -> list[bytes]:
     upload, injected corruption) gets a new key.
     """
     data = np.ascontiguousarray(blocks)
-    dtype = data.dtype.str.encode()
-    return [dtype + hashlib.sha1(row).digest() for row in data]
+    return [row_key(data.dtype.str, row) for row in data]
 
 
 class ModelFitCache:

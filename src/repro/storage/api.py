@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.storage.database import VibrationDatabase
+from repro.runtime.cache import row_key
+from repro.storage.database import (
+    BLOB_DTYPE,
+    VibrationDatabase,
+    WindowArrays,
+    WindowRows,
+)
 from repro.storage.records import (
     LabelRecord,
     MaintenanceEvent,
@@ -90,6 +96,11 @@ class DataRetrievalAPI:
         self._injector = injector
         self._retry = retry
         self._clock = clock
+        #: Row-memo keys whose samples the caller already holds: matrix
+        #: retrieval still verifies those rows but does not decode them.
+        #: A long-lived engine sets this to its memo's keys around its
+        #: retrieval call.
+        self.known_row_keys = frozenset()
 
     def advance(self, delta_days: float) -> None:
         """Slide the analysis window forward (periodic refresh)."""
@@ -149,57 +160,44 @@ class DataRetrievalAPI:
         implements the "eliminating invalid measurements to prevent
         unwanted computations" step of the preprocessing layer.
         """
-        pumps, mids, service, samples, _, _ = self.measurement_matrices_with_health(
-            pump_ids
-        )
-        return pumps, mids, service, samples
+        return self.measurement_matrices_with_health(pump_ids)[:4]
 
     def measurement_matrices_with_health(
         self, pump_ids: list[int] | None = None
-    ) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, int], dict[int, int]
-    ]:
+    ) -> WindowArrays:
         """:meth:`measurement_matrices` plus per-pump drop accounting.
 
-        Returns:
-            ``(pump_ids, measurement_ids, service_days, samples,
-            dropped_incomplete, corrupt)`` where ``dropped_incomplete``
-            maps pump id → measurements discarded for not matching the
-            majority block length ``K`` and ``corrupt`` maps pump id →
-            rows quarantined for a stored-BLOB checksum mismatch.
+        Every stored BLOB in the window is CRC-verified on every call.
+        Rows whose key is in :attr:`known_row_keys` are returned with
+        their ids and keys but not decoded into ``samples`` (see
+        :class:`~repro.storage.database.WindowArrays`); with no known
+        keys, ``samples`` holds every kept row.
         """
+        known = self.known_row_keys
         if self._injector is None and self._retry is None:
             # Fast path: no chaos hooks to honour, so the store can stream
             # BLOBs straight into one preallocated float32 matrix
             # (bit-identical to the record path below, without
             # materializing records).
             return self._db.measurements.query_arrays(
-                self.period.start_day, self.period.end_day, pump_ids
+                self.period.start_day, self.period.end_day, pump_ids, known
             )
         records = self.get_measurements(pump_ids)
         # The store quarantined checksum failures during the query; its
         # per-pump tally is the record path's corruption accounting.
         corrupt = dict(self._db.measurements.last_corrupt)
         if not records:
-            empty = np.empty(0)
-            return (
-                empty.astype(int),
-                empty.astype(int),
-                empty,
-                np.empty((0, 0, 3), dtype=np.float32),
-                {},
-                corrupt,
-            )
-        lengths = np.asarray([r.num_samples for r in records])
-        counts = np.bincount(lengths)
+            return WindowRows(0, 0, known).arrays({}, corrupt)
+        counts = np.bincount([r.num_samples for r in records])
         k = int(counts.argmax())
-        kept = [r for r in records if r.num_samples == k]
+        out = WindowRows(int(counts[k]), k, known)
         dropped_incomplete: dict[int, int] = {}
         for r in records:
             if r.num_samples != k:
                 dropped_incomplete[r.pump_id] = dropped_incomplete.get(r.pump_id, 0) + 1
-        pumps = np.asarray([r.pump_id for r in kept], dtype=int)
-        mids = np.asarray([r.measurement_id for r in kept], dtype=int)
-        service = np.asarray([r.service_day for r in kept], dtype=np.float64)
-        samples = np.stack([r.samples for r in kept])
-        return pumps, mids, service, samples, dropped_incomplete, corrupt
+                continue
+            # Keyed by content: an injector may have rewritten the record.
+            block = np.ascontiguousarray(r.samples, dtype=BLOB_DTYPE)
+            key = row_key(BLOB_DTYPE, block)
+            out.put(r.pump_id, r.measurement_id, r.service_day, key, block)
+        return out.arrays(dropped_incomplete, corrupt)

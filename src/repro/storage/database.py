@@ -13,7 +13,11 @@ insert time and verified on decode.  A row whose bytes no longer match —
 at-rest bit rot, a torn page, a misbehaving filesystem — is *quarantined*
 to the ``dead_letters`` table instead of poisoning downstream PSD/RUL
 results or failing the run; legacy rows (``checksum IS NULL``, migrated
-in place via ``ALTER TABLE``) skip verification.  File-backed databases
+in place via ``ALTER TABLE``) skip verification.  Each row also stores
+its row-memo key (``digest``, :func:`~repro.runtime.cache.row_key` of
+the BLOB), so a reader can tell the rows it already holds without
+decoding or hashing them; a ``NULL`` digest is hashed from the BLOB on
+read.  File-backed databases
 additionally run ``PRAGMA quick_check`` on open and raise
 :class:`DatabaseCorruptionError` (recovery runbook: ``docs/RELIABILITY.md``)
 when SQLite's own structures are damaged.
@@ -23,10 +27,12 @@ from __future__ import annotations
 
 import sqlite3
 import zlib
-from collections.abc import Iterable, Sequence
+from collections.abc import Container, Iterable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
+from repro.runtime.cache import row_key
 from repro.storage.records import (
     DeadLetterRecord,
     LabelRecord,
@@ -53,6 +59,7 @@ CREATE TABLE IF NOT EXISTS measurements (
     num_samples INTEGER NOT NULL,
     samples BLOB NOT NULL,
     checksum INTEGER,
+    digest BLOB,
     PRIMARY KEY (pump_id, measurement_id)
 );
 CREATE INDEX IF NOT EXISTS idx_measurements_time ON measurements (timestamp_day);
@@ -90,9 +97,106 @@ CREATE INDEX IF NOT EXISTS idx_dead_letters_pump ON dead_letters (pump_id);
 """
 
 
+#: Stored sample dtype: raw little-endian float32 BLOBs.
+BLOB_DTYPE = "<f4"
+
+
 def _majority(counts: dict[int, int]) -> int:
     """The most frequent block length; the smallest on a tie (0 if none)."""
     return min(counts, key=lambda length: (-counts[length], length), default=0)
+
+
+def _stored_key(blob: bytes, checksum, digest) -> bytes:
+    """Row-memo key of a verified stored row.
+
+    The stored digest is trusted only behind a stored checksum;
+    otherwise (a legacy row) the key is hashed from the BLOB.
+    """
+    if digest is None or checksum is None:
+        return row_key(BLOB_DTYPE, blob)
+    return digest
+
+
+class WindowArrays(NamedTuple):
+    """One analysis window's measurements as dense arrays.
+
+    Attributes:
+        pump_ids: pump id per kept row, shape ``(N,)``.
+        measurement_ids: measurement id per kept row.
+        service_days: service time per kept row.
+        samples: float32 ``(D, K, 3)`` blocks of the *decoded* rows —
+            every kept row whose key is not in the caller's ``known``
+            set, in row order; ``K`` is the window's block length even
+            when ``D`` is 0.
+        dropped_incomplete: pump id → rows discarded for not matching
+            the majority block length ``K``.
+        corrupt: pump id → rows quarantined for a BLOB checksum
+            mismatch.
+        row_keys: row-memo key of each kept row
+            (:func:`~repro.runtime.cache.row_key`), in row order.
+        decoded: row index of each ``samples`` row, ascending.
+    """
+
+    pump_ids: np.ndarray
+    measurement_ids: np.ndarray
+    service_days: np.ndarray
+    samples: np.ndarray
+    dropped_incomplete: dict[int, int]
+    corrupt: dict[int, int]
+    row_keys: list[bytes]
+    decoded: list[int]
+
+
+class WindowRows:
+    """Accumulates a window's kept rows, decoding those ``known`` lacks.
+
+    The arrays are preallocated for ``n`` rows of length ``k``; a row
+    whose key is in ``known`` keeps its ids and key but is not decoded.
+    Both retrieval paths (:meth:`MeasurementStore.query_arrays` and the
+    record path of :class:`~repro.storage.api.DataRetrievalAPI`) build
+    their :class:`WindowArrays` here.
+    """
+
+    def __init__(self, n: int, k: int, known: Container[bytes]):
+        self.pumps = np.empty(n, dtype=int)
+        self.mids = np.empty(n, dtype=int)
+        self.service = np.empty(n)
+        self.samples = np.empty((n, k, 3), dtype=np.float32)
+        self.keys: list[bytes] = []
+        self.decoded: list[int] = []
+        self.known = known
+
+    def put(self, pump: int, mid: int, service: float, key: bytes, block) -> None:
+        """Add one verified row; ``block`` is its ``"<f4"`` sample buffer.
+
+        ``block`` (a stored BLOB or a contiguous float32 array) is
+        decoded into :attr:`samples` only when ``known`` lacks ``key``.
+        """
+        index = len(self.keys)
+        self.pumps[index], self.mids[index], self.service[index] = pump, mid, service
+        self.keys.append(key)
+        if key not in self.known:
+            self.samples[len(self.decoded)] = np.frombuffer(
+                block, dtype=BLOB_DTYPE
+            ).reshape(self.samples.shape[1:])
+            self.decoded.append(index)
+
+    def put_stored(self, row: tuple) -> None:
+        """Add one verified ``(pump, mid, service, k, blob, checksum, digest)``."""
+        self.put(row[0], row[1], row[2], _stored_key(row[4], row[5], row[6]), row[4])
+
+    def arrays(self, dropped_incomplete: dict, corrupt: dict) -> WindowArrays:
+        n = len(self.keys)
+        return WindowArrays(
+            self.pumps[:n],
+            self.mids[:n],
+            self.service[:n],
+            self.samples[: len(self.decoded)],
+            dropped_incomplete,
+            corrupt,
+            self.keys,
+            self.decoded,
+        )
 
 
 class DatabaseCorruptionError(RuntimeError):
@@ -160,18 +264,21 @@ class VibrationDatabase:
             )
 
     def _migrate(self) -> None:
-        """In-place schema upgrades for databases created before PR 4.
+        """In-place schema upgrades for databases of older builds.
 
-        Adds the nullable ``checksum`` column to ``measurements`` when
-        missing; legacy rows keep ``NULL`` (verification skipped) until
-        rewritten by an ``INSERT OR REPLACE``.
+        Adds the nullable ``checksum`` and ``digest`` columns to
+        ``measurements`` when missing.  Legacy rows keep ``NULL`` until
+        rewritten by an ``INSERT OR REPLACE``: a ``NULL`` checksum skips
+        verification, and a ``NULL`` digest is hashed from the BLOB on
+        read.
         """
         columns = {
             row[1] for row in self._conn.execute("PRAGMA table_info(measurements)")
         }
-        if "checksum" not in columns:
-            self._conn.execute("ALTER TABLE measurements ADD COLUMN checksum INTEGER")
-            self._conn.commit()
+        for name, kind in (("checksum", "INTEGER"), ("digest", "BLOB")):
+            if name not in columns:
+                self._conn.execute(f"ALTER TABLE measurements ADD COLUMN {name} {kind}")
+        self._conn.commit()
 
     def close(self) -> None:
         self._conn.close()
@@ -232,7 +339,7 @@ class MeasurementStore:
 
     @staticmethod
     def _encode(samples: np.ndarray) -> bytes:
-        return np.ascontiguousarray(samples, dtype="<f4").tobytes()
+        return np.ascontiguousarray(samples, dtype=BLOB_DTYPE).tobytes()
 
     @staticmethod
     def _checksum(blob: bytes) -> int:
@@ -289,7 +396,7 @@ class MeasurementStore:
         # per-row allocation and no silent float64 upcast.  Consumers that
         # need float64 math cast per transform tile (exactly: every
         # float32 value is representable in float64).
-        return np.frombuffer(blob, dtype="<f4").reshape(num_samples, 3)
+        return np.frombuffer(blob, dtype=BLOB_DTYPE).reshape(num_samples, 3)
 
     def add(self, measurement: Measurement) -> None:
         self.add_many([measurement])
@@ -308,13 +415,16 @@ class MeasurementStore:
                     m.num_samples,
                     blob,
                     self._checksum(blob),
+                    row_key(BLOB_DTYPE, blob),
                 )
             )
         # One transaction for the whole batch: a single fsync instead of
         # one per implicit autocommit, and all-or-nothing semantics.
         with self._conn:
             self._conn.executemany(
-                "INSERT OR REPLACE INTO measurements VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                "INSERT OR REPLACE INTO measurements (pump_id, measurement_id,"
+                " timestamp_day, service_day, sampling_rate_hz, num_samples,"
+                " samples, checksum, digest) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 rows,
             )
 
@@ -371,9 +481,8 @@ class MeasurementStore:
         start_day: float = -np.inf,
         end_day: float = np.inf,
         pump_ids: Sequence[int] | None = None,
-    ) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, int], dict[int, int]
-    ]:
+        known: Container[bytes] = frozenset(),
+    ) -> WindowArrays:
         """Bulk fetch straight into dense arrays, skipping per-row records.
 
         Same selection, ordering, checksum verification and
@@ -389,18 +498,14 @@ class MeasurementStore:
         already at hand.  Quarantine rows are written once the cursor
         is exhausted.
 
-        Returns:
-            ``(pump_ids, measurement_ids, service_days, samples,
-            dropped_incomplete, corrupt)`` where ``samples`` is float32
-            of shape ``(N, K, 3)``, ``dropped_incomplete`` maps pump id →
-            measurements discarded for not matching the majority block
-            length, and ``corrupt`` maps pump id → rows quarantined for
-            checksum mismatch.
+        Every BLOB in the window is CRC-verified, but a kept row whose
+        row-memo key is in ``known`` — the caller already holds its
+        content — is not decoded: :attr:`WindowArrays.samples` holds only
+        the other rows, and :attr:`WindowArrays.decoded` says which.
         """
         where, params = self._window(start_day, end_day, pump_ids)
         others = []
         corrupt_rows = []
-        kept = 0
         # One read snapshot for the count and the rows, so a concurrent
         # writer cannot outgrow the preallocated matrix.
         self._conn.execute("SAVEPOINT query_arrays")
@@ -414,10 +519,10 @@ class MeasurementStore:
                 ).fetchall()
             )
             k = _majority(lengths)
-            out = self._allocate(lengths.get(k, 0), k)
+            out = WindowRows(lengths.get(k, 0), k, known)
             cursor = self._conn.execute(
                 "SELECT pump_id, measurement_id, service_day, num_samples,"
-                " samples, checksum FROM measurements"
+                " samples, checksum, digest FROM measurements"
                 + where
                 + " ORDER BY timestamp_day, pump_id, measurement_id",
                 params,
@@ -427,8 +532,7 @@ class MeasurementStore:
                     corrupt_rows.append((row[0], row[1], len(row[4])))
                     lengths[row[3]] -= 1
                 elif row[3] == k:
-                    self._put(out, kept, row)
-                    kept += 1
+                    out.put_stored(row)
                 else:
                     others.append(row)
         finally:
@@ -438,43 +542,24 @@ class MeasurementStore:
         corrupt = dict(self.last_corrupt)
         verified = {length: n for length, n in lengths.items() if n}
         if not verified:
-            return (*self._allocate(0, 0), {}, corrupt)
+            return WindowRows(0, 0, known).arrays({}, corrupt)
 
         dropped_incomplete: dict[int, int] = {}
         majority = _majority(verified)
         if majority != k:
             # Checksum failures moved the verified majority: every row
-            # decoded so far is dropped and the side list holds the rows
-            # to keep.
-            for pump_id in out[0][:kept].tolist():
+            # kept so far is dropped and the side list holds the rows to
+            # keep.
+            for pump_id in out.pumps[: len(out.keys)].tolist():
                 dropped_incomplete[pump_id] = dropped_incomplete.get(pump_id, 0) + 1
-            out = self._allocate(verified[majority], majority)
-            kept = 0
+            out = WindowRows(verified[majority], majority, known)
             for row in others:
                 if row[3] == majority:
-                    self._put(out, kept, row)
-                    kept += 1
+                    out.put_stored(row)
         for row in others:
             if row[3] != majority:
                 dropped_incomplete[row[0]] = dropped_incomplete.get(row[0], 0) + 1
-        return (*(column[:kept] for column in out), dropped_incomplete, corrupt)
-
-    @staticmethod
-    def _allocate(n: int, k: int) -> tuple[np.ndarray, ...]:
-        """Empty ``(pump_ids, measurement_ids, service_days, samples)``."""
-        return (
-            np.empty(n, dtype=int),
-            np.empty(n, dtype=int),
-            np.empty(n),
-            np.empty((n, k, 3), dtype=np.float32),
-        )
-
-    @staticmethod
-    def _put(out: tuple[np.ndarray, ...], index: int, row: tuple) -> None:
-        """Decode one verified row into slot ``index`` of ``out``."""
-        pumps, mids, service, samples = out
-        pumps[index], mids[index], service[index] = row[0], row[1], row[2]
-        samples[index] = np.frombuffer(row[4], dtype="<f4").reshape(row[3], 3)
+        return out.arrays(dropped_incomplete, corrupt)
 
     def count(self) -> int:
         (n,) = self._conn.execute("SELECT COUNT(*) FROM measurements").fetchone()

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.analysis.engine import EngineConfig, VibrationAnalysisEngine
+from repro.analysis.engine import EngineConfig, VibrationAnalysisEngine, label_rows
 from repro.core.pipeline import PipelineConfig
 from repro.storage.api import AnalysisPeriod, DataRetrievalAPI
 from repro.storage.database import VibrationDatabase
+from repro.storage.records import LabelRecord
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +128,42 @@ class TestEngineConfigValidation:
             EngineConfig(diagnosis_window=0)
         with pytest.raises(ValueError, match="max_workers must be non-negative"):
             EngineConfig(max_workers=-1)
+
+
+def _dict_label_rows(pumps, mids, labels) -> dict[int, str]:
+    """The per-row dict join ``label_rows`` replaced."""
+    position = {(int(p), int(m)): i for i, (p, m) in enumerate(zip(pumps, mids))}
+    train: dict[int, str] = {}
+    for record in labels:
+        idx = position.get((record.pump_id, record.measurement_id))
+        if idx is not None:
+            train[idx] = record.zone
+    return train
+
+
+class TestLabelRows:
+    ids = st.integers(-3, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(ids, ids), max_size=12),
+        labels=st.lists(
+            st.tuples(ids, ids, st.sampled_from(["A", "BC", "D"])), max_size=12
+        ),
+    )
+    @example(
+        # Two sources label one measurement, and the row occurs twice:
+        # the last record wins, on the last row.
+        rows=[(0, 1), (2, 5), (0, 1)],
+        labels=[(0, 1, "A"), (2, 5, "D"), (0, 1, "BC"), (9, 9, "A")],
+    )
+    def test_equals_the_dict_join(self, rows, labels):
+        pumps = np.asarray([p for p, _ in rows], dtype=int)
+        mids = np.asarray([m for _, m in rows], dtype=int)
+        records = [
+            LabelRecord(pump_id=p, measurement_id=m, zone=z, source=str(i))
+            for i, (p, m, z) in enumerate(labels)
+        ]
+        got = label_rows(pumps, mids, records)
+        expected = _dict_label_rows(pumps, mids, records)
+        assert list(got.items()) == list(expected.items())

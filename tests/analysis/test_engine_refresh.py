@@ -2,10 +2,11 @@
 
 The paper refreshes its analysis period as ``Te_j = Te_{j-1} + delta``:
 each refresh sees every measurement of the previous one plus a new tail.
-One engine kept alive across refreshes must transform only that tail,
-extract harmonic peaks only for the valid rows the memo lacks, and every
-report and dashboard it renders must be byte-identical to a fresh
-engine's on the same window.
+One engine kept alive across refreshes must decode and transform only
+that tail, extract harmonic peaks only for the valid rows the memo
+lacks, still CRC-verify every stored row, and every report and
+dashboard it renders must be byte-identical to a fresh engine's on the
+same window.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 
 from repro.analysis.engine import EngineConfig, VibrationAnalysisEngine
 from repro.analysis.reporting import render_report
+from repro.chaos.retry import RetryPolicy
 from repro.core.pipeline import PipelineConfig
 from repro.runtime.profile import RuntimeProfile
 from repro.storage.api import AnalysisPeriod, DataRetrievalAPI
@@ -62,7 +64,10 @@ def test_refresh_transforms_only_new_rows_and_matches_fresh_engine(
     db, held = refresh_db
     api = DataRetrievalAPI(db, AnalysisPeriod(0.0, T0))
     engine = VibrationAnalysisEngine(api, CONFIG)
-    previous = engine.run().measurement_ids.size
+    profile = RuntimeProfile()
+    previous = engine.run(profile=profile).measurement_ids.size
+    assert profile.counters["rows_decoded"] == previous
+    assert profile.counters["rows_verified"] == previous
 
     for index in range(1, ROUNDS + 1):
         hi = T0 + index * DELTA
@@ -77,6 +82,8 @@ def test_refresh_transforms_only_new_rows_and_matches_fresh_engine(
         assert profile.counters["transform_cache_hits"] == previous
         assert profile.counters["transform_cache_misses"] == rows - previous
         assert profile.stages["transform"].items == rows - previous
+        assert profile.counters["rows_verified"] == rows
+        assert profile.counters["rows_decoded"] == rows - previous
         assert outputs(report, tmp_path / f"refresh-{index}.html") == fresh_outputs(
             db, api.period, tmp_path / f"fresh-{index}.html"
         )
@@ -94,6 +101,7 @@ def test_refresh_transforms_only_new_rows_and_matches_fresh_engine(
     assert profile.counters["transform_cache_hits"] == previous - 1
     assert profile.counters["transform_cache_misses"] == 1
     assert profile.stages["transform"].items == 1
+    assert profile.counters["rows_decoded"] == 1
     assert outputs(report, tmp_path / "replaced.html") == fresh_outputs(
         db, api.period, tmp_path / "replaced-fresh.html"
     )
@@ -124,3 +132,163 @@ def test_refresh_extracts_peaks_only_for_new_valid_rows(refresh_db):
     assert now - seen == new_rows & now
     fresh = VibrationAnalysisEngine(DataRetrievalAPI(db, api.period), CONFIG).run()
     assert second.pipeline.da.tobytes() == fresh.pipeline.da.tobytes()
+
+
+def test_warm_refresh_quarantines_a_corrupted_known_row(refresh_db, tmp_path):
+    db, held = refresh_db
+    api = DataRetrievalAPI(db, AnalysisPeriod(0.0, T0))
+    engine = VibrationAnalysisEngine(api, CONFIG)
+    first = engine.run()
+    # Bit rot on a row the memo holds: its stored key still matches the
+    # memo, but retrieval verifies its BLOB and quarantines it.
+    pump, mid = int(first.pump_ids[5]), int(first.measurement_ids[5])
+    db.measurements.corrupt_blob(pump, mid, byte_index=11)
+    batch = [m for m in held if m.timestamp_day < T0 + DELTA]
+    db.measurements.add_many(batch)
+    api.advance(DELTA)
+    profile = RuntimeProfile()
+    report = engine.run(profile=profile)
+    rows = list(zip(report.pump_ids.tolist(), report.measurement_ids.tolist()))
+    assert (pump, mid) not in rows
+    assert report.data_health.corrupt_blobs == {pump: 1}
+    assert profile.counters["rows_verified"] == len(rows) + 1
+    assert profile.counters["rows_decoded"] == len(batch)
+    fresh = VibrationAnalysisEngine(DataRetrievalAPI(db, api.period), CONFIG).run()
+    assert report.data_health == fresh.data_health
+    assert "DATA HEALTH" in render_report(report)
+    assert outputs(report, tmp_path / "warm.html") == outputs(
+        fresh, tmp_path / "fresh.html"
+    )
+
+
+def test_record_path_engine_decodes_only_new_rows(refresh_db, tmp_path):
+    db, held = refresh_db
+    api = DataRetrievalAPI(db, AnalysisPeriod(0.0, T0), retry=RetryPolicy())
+    engine = VibrationAnalysisEngine(api, CONFIG)
+    previous = engine.run().measurement_ids.size
+    for index in range(1, 3):
+        batch = [m for m in held if m.timestamp_day < T0 + index * DELTA]
+        held = held[len(batch):]
+        db.measurements.add_many(batch)
+        api.advance(DELTA)
+        profile = RuntimeProfile()
+        report = engine.run(profile=profile)
+        rows = report.measurement_ids.size
+        assert profile.counters["rows_decoded"] == rows - previous == len(batch)
+        assert profile.stages["transform"].items == len(batch)
+        # The fresh engine reads through the streamed fast path.
+        assert outputs(report, tmp_path / f"record-{index}.html") == fresh_outputs(
+            db, api.period, tmp_path / f"fast-{index}.html"
+        )
+        previous = rows
+
+
+def test_refresh_without_new_rows_decodes_nothing(refresh_db, tmp_path):
+    db, _ = refresh_db
+    api = DataRetrievalAPI(db, AnalysisPeriod(0.0, T0))
+    engine = VibrationAnalysisEngine(api, CONFIG)
+    first = engine.run()
+    api.advance(DELTA)
+    profile = RuntimeProfile()
+    report = engine.run(profile=profile)
+    rows = first.measurement_ids.size
+    assert report.measurement_ids.size == rows
+    assert profile.counters["rows_verified"] == rows
+    assert profile.counters["rows_decoded"] == 0
+    assert profile.stages["transform"].items == 0
+    assert outputs(report, tmp_path / "warm.html") == fresh_outputs(
+        db, api.period, tmp_path / "fresh.html"
+    )
+    # Retrieval keeps the block length K with zero decoded rows.
+    api.known_row_keys = engine._pipeline.memo_keys
+    window = api.measurement_matrices_with_health()
+    assert window.samples.shape == (0, first.pipeline.psd.shape[1], 3)
+    assert window.decoded == []
+    assert len(window.row_keys) == rows
+
+
+def test_null_digest_rows_render_the_same_report(refresh_db, tmp_path):
+    db, _ = refresh_db
+    period = AnalysisPeriod(0.0, T0)
+    expected = fresh_outputs(db, period, tmp_path / "stored.html")
+    db._conn.execute("ALTER TABLE measurements DROP COLUMN digest")
+    db._conn.commit()
+    with VibrationDatabase(db.path) as legacy:
+        [(nulls,)] = legacy._conn.execute(
+            "SELECT COUNT(*) FROM measurements WHERE digest IS NULL"
+        )
+        assert nulls == legacy.measurements.count()
+        engine = VibrationAnalysisEngine(DataRetrievalAPI(legacy, period), CONFIG)
+        assert outputs(engine.run(), tmp_path / "legacy.html") == expected
+        # Keys hashed on read match the memo's: a rerun decodes nothing.
+        profile = RuntimeProfile()
+        assert outputs(engine.run(profile=profile), tmp_path / "again.html") == expected
+        assert profile.counters["rows_decoded"] == 0
+
+
+def test_warm_refresh_quarantines_a_non_finite_new_row(refresh_db, tmp_path):
+    db, held = refresh_db
+    api = DataRetrievalAPI(db, AnalysisPeriod(0.0, T0))
+    engine = VibrationAnalysisEngine(api, CONFIG)
+    engine.run()
+    batch = [m for m in held if m.timestamp_day < T0 + DELTA]
+    poisoned = batch[len(batch) // 2]
+    samples = np.array(poisoned.samples)
+    samples[3, 1] = np.nan
+    batch[len(batch) // 2] = dataclasses.replace(poisoned, samples=samples)
+    db.measurements.add_many(batch)
+    api.advance(DELTA)
+    profile = RuntimeProfile()
+    report = engine.run(profile=profile)
+    assert report.data_health.quarantined_nonfinite == {poisoned.pump_id: 1}
+    assert profile.counters["rows_decoded"] == len(batch)
+    assert profile.stages["transform"].items == len(batch) - 1
+    fresh = VibrationAnalysisEngine(DataRetrievalAPI(db, api.period), CONFIG).run()
+    assert report.data_health == fresh.data_health
+    assert outputs(report, tmp_path / "warm.html") == outputs(
+        fresh, tmp_path / "fresh.html"
+    )
+
+
+class _PoisonOneRecord:
+    """Duck-typed injector: once armed, NaN-poisons one retrieved record."""
+
+    def __init__(self, target: tuple[int, int]):
+        self.target = target
+        self.armed = False
+
+    def maybe_fail(self, point):
+        pass
+
+    def mutate_measurements(self, point, records):
+        if not self.armed:
+            return records
+        return [
+            dataclasses.replace(r, samples=np.full(r.samples.shape, np.nan))
+            if (r.pump_id, r.measurement_id) == self.target
+            else r
+            for r in records
+        ]
+
+
+def test_injector_rewritten_known_row_is_keyed_by_its_content(refresh_db, tmp_path):
+    db, held = refresh_db
+    period = AnalysisPeriod(0.0, T0)
+    probe = VibrationAnalysisEngine(DataRetrievalAPI(db, period), CONFIG).run()
+    target = (int(probe.pump_ids[7]), int(probe.measurement_ids[7]))
+    injector = _PoisonOneRecord(target)
+    api = DataRetrievalAPI(db, period, injector=injector)
+    engine = VibrationAnalysisEngine(api, CONFIG)
+    engine.run()
+    # The memo holds the clean row; the read now returns it poisoned.
+    injector.armed = True
+    db.measurements.add_many([m for m in held if m.timestamp_day < T0 + DELTA])
+    api.advance(DELTA)
+    report = engine.run()
+    assert report.data_health.quarantined_nonfinite == {target[0]: 1}
+    fresh = VibrationAnalysisEngine(
+        DataRetrievalAPI(db, api.period, injector=injector), CONFIG
+    ).run()
+    assert outputs(report, tmp_path / "warm.html") == outputs(
+        fresh, tmp_path / "fresh.html"
+    )

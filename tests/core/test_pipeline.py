@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import AnalysisPipeline, PipelineConfig
+from repro.runtime.cache import row_digests
 
 
 @pytest.fixture(scope="module")
@@ -190,3 +191,37 @@ class TestStoredPrecision:
         finally:
             tracemalloc.stop()
         assert peak < samples.size * 8
+
+
+class TestRowKeys:
+    """``run(row_keys=)``: the caller keys every row and passes only the
+    rows the row memo lacks."""
+
+    def test_keyed_runs_equal_digested_runs(self, fleet_inputs):
+        _, pumps, service, samples, labels = fleet_inputs
+        config = PipelineConfig(ransac_min_inliers=25)
+        expected = AnalysisPipeline(config).run(pumps, service, samples, labels)
+        pipeline = AnalysisPipeline(config)
+        keys = row_digests(samples)
+        cold = pipeline.run(pumps, service, samples, labels, row_keys=keys)
+        warm = pipeline.run(pumps, service, samples[:0], labels, row_keys=keys)
+        for result in (cold, warm):
+            assert result.da.tobytes() == expected.da.tobytes()
+            assert result.psd.tobytes() == expected.psd.tobytes()
+        assert pipeline.transform_hits == len(keys)
+
+    def test_rows_must_match_the_keys_the_memo_lacks(self, fleet_inputs):
+        _, pumps, service, samples, labels = fleet_inputs
+        pipeline = AnalysisPipeline(PipelineConfig(ransac_min_inliers=25))
+        keys = row_digests(samples)
+        pipeline.run(pumps, service, samples, labels, row_keys=keys)
+        # Every key is memoized now: a row passed anyway is an error...
+        with pytest.raises(ValueError, match="memo lacks"):
+            pipeline.run(pumps, service, samples[:1], labels, row_keys=keys)
+        # ...and so is a missing row for a key the memo lacks.
+        with pytest.raises(ValueError, match="memo lacks"):
+            pipeline.run(
+                pumps, service, samples[:0], labels, row_keys=[b"new"] + keys[1:]
+            )
+        with pytest.raises(ValueError, match="must align"):
+            pipeline.run(pumps, service, samples[:0], labels, row_keys=keys[1:])

@@ -40,11 +40,14 @@ def transform_reference(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 class ReferencePipeline:
     """The scalar Fig. 7 workflow over in-memory measurement arrays.
 
-    ``run`` takes the production signature (``profile`` is accepted and
-    ignored) and ``executor`` is a serial one, so
+    ``run`` takes the production signature (``profile`` and ``row_keys``
+    are accepted and ignored) and ``executor`` is a serial one, so
     :class:`~tests.reference.engine.ReferenceEngine` can drive it exactly
-    like the production pipeline.
+    like the production pipeline.  It has no row memo: ``memo_keys`` is
+    empty, so retrieval decodes every row for it.
     """
+
+    memo_keys = frozenset()
 
     def __init__(self, config: PipelineConfig | None = None):
         self.config = config or PipelineConfig()
@@ -86,6 +89,7 @@ class ReferencePipeline:
         samples: np.ndarray,
         train_labels: dict[int, str],
         profile=None,
+        row_keys=None,
     ) -> PipelineResult:
         ids = np.asarray(pump_ids)
         days = np.asarray(service_days, dtype=np.float64)

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.runtime.cache import row_digests
 from repro.storage.database import DatabaseCorruptionError, VibrationDatabase
 from repro.storage.records import (
     BM,
@@ -109,7 +113,7 @@ class TestQueryArrays:
             for i in range(12)
         )
         records = db.measurements.query()
-        pumps, mids, service, samples, dropped, corrupt = (
+        pumps, mids, service, samples, dropped, corrupt, *_ = (
             db.measurements.query_arrays()
         )
         assert dropped == {}
@@ -127,7 +131,7 @@ class TestQueryArrays:
             make_measurement(pump=i % 2, mid=i, day=float(i)) for i in range(8)
         )
         records = db.measurements.query(start_day=2.0, end_day=6.0, pump_ids=[1])
-        pumps, mids, _, samples, _, _ = db.measurements.query_arrays(
+        pumps, mids, _, samples, *_ = db.measurements.query_arrays(
             start_day=2.0, end_day=6.0, pump_ids=[1]
         )
         assert list(mids) == [m.measurement_id for m in records]
@@ -139,13 +143,13 @@ class TestQueryArrays:
             make_measurement(pump=0, mid=i, day=float(i), k=16) for i in range(4)
         )
         db.measurements.add(make_measurement(pump=1, mid=99, day=9.0, k=8))
-        pumps, mids, _, samples, dropped, _ = db.measurements.query_arrays()
+        pumps, mids, _, samples, dropped, *_ = db.measurements.query_arrays()
         assert samples.shape == (4, 16, 3)
         assert 99 not in mids
         assert dropped == {1: 1}
 
     def test_empty_result(self, db):
-        pumps, mids, service, samples, dropped, corrupt = (
+        pumps, mids, service, samples, dropped, corrupt, *_ = (
             db.measurements.query_arrays()
         )
         assert pumps.size == 0 and samples.shape == (0, 0, 3) and dropped == {}
@@ -241,7 +245,7 @@ class TestStreamedQueryArrays:
         guard = _CommitGuard(db.measurements._conn)
         db.measurements._conn = guard
         try:
-            pumps, mids, _, samples, dropped, corrupt = (
+            pumps, mids, _, samples, dropped, corrupt, *_ = (
                 db.measurements.query_arrays()
             )
         finally:
@@ -264,7 +268,7 @@ class TestStreamedQueryArrays:
         )
         db.measurements.corrupt_blob(0, 0)
         db.measurements.corrupt_blob(0, 4)
-        pumps, mids, _, samples, dropped, corrupt = self.assert_matches_record_path(
+        pumps, mids, _, samples, dropped, corrupt, *_ = self.assert_matches_record_path(
             db
         )
         assert samples.shape == (4, 8, 3)
@@ -277,7 +281,7 @@ class TestStreamedQueryArrays:
                              seed=i)
             for i in range(6)
         )
-        pumps, mids, _, samples, dropped, corrupt = self.assert_matches_record_path(
+        pumps, mids, _, samples, dropped, corrupt, *_ = self.assert_matches_record_path(
             db
         )
         assert samples.shape == (3, 8, 3)
@@ -287,7 +291,7 @@ class TestStreamedQueryArrays:
         db.measurements.add_many(
             make_measurement(mid=i, day=float(i), seed=i) for i in range(3)
         )
-        pumps, mids, service, samples, dropped, corrupt = (
+        pumps, mids, service, samples, dropped, corrupt, *_ = (
             self.assert_matches_record_path(db, 10.0, 20.0)
         )
         assert pumps.size == mids.size == service.size == 0
@@ -322,7 +326,7 @@ class TestStreamedQueryArrays:
 
             db.measurements._conn = _WriteAfterCount()
             try:
-                _, mids, _, samples, _, _ = db.measurements.query_arrays()
+                _, mids, _, samples, *_ = db.measurements.query_arrays()
             finally:
                 db.measurements._conn = conn
             assert list(mids) == [0, 1, 2, 3]
@@ -450,7 +454,9 @@ class TestBlobIntegrity:
             make_measurement(pump=p, mid=p, day=float(p), seed=p) for p in range(4)
         )
         db.measurements.corrupt_blob(2, 2, byte_index=7)
-        pumps, mids, _, samples, dropped, corrupt = db.measurements.query_arrays()
+        pumps, mids, _, samples, dropped, corrupt, *_ = (
+            db.measurements.query_arrays()
+        )
         assert list(pumps) == [0, 1, 3]
         assert corrupt == {2: 1}
         assert dropped == {}
@@ -487,6 +493,31 @@ class TestBlobIntegrity:
             db.measurements.add(make_measurement(seed=8))
             assert len(db.measurements.query()) == 1
 
+    def test_digest_column_is_migrated_on_legacy_files(self, tmp_path):
+        path = str(tmp_path / "legacy.db")
+        with VibrationDatabase(path) as db:
+            db.measurements.add_many(
+                make_measurement(pump=p, mid=p, day=float(p), seed=p)
+                for p in range(3)
+            )
+            expected = db.measurements.query_arrays()
+            db._conn.execute("ALTER TABLE measurements DROP COLUMN digest")
+        with VibrationDatabase(path) as db:
+            [(nulls,)] = db._conn.execute(
+                "SELECT COUNT(*) FROM measurements WHERE digest IS NULL"
+            )
+            assert nulls == 3
+            # NULL digests are hashed from the verified BLOB on read: the
+            # keys equal the ones written at ingest.
+            got = db.measurements.query_arrays()
+            assert got.row_keys == expected.row_keys
+            assert np.array_equal(got.samples, expected.samples)
+            db.measurements.add(make_measurement(pump=9, mid=9, day=9.0, seed=9))
+            [(nulls,)] = db._conn.execute(
+                "SELECT COUNT(*) FROM measurements WHERE digest IS NULL"
+            )
+            assert nulls == 3
+
     def test_fault_blobs_damages_only_drawn_rows(self, db):
         db.measurements.add_many(
             make_measurement(pump=p, mid=p, seed=p) for p in range(3)
@@ -510,3 +541,144 @@ class TestQuickCheck:
             db.measurements.add(make_measurement())
         with VibrationDatabase(path) as db:
             assert db.measurements.count() == 1
+
+
+def _stored_rows(db) -> dict[tuple[int, int], tuple[bytes, bytes]]:
+    return {
+        (pump, mid): (blob, digest)
+        for pump, mid, blob, digest in db._conn.execute(
+            "SELECT pump_id, measurement_id, samples, digest FROM measurements"
+        )
+    }
+
+
+@st.composite
+def _measurement_batches(draw):
+    """Batches of small measurements, ids drawn from a narrow range so
+    batches collide and rewrite rows under existing ids."""
+
+    def one():
+        k = draw(st.integers(2, 6))
+        return Measurement(
+            pump_id=draw(st.integers(0, 2)),
+            measurement_id=draw(st.integers(0, 3)),
+            timestamp_day=float(draw(st.integers(0, 5))),
+            service_day=0.0,
+            samples=draw(hnp.arrays(np.float32, (k, 3), elements=st.floats(width=32))),
+        )
+
+    return [
+        [one() for _ in range(draw(st.integers(1, 6)))]
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+
+class TestRowDigests:
+    """``add_many`` writes each row's memo key once, at ingest."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches=_measurement_batches())
+    def test_stored_digest_is_row_digest_of_the_decoded_row(self, batches):
+        with VibrationDatabase() as db:
+            for batch in batches:
+                db.measurements.add_many(batch)
+            last = {(m.pump_id, m.measurement_id): m for b in batches for m in b}
+            stored = _stored_rows(db)
+            assert stored.keys() == last.keys()
+            for ids, (blob, digest) in stored.items():
+                decoded = np.frombuffer(blob, dtype="<f4").reshape(-1, 3)
+                # INSERT OR REPLACE under the same id rewrote the digest
+                # with the samples.
+                assert decoded.tobytes() == last[ids].samples.tobytes()
+                assert digest == row_digests(decoded[np.newaxis])[0]
+            window = db.measurements.query_arrays()
+            assert window.row_keys == row_digests(window.samples)
+
+    def test_digest_without_a_checksum_is_not_trusted(self, db):
+        # A legacy row has no CRC to vouch for its digest: its key is
+        # hashed from the BLOB it holds now.
+        db.measurements.add(make_measurement(seed=3))
+        db._conn.execute("UPDATE measurements SET checksum = NULL")
+        db.measurements.corrupt_blob(0, 0, byte_index=2)
+        [(blob, stale)] = _stored_rows(db).values()
+        key = row_digests(np.frombuffer(blob, dtype="<f4")[np.newaxis])[0]
+        assert key != stale
+        assert db.measurements.query_arrays().row_keys == [key]
+
+    def test_digest_of_a_rewritten_row_changes(self, db):
+        db.measurements.add(make_measurement(seed=1))
+        [(_, before)] = _stored_rows(db).values()
+        db.measurements.add(make_measurement(seed=2))
+        [(blob, after)] = _stored_rows(db).values()
+        assert after != before
+        assert after == row_digests(np.frombuffer(blob, dtype="<f4")[np.newaxis])[0]
+
+
+class TestKnownRowKeys:
+    """Retrieval with known row keys verifies every row but decodes only
+    the rows whose key is unknown; everything else equals a fresh API's."""
+
+    @staticmethod
+    def assert_matches_fresh(db, known, retry):
+        from repro.chaos.retry import RetryPolicy
+        from repro.storage.api import AnalysisPeriod, DataRetrievalAPI
+
+        period = AnalysisPeriod(-1.0, 1e9)
+        policy = RetryPolicy() if retry else None
+        fresh = DataRetrievalAPI(db, period, retry=policy)
+        expected = fresh.measurement_matrices_with_health()
+        api = DataRetrievalAPI(db, period, retry=policy)
+        api.known_row_keys = known
+        got = api.measurement_matrices_with_health()
+        for a, b in zip(got[:3], expected[:3]):
+            assert np.array_equal(a, b)
+        assert got[4:7] == expected[4:7]
+        assert expected.decoded == list(range(len(expected.row_keys)))
+        assert got.decoded == [
+            i for i, key in enumerate(got.row_keys) if key not in known
+        ]
+        assert got.samples.dtype == np.float32
+        assert got.samples.shape[1:] == expected.samples.shape[1:]
+        assert np.array_equal(got.samples, expected.samples[got.decoded])
+        return got
+
+    @pytest.mark.parametrize("retry", [False, True])
+    def test_known_rows_are_verified_but_not_decoded(self, db, retry):
+        db.measurements.add_many(
+            make_measurement(pump=i % 3, mid=i, day=float(i), seed=i)
+            for i in range(8)
+        )
+        keys = db.measurements.query_arrays().row_keys
+        got = self.assert_matches_fresh(db, set(keys[:5]), retry)
+        assert got.decoded == [5, 6, 7]
+        # Every row known: nothing is decoded, and K survives.
+        got = self.assert_matches_fresh(db, set(keys), retry)
+        assert got.samples.shape == (0, 16, 3)
+        # A known row whose BLOB rotted is still caught by its CRC.
+        db.measurements.corrupt_blob(0, 3)
+        got = self.assert_matches_fresh(db, set(keys), retry)
+        assert got.corrupt == {0: 1}
+        assert 3 not in got.measurement_ids
+
+    @pytest.mark.parametrize("retry", [False, True])
+    def test_majority_flip_with_known_rows(self, db, retry):
+        # Five rows of K=16 against four of K=8; corrupting two 16-sample
+        # rows flips the verified majority to 8, so rows known under K=16
+        # are dropped and the K=8 rows come back, known or not.
+        rows = [
+            make_measurement(pump=i % 2, mid=i, day=float(i), k=8 if i % 2 else 16,
+                             seed=i)
+            for i in range(9)
+        ]
+        db.measurements.add_many(rows)
+        # Rows 0 and 6 (K=16) and row 3 (K=8).
+        known = {
+            row_digests(m.samples.astype(np.float32)[np.newaxis])[0] for m in rows[::3]
+        }
+        db.measurements.corrupt_blob(0, 0)
+        db.measurements.corrupt_blob(0, 4)
+        got = self.assert_matches_fresh(db, known, retry)
+        assert got.samples.shape[1] == 8
+        assert list(got.measurement_ids) == [1, 3, 5, 7]
+        assert got.decoded == [0, 2, 3]
+        assert got.dropped_incomplete == {0: 3}
