@@ -20,8 +20,8 @@ from repro.core.peaks import extract_harmonic_peaks
 from repro.core.pipeline import AnalysisPipeline, PipelineConfig, PipelineResult
 from repro.core.ransac import LineModel
 from repro.core.rul import RULPrediction
-from repro.runtime.batch import DEFAULT_CHUNK_ROWS, finite_block_mask
-from repro.runtime.checkpoint import CheckpointManager
+from repro.runtime.batch import finite_block_mask
+from repro.runtime.checkpoint import RowJournal
 from repro.runtime.fleet import FleetExecutor, SupervisionPolicy, SupervisionReport
 from repro.runtime.profile import RuntimeProfile
 from repro.storage.api import DataRetrievalAPI
@@ -58,9 +58,10 @@ class EngineConfig:
             fleet executor's self-healing path (deadlines, bounded
             restarts, salvage).  Ignored when a pre-built executor is
             injected — the executor's own policy wins.
-        checkpoint_dir: optional directory for the transform checkpoint
-            journal; when set, runs record every completed transform
-            chunk and resume bit-identically after a crash.
+        checkpoint_dir: optional directory for the row journal, the
+            row memo on disk; when set, runs journal every row they
+            transform and recall every journaled row, so a run resumes
+            bit-identically after a crash.
     """
 
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
@@ -252,20 +253,18 @@ class VibrationAnalysisEngine:
         each row's transform outputs and harmonic peaks, keyed by the
         row's content — survives rolling-window advances: a refresh
         transforms, and extracts peaks for, only the measurements the
-        previous run did not see.
+        previous run did not see.  With ``checkpoint_dir`` the memo
+        starts from the journal's rows.
         """
         executor = self.executor or FleetExecutor(
             max_workers=self.config.max_workers,
             supervision=self.config.supervision,
         )
-        checkpoint = None
+        journal = None
         if self.config.checkpoint_dir is not None:
-            checkpoint = CheckpointManager(
-                self.config.checkpoint_dir,
-                run_key=f"transform-v2:chunk_rows={DEFAULT_CHUNK_ROWS}",
-            )
+            journal = RowJournal(self.config.checkpoint_dir)
         return AnalysisPipeline(
-            self.config.pipeline, executor=executor, checkpoint=checkpoint
+            self.config.pipeline, executor=executor, journal=journal
         )
 
     def run(self, profile: RuntimeProfile | None = None) -> AnalysisReport:
@@ -347,6 +346,8 @@ class VibrationAnalysisEngine:
                 "no valid labels fall inside the analysis period"
             )
 
+        # One supervision delta per run, closed after the diagnosis fan-out,
+        # feeds both the report and the profile.
         sup_tally = pipeline.executor.supervision_report
         sup_before = sup_tally.as_dict() if sup_tally is not None else None
         result = pipeline.run(
@@ -363,9 +364,10 @@ class VibrationAnalysisEngine:
         supervision = None
         if sup_tally is not None:
             sup_after = sup_tally.as_dict()
-            supervision = SupervisionReport(
-                **{key: sup_after[key] - sup_before[key] for key in sup_after}
-            )
+            delta = {key: sup_after[key] - sup_before[key] for key in sup_after}
+            supervision = SupervisionReport(**delta)
+            if profile is not None:
+                profile.add_supervision(delta)
         return AnalysisReport(
             pump_ids=pumps,
             measurement_ids=mids,

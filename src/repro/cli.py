@@ -85,7 +85,7 @@ def _add_analyze_parser(subparsers) -> None:
         metavar="DIR",
         default=None,
         help=(
-            "journal transform chunks into DIR so an interrupted run can"
+            "journal transformed rows into DIR so an interrupted run can"
             " be resumed bit-identically with --resume DIR"
         ),
     )

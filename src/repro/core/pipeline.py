@@ -43,12 +43,7 @@ from repro.core.peaks import (
 from repro.core.ransac import LineModel, RecursiveRANSAC
 from repro.core.rul import RULEstimator, RULPrediction, learn_zone_d_threshold
 from repro.core.window import moving_average
-from repro.runtime.batch import (
-    DEFAULT_CHUNK_ROWS,
-    TRANSFORM_TILE_ROWS,
-    run_tiles,
-    transform_rows,
-)
+from repro.runtime.batch import TRANSFORM_TILE_ROWS, run_tiles, transform_rows
 from repro.runtime.cache import as_float, row_digests
 from repro.runtime.fleet import FleetExecutor
 from repro.runtime.profile import RuntimeProfile
@@ -124,45 +119,67 @@ class AnalysisPipeline:
         executor: fleet executor for the per-pump RUL fan-out; its
             worker count also sizes the threaded transform.  A default
             thread pool when None.
-        chunk_rows: rows per transform chunk, the checkpoint journal's
-            unit.
-        checkpoint: optional :class:`~repro.runtime.checkpoint.CheckpointManager`;
-            when armed, every completed transform chunk is journaled and
-            recalled on resume.
+        journal: optional :class:`~repro.runtime.checkpoint.RowJournal`,
+            the row memo on disk: the memo starts from its verified
+            rows, and every row transformed is journaled.
     """
 
     def __init__(
         self,
         config: PipelineConfig | None = None,
         executor: FleetExecutor | None = None,
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        checkpoint=None,
+        journal=None,
     ):
-        if chunk_rows < 1:
-            raise ValueError("chunk_rows must be positive")
         self.config = config or PipelineConfig()
         self.executor = executor if executor is not None else FleetExecutor()
-        self.chunk_rows = chunk_rows
-        self.checkpoint = checkpoint
+        self.journal = journal
         self.estimator_: RULEstimator | None = None
-        #: Row memo of the last :meth:`transform` call: row digest →
-        #: row index into that call's frozen ``(offsets, rms, psd)`` and
-        #: its peak rows ``(frequencies, values, counts, extracted)``,
-        #: which :meth:`run` fills in for the valid rows it scores.
+        #: Row memo of the last :meth:`transform` call (or the journal's
+        #: rows, before the first): row digest → row index into frozen
+        #: ``(offsets, rms, psd)`` and peak rows ``(frequencies, values,
+        #: counts, extracted)``, which :meth:`run` fills in for the valid
+        #: rows it scores.
         self._memo_rows: dict[bytes, int] = {}
         self._memo_outputs: tuple[np.ndarray, ...] = ()
         self._memo_peaks: tuple[np.ndarray, ...] = ()
-        #: Rows recalled from / missing in the row memo, cumulative.
+        #: Rows recalled from the in-process memo / transformed, cumulative.
         self.transform_hits = 0
         self.transform_misses = 0
+        #: Rows recalled from / written to the journal, cumulative.
+        self.journal_hits = 0
+        self.journal_misses = 0
         #: Valid rows whose peaks were recalled / extracted, cumulative.
         self.peak_hits = 0
         self.peak_misses = 0
+        seed = journal.load() if journal is not None else None
+        #: True while the memo holds the journal's rows, until the first
+        #: transform: its hits are journal hits.
+        self._memo_from_journal = seed is not None
+        if seed is not None:
+            keys, *outputs = seed
+            self._remember(keys, outputs, self._empty_peaks(len(keys)))
 
     @property
     def memo_keys(self):
         """Row keys the row memo holds (a read-only view)."""
         return self._memo_rows.keys()
+
+    def _empty_peaks(self, n: int) -> tuple[np.ndarray, ...]:
+        width = self.config.num_peaks
+        return (
+            np.zeros((n, width)),
+            np.zeros((n, width)),
+            np.zeros(n, dtype=np.intp),
+            np.zeros(n, dtype=bool),
+        )
+
+    def _remember(self, keys, outputs, peaks) -> None:
+        """Make ``outputs`` (frozen) and ``peaks`` the row memo of ``keys``."""
+        for out in outputs:
+            out.setflags(write=False)
+        self._memo_rows = dict(zip(keys, range(len(keys))))
+        self._memo_outputs = tuple(outputs)
+        self._memo_peaks = peaks
 
     # ------------------------------------------------------------------
     # Individual layers, usable on their own.
@@ -187,7 +204,8 @@ class AnalysisPipeline:
         outputs only, and those are the arrays this call returns:
         read-only, so no alias can change a memoized row.  A recalled
         row also brings back its harmonic peaks, if a :meth:`run` has
-        extracted them.
+        extracted them.  A pipeline with a journal starts from the
+        journal's rows and journals every row it transforms.
 
         Float32 samples (the stored precision) and float64 samples are
         used as given — no whole-matrix upcast; each transform tile
@@ -216,13 +234,7 @@ class AnalysisPipeline:
         n, k = len(digests), blocks.shape[1]
         if n and k < 2:
             raise ValueError("measurement must contain at least 2 samples")
-        width = self.config.num_peaks
-        peaks = (
-            np.zeros((n, width)),
-            np.zeros((n, width)),
-            np.zeros(n, dtype=np.intp),
-            np.zeros(n, dtype=bool),
-        )
+        peaks = self._empty_peaks(n)
         seen = self._memo_rows
         hit: list[int] = []
         source: list[int] = []
@@ -255,26 +267,25 @@ class AnalysisPipeline:
                     outputs + peaks, self._memo_outputs + self._memo_peaks
                 ):
                     out[rows] = previous[from_rows]
-            computed = 0
             if miss:
-                *new, computed = transform_rows(
-                    fresh, self.chunk_rows, self.executor, self.checkpoint
+                new = transform_rows(
+                    fresh, self.executor, self.journal, [digests[i] for i in miss]
                 )
                 for out, rows in zip(outputs, new):
                     out[miss] = rows
         else:
-            *outputs, computed = transform_rows(
-                fresh, self.chunk_rows, self.executor, self.checkpoint
-            )
-        for out in outputs:
-            out.setflags(write=False)
-        self._memo_rows = dict(zip(digests, range(n)))
-        self._memo_outputs = tuple(outputs)
-        self._memo_peaks = peaks
-        self.transform_hits += len(hit)
+            outputs = transform_rows(fresh, self.executor, self.journal, digests)
+        self._remember(digests, outputs, peaks)
+        if self._memo_from_journal:
+            self.journal_hits += len(hit)
+        else:
+            self.transform_hits += len(hit)
+        self._memo_from_journal = False
         self.transform_misses += len(miss)
+        if self.journal is not None:
+            self.journal_misses += len(miss)
         if profile is not None:
-            profile.add("transform", time.perf_counter() - start, computed)
+            profile.add("transform", time.perf_counter() - start, len(miss))
         return self._memo_outputs
 
     def preprocess(
@@ -340,7 +351,7 @@ class AnalysisPipeline:
                 label; must contain at least one measurement of each zone
                 (A, BC and D).
             profile: optional collector of per-stage wall-clock timings
-                and cache, checkpoint, executor and supervision counters.
+                and cache, checkpoint and executor counters.
             row_keys: optional row-memo key per measurement (see
                 :meth:`transform`); None digests ``samples``.
 
@@ -365,8 +376,6 @@ class AnalysisPipeline:
             raise ValueError(f"train_labels reference invalid indices: {bad_idx}")
         profile = profile if profile is not None else RuntimeProfile()
         tallies = self._tallies()
-        supervision = self.executor.supervision_report
-        supervision_before = supervision.as_dict() if supervision is not None else None
 
         offsets, rms, psd = self.transform(blocks, profile, row_keys)
 
@@ -443,11 +452,6 @@ class AnalysisPipeline:
         for name, value in self._tallies().items():
             profile.count(name, value - tallies[name])
         profile.count("fleet_workers", self.executor.max_workers)
-        if supervision is not None:
-            now = supervision.as_dict()
-            profile.add_supervision(
-                {key: now[key] - supervision_before[key] for key in now}
-            )
 
         return PipelineResult(
             valid_mask=valid,
@@ -510,7 +514,7 @@ class AnalysisPipeline:
             "transform_cache_hits": self.transform_hits,
             "transform_cache_misses": self.transform_misses,
         }
-        if self.checkpoint is not None:
-            tallies["checkpoint_hits"] = self.checkpoint.hits
-            tallies["checkpoint_misses"] = self.checkpoint.misses
+        if self.journal is not None:
+            tallies["checkpoint_hits"] = self.journal_hits
+            tallies["checkpoint_misses"] = self.journal_misses
         return tallies

@@ -5,8 +5,9 @@ measurement matrix through transform → preprocess → features → RUL on
 the pieces this package provides:
 
 * :mod:`repro.runtime.batch` — the tiled 2-D DCT transform, spread over
-  threads with optional chunk journaling, bit-identical to the scalar
-  oracle in ``tests/reference/``;
+  threads, bit-identical to the scalar oracle in ``tests/reference/``;
+* :class:`~repro.runtime.checkpoint.RowJournal` — the row memo on disk,
+  behind ``repro analyze --checkpoint/--resume``;
 * :class:`~repro.runtime.fleet.FleetExecutor` — per-pump RUL and
   diagnosis chains fanned across worker threads with chunked scheduling
   and deterministic result ordering;
@@ -20,7 +21,7 @@ the pieces this package provides:
 """
 
 from repro.runtime.cache import ModelFitCache, default_model_fit_cache
-from repro.runtime.checkpoint import CheckpointManager
+from repro.runtime.checkpoint import RowJournal
 from repro.runtime.fleet import (
     ABANDONED,
     FleetExecutor,
@@ -33,9 +34,9 @@ from repro.runtime.profile import RuntimeProfile, StageStats
 
 __all__ = [
     "ABANDONED",
-    "CheckpointManager",
     "FleetExecutor",
     "ModelFitCache",
+    "RowJournal",
     "RuntimeProfile",
     "StageStats",
     "SupervisionExhaustedError",

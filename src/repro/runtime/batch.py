@@ -4,7 +4,7 @@
 layer through :func:`transform_rows`: one batched DCT-II over
 ``(n, K, 3)`` plus broadcast mean-offset calibration and a vectorized
 RMS reduction, computed in row tiles spread over the executor's threads
-and optionally journaled per chunk.  Feature extraction runs through the
+and optionally journaled per segment.  Feature extraction runs through the
 batched kernels of :mod:`repro.core.peaks` and :mod:`repro.core.distance`.
 
 Every kernel is bit-identical to the scalar per-row oracle in
@@ -20,23 +20,22 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.fft import dct
 
-from repro.runtime.cache import array_digest
 from repro.runtime.fleet import FleetExecutor
 
-#: Rows per transform chunk, the checkpoint journal's unit.  8192 stored
-#: float32 blocks of (1024, 3) are ~96 MiB of input per chunk; a crash
-#: loses at most one chunk of work.
+#: Most rows per journal segment (see :mod:`repro.runtime.checkpoint`).
+#: 8192 rows of (1024, 3) samples are ~64 MiB of PSD output per
+#: segment; a crash loses at most one segment of work.
 DEFAULT_CHUNK_ROWS = 8192
 
-#: Rows per compute tile *within* a chunk.  The chunk is the checkpoint
-#: journal's unit; the tile is the unit of actual compute, for the
-#: transform and for harmonic-peak extraction alike.  Small tiles keep
-#: the working set (float64 block, normalized block, transposed DCT
-#: scratch) inside a few MiB that the preallocated buffers recycle,
-#: instead of faulting in hundreds of MiB of fresh temporaries per
-#: chunk — measured ~4x faster on the 8,640-row fleet matrix with
-#: bit-identical output (the DCT and every reduction are row-local, so
-#: tile boundaries cannot change a single float).
+#: Rows per compute tile.  The segment is the journal's unit; the tile
+#: is the unit of actual compute, for the transform and for
+#: harmonic-peak extraction alike.  Small tiles keep the working set
+#: (float64 block, normalized block, transposed DCT scratch) inside a
+#: few MiB that the preallocated buffers recycle, instead of faulting
+#: in hundreds of MiB of fresh temporaries per call — measured ~4x
+#: faster on the 8,640-row fleet matrix with bit-identical output (the
+#: DCT and every reduction are row-local, so tile boundaries cannot
+#: change a single float).
 TRANSFORM_TILE_ROWS = 256
 
 
@@ -124,52 +123,41 @@ def run_tiles(
 
 def transform_rows(
     blocks: np.ndarray,
-    chunk_rows: int,
     executor: FleetExecutor,
-    checkpoint=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Transform every row of ``blocks`` chunk by chunk.
+    journal=None,
+    keys: list[bytes] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transform every row of ``blocks`` into ``(offsets, rms, psd)``.
 
-    ``blocks`` may be float32 or float64; tiles upcast as they go.
-    With a checkpoint armed, each chunk is first looked up in the
-    journal by its input digest — hashed in the chunk's own dtype, so
-    no float64 copy — and every computed chunk is journaled the moment
-    it completes.  Each missed chunk's tiles spread over
-    ``executor.max_workers`` plain threads (``0``/``1`` is serial) via
-    :func:`run_tiles`.  The threads bypass the executor itself, so its
-    fault injection, supervision tally and ``last_backend`` never see
-    transform tiles.  Returns ``(offsets, rms, psd, computed)``, where
-    ``computed`` counts the rows actually transformed rather than
-    recalled from the journal.
+    ``blocks`` may be float32 or float64; tiles upcast as they go.  The
+    tiles spread over ``executor.max_workers`` plain threads (``0``/``1``
+    is serial) via :func:`run_tiles`.  The threads bypass the executor
+    itself, so its fault injection, supervision tally and
+    ``last_backend`` never see transform tiles.  Without a journal this
+    is one :func:`run_tiles` call.  With a
+    :class:`~repro.runtime.checkpoint.RowJournal`, rows run in segments
+    of at most :data:`DEFAULT_CHUNK_ROWS`, each appended to the journal
+    under its rows' ``keys`` the moment it completes.
     """
     n, k = blocks.shape[0], blocks.shape[1]
     offsets = np.empty((n, 3))
     rms = np.empty(n)
     psd = np.empty((n, k))
-    computed = 0
     workers = max(1, executor.max_workers)
 
     def transform(lo: int, hi: int) -> None:
         _transform_tiled(blocks, lo, hi, offsets, rms, psd)
 
-    for index, lo in enumerate(range(0, n, chunk_rows)):
-        hi = min(lo + chunk_rows, n)
-        chunk_key = None
-        if checkpoint is not None:
-            chunk_key = array_digest(blocks[lo:hi])
-            journaled = checkpoint.load_chunk(index, chunk_key)
-            if journaled is not None:
-                offsets[lo:hi], rms[lo:hi], psd[lo:hi] = journaled
-                continue
+    if journal is None:
+        run_tiles(transform, 0, n, workers)
+        return offsets, rms, psd
+    for lo in range(0, n, DEFAULT_CHUNK_ROWS):
+        hi = min(lo + DEFAULT_CHUNK_ROWS, n)
         run_tiles(transform, lo, hi, workers)
-        computed += hi - lo
-        # Journal each chunk the moment it completes, so a crash
+        # Journal each segment the moment it completes, so a crash
         # mid-run resumes from here rather than from scratch.
-        if checkpoint is not None:
-            checkpoint.record_chunk(
-                index, lo, hi, chunk_key, offsets[lo:hi], rms[lo:hi], psd[lo:hi]
-            )
-    return offsets, rms, psd, computed
+        journal.append(keys[lo:hi], offsets[lo:hi], rms[lo:hi], psd[lo:hi])
+    return offsets, rms, psd
 
 
 def finite_block_mask(blocks: np.ndarray) -> np.ndarray:

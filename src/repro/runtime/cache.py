@@ -4,7 +4,7 @@
   :class:`~repro.core.pipeline.AnalysisPipeline`'s row memo, which holds
   each row's transform outputs and harmonic peaks; the measurement store
   writes each stored row's key once, at ingest;
-* :func:`array_digest` keys transform checkpoint chunks and model fits;
+* :func:`array_digest` keys model fits and verifies journal segments;
 * :class:`ModelFitCache` memoizes recursive-RANSAC fits for the
   walk-forward backtest.
 

@@ -13,6 +13,13 @@ import repro
 from repro.cli import main
 
 
+def profile_counters(text: str) -> dict[str, int]:
+    """The ``counters:`` line of a ``--profile`` table, parsed."""
+    line = next(x for x in text.splitlines() if x.strip().startswith("counters:"))
+    pairs = (item.split("=") for item in line.split()[1:])
+    return {name: int(value) for name, value in pairs}
+
+
 def run_cli(argv):
     out = io.StringIO()
     code = main(argv, out=out)
@@ -367,8 +374,8 @@ class TestOracleParity:
 
 class TestCheckpointResume:
     """``--checkpoint`` then ``--resume`` render a plain run's bytes, and a
-    journal written under the float64-keyed ``transform-v1`` run key is
-    ignored rather than recalled."""
+    version-1 chunk journal from an older build is ignored rather than
+    recalled."""
 
     @pytest.fixture(scope="class")
     def smoke(self, tmp_path_factory):
@@ -392,31 +399,48 @@ class TestCheckpointResume:
                                  "--profile"])
         assert code == 0
         assert resumed.startswith(plain)
-        assert "checkpoint_hits=1" in resumed
+        # Counters count rows: all 960 are recalled, none decoded, none
+        # transformed or journaled again.
+        counters = profile_counters(resumed)
+        assert counters["checkpoint_hits"] == 960
+        assert counters["checkpoint_misses"] == 0
+        assert counters["rows_decoded"] == 0
+        assert counters["transform_cache_misses"] == 0
 
     def test_v1_journal_is_ignored_not_misread(self, smoke, tmp_path):
         import json
 
         from repro.runtime.cache import array_digest
-        from repro.runtime.checkpoint import MANIFEST_NAME, CheckpointManager
+        from repro.runtime.checkpoint import MANIFEST_NAME
         from repro.storage.database import VibrationDatabase
 
         db_path, plain = smoke
         with VibrationDatabase(db_path) as db:
             samples = db.measurements.query_arrays(0.0, 1e9)[3]
         n, k = samples.shape[:2]
-        # A poisoned chunk journaled under the old run key, addressed by
-        # the very digest the current code computes: only the run key
-        # keeps it from being recalled.
+        # A poisoned chunk journaled by an older build, addressed by the
+        # chunk digest of the very bytes in the database: only the
+        # manifest version keeps it from being recalled.
         ckpt = tmp_path / "ckpt"
-        CheckpointManager(ckpt, run_key="transform-v1:chunk_rows=8192").record_chunk(
-            0, 0, n, array_digest(samples),
-            np.zeros((n, 3)), np.zeros(n), np.zeros((n, k)),
+        ckpt.mkdir()
+        np.savez(
+            ckpt / "chunk-00000.npz",
+            offsets=np.zeros((n, 3)), rms=np.zeros(n), psd=np.zeros((n, k)),
         )
+        (ckpt / MANIFEST_NAME).write_text(json.dumps({
+            "version": 1,
+            "run_key": "transform-v2:chunk_rows=8192",
+            "chunks": {"0": {"lo": 0, "hi": n,
+                             "input_digest": array_digest(samples).hex(),
+                             "payload": "chunk-00000.npz"}},
+            "superseded": [],
+        }))
         code, resumed = run_cli(["analyze", "--db", db_path, "--resume", str(ckpt),
                                  "--profile"])
         assert code == 0
         assert resumed.startswith(plain)
-        assert "checkpoint_hits=0" in resumed
+        counters = profile_counters(resumed)
+        assert counters["checkpoint_hits"] == 0
+        assert counters["checkpoint_misses"] == n
         manifest = json.loads((ckpt / MANIFEST_NAME).read_text())
-        assert manifest["run_key"] == "transform-v2:chunk_rows=8192"
+        assert manifest["version"] == 2

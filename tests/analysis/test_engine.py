@@ -120,6 +120,56 @@ class TestEngineDiagnosis:
         assert "SPECTRAL DIAGNOSIS" in text
 
 
+class KillEverySecondSubmission:
+    """Duck-typed injector: every second supervised chunk submission dies."""
+
+    def __init__(self):
+        self.submissions = 0
+
+    def kills(self, point):
+        self.submissions += 1
+        return self.submissions % 2 == 0
+
+    def delay_s(self, point):
+        return 0.0
+
+    def maybe_fail(self, point):
+        return None
+
+
+class TestEngineSupervision:
+    def test_profile_counts_the_reports_supervision_delta(self, loaded_db):
+        """Restarts in the diagnosis fan-out land in the report and in
+        the profile alike: both come from one per-run delta."""
+        from repro.runtime import FleetExecutor, RuntimeProfile, SupervisionPolicy
+
+        dataset, db = loaded_db
+        period = AnalysisPeriod(0.0, dataset.config.duration_days + 1)
+        api = DataRetrievalAPI(db, period)
+        executor = FleetExecutor(
+            max_workers=2,
+            injector=KillEverySecondSubmission(),
+            supervision=SupervisionPolicy(backoff_base_s=0.0, backoff_max_s=0.0),
+        )
+        engine = VibrationAnalysisEngine(
+            api,
+            EngineConfig(
+                pipeline=PipelineConfig(ransac_min_inliers=25), rotation_hz=29.5
+            ),
+            executor=executor,
+        )
+        for _ in range(2):  # the second run's delta excludes the first's
+            profile = RuntimeProfile()
+            report = engine.run(profile=profile)
+            assert report.diagnoses
+            assert report.supervision.restarts > 0
+            for key in ("restarts", "worker_deaths", "hung_chunks",
+                        "salvaged_chunks", "abandoned_chunks"):
+                assert profile.counters[f"supervision_{key}"] == getattr(
+                    report.supervision, key
+                ), key
+
+
 class TestEngineConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):

@@ -292,3 +292,35 @@ def test_injector_rewritten_known_row_is_keyed_by_its_content(refresh_db, tmp_pa
     assert outputs(report, tmp_path / "warm.html") == outputs(
         fresh, tmp_path / "fresh.html"
     )
+
+
+def test_resume_after_a_refresh_recalls_every_journaled_row(refresh_db, tmp_path):
+    """A long-lived engine journals its first window and then only its
+    refresh's new rows; a fresh engine over the same journal and the
+    advanced window decodes and transforms nothing."""
+    db, held = refresh_db
+    config = dataclasses.replace(CONFIG, checkpoint_dir=str(tmp_path / "ckpt"))
+    api = DataRetrievalAPI(db, AnalysisPeriod(0.0, T0))
+    engine = VibrationAnalysisEngine(api, config)
+    profile = RuntimeProfile()
+    first = engine.run(profile=profile).measurement_ids.size
+    assert profile.counters["checkpoint_misses"] == first
+    batch = [m for m in held if m.timestamp_day < T0 + DELTA]
+    db.measurements.add_many(batch)
+    api.advance(DELTA)
+    profile = RuntimeProfile()
+    engine.run(profile=profile)
+    assert profile.counters["checkpoint_misses"] == len(batch)
+
+    profile = RuntimeProfile()
+    resumed = VibrationAnalysisEngine(DataRetrievalAPI(db, api.period), config).run(
+        profile=profile
+    )
+    rows = resumed.measurement_ids.size
+    assert profile.stages["transform"].items == 0
+    assert profile.counters["rows_decoded"] == 0
+    assert profile.counters["checkpoint_hits"] == rows
+    assert profile.counters["checkpoint_misses"] == 0
+    assert outputs(resumed, tmp_path / "resumed.html") == fresh_outputs(
+        db, api.period, tmp_path / "fresh.html"
+    )

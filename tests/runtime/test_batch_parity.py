@@ -15,9 +15,10 @@ from repro.core.distance import packed_harmonic_distances
 from repro.core.features import psd_frequencies
 from repro.core.peaks import extract_harmonic_peaks_batch
 from repro.core.pipeline import AnalysisPipeline, PipelineConfig
+import repro.runtime.batch as batch_mod
 from repro.runtime import FleetExecutor
-from repro.runtime.batch import DEFAULT_CHUNK_ROWS, transform_rows
-from repro.runtime.checkpoint import CheckpointManager
+from repro.runtime.batch import transform_rows
+from repro.runtime.checkpoint import RowJournal
 from repro.runtime.profile import RuntimeProfile
 from tests.reference.pipeline import ReferencePipeline, transform_reference
 
@@ -51,12 +52,17 @@ class TestTransformParity:
         assert np.array_equal(s_rms, b_rms)
         assert np.array_equal(s_psd, b_psd)
 
-    def test_transform_parity_across_chunk_boundaries(self, workload):
+    def test_transform_parity_across_chunk_boundaries(
+        self, workload, tmp_path, monkeypatch
+    ):
         _, _, blocks, _ = workload
         reference = transform_reference(blocks)
-        # Chunk sizes that divide, straddle, and exceed the row count.
+        # Journal segment sizes that divide, straddle, and exceed the row
+        # count.
         for chunk_rows in (1, 7, blocks.shape[0], blocks.shape[0] + 5):
-            chunked = fresh_batch(chunk_rows=chunk_rows).transform(blocks)
+            monkeypatch.setattr(batch_mod, "DEFAULT_CHUNK_ROWS", chunk_rows)
+            journal = RowJournal(tmp_path / f"ckpt-{chunk_rows}")
+            chunked = fresh_batch(journal=journal).transform(blocks)
             for ref, got in zip(reference, chunked):
                 assert np.array_equal(ref, got), f"chunk_rows={chunk_rows}"
 
@@ -102,8 +108,8 @@ class TestTransformParity:
 
 
 class TestThreadedTransformParity:
-    """``transform_rows`` spreads each chunk's tiles over the executor's
-    threads; every op is row-local, so the bytes never depend on it."""
+    """``transform_rows`` spreads its tiles over the executor's threads;
+    every op is row-local, so the bytes never depend on it."""
 
     @staticmethod
     def rows(n: int, seed: int = 5) -> np.ndarray:
@@ -114,8 +120,8 @@ class TestThreadedTransformParity:
     def test_bit_identical_to_reference(self, workers, n):
         blocks = self.rows(n)
         executor = FleetExecutor(max_workers=workers)
-        *outputs, computed = transform_rows(blocks, DEFAULT_CHUNK_ROWS, executor)
-        assert computed == n
+        outputs = transform_rows(blocks, executor)
+        assert outputs[2].shape == (n, 64)
         for ref, got in zip(transform_reference(blocks), outputs):
             assert np.array_equal(ref, got)
         # Transform tiles bypass the executor's map and its bookkeeping.
@@ -125,20 +131,27 @@ class TestThreadedTransformParity:
         blocks = self.rows(1000)
         blocks[-1, 10, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            transform_rows(blocks, DEFAULT_CHUNK_ROWS, FleetExecutor(max_workers=3))
+            transform_rows(blocks, FleetExecutor(max_workers=3))
 
-    def test_checkpointed_threaded_run_resumes_identically(self, tmp_path):
+    def test_checkpointed_threaded_run_resumes_identically(
+        self, tmp_path, monkeypatch
+    ):
         blocks = self.rows(1000)
         executor = FleetExecutor(max_workers=3)
-        # 400-row chunks: two multi-tile chunks plus a 200-row tail.
-        *first, computed = transform_rows(
-            blocks, 400, executor, CheckpointManager(tmp_path / "ckpt")
-        )
-        assert computed == 1000
-        *resumed, computed = transform_rows(
-            blocks, 400, executor, CheckpointManager(tmp_path / "ckpt")
-        )
-        assert computed == 0
+        # 400-row segments: two multi-tile segments plus a 200-row tail.
+        monkeypatch.setattr(batch_mod, "DEFAULT_CHUNK_ROWS", 400)
+
+        def journaled() -> AnalysisPipeline:
+            return AnalysisPipeline(
+                executor=executor, journal=RowJournal(tmp_path / "ckpt")
+            )
+
+        profile = RuntimeProfile()
+        first = journaled().transform(blocks, profile)
+        assert profile.stages["transform"].items == 1000
+        profile = RuntimeProfile()
+        resumed = journaled().transform(blocks, profile)
+        assert profile.stages["transform"].items == 0
         for ref, a, b in zip(transform_reference(blocks), first, resumed):
             assert np.array_equal(ref, a)
             assert a.tobytes() == b.tobytes()

@@ -1,9 +1,9 @@
-"""Checkpoint journal: crash-safe, bit-identical transform resume.
+"""Row journal: the row memo on disk, crash-safe and bit-identical.
 
-The manifest is content-addressed (chunks keyed by input digest, payload
-verified by output digest on load), so resume can never serve stale or
-torn data — worst case it recomputes.  These tests drive the journal
-through :class:`AnalysisPipeline` exactly as the engine does.
+Segments are keyed by row content (the row memo's keys) and verified by
+a digest on load, so resume can never serve stale or torn data — worst
+case it recomputes.  These tests drive the journal through
+:class:`AnalysisPipeline` exactly as the engine does.
 """
 
 from __future__ import annotations
@@ -13,13 +13,18 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.pipeline import PipelineConfig
-from repro.core.pipeline import AnalysisPipeline
-from repro.runtime.cache import array_digest
-from repro.runtime.checkpoint import MANIFEST_NAME, CheckpointManager
+import repro.runtime.batch as batch_mod
+from repro.core.pipeline import AnalysisPipeline, PipelineConfig
+from repro.runtime.cache import array_digest, row_digests
+from repro.runtime.checkpoint import MANIFEST_NAME, RowJournal
 
 N, K = 40, 64
-CHUNK_ROWS = 16  # 3 chunks over N rows
+SEGMENT_ROWS = 16  # 3 segments over N rows
+
+
+@pytest.fixture(autouse=True)
+def small_segments(monkeypatch):
+    monkeypatch.setattr(batch_mod, "DEFAULT_CHUNK_ROWS", SEGMENT_ROWS)
 
 
 @pytest.fixture()
@@ -28,50 +33,62 @@ def blocks():
     return rng.normal(size=(N, K, 3))
 
 
-def make_pipeline(ckpt_dir=None, run_key="test-v1") -> AnalysisPipeline:
-    checkpoint = CheckpointManager(ckpt_dir, run_key=run_key) if ckpt_dir else None
-    return AnalysisPipeline(
-        PipelineConfig(),
-        chunk_rows=CHUNK_ROWS,
-        checkpoint=checkpoint,
-    )
+def make_pipeline(ckpt_dir=None) -> AnalysisPipeline:
+    journal = RowJournal(ckpt_dir) if ckpt_dir else None
+    return AnalysisPipeline(PipelineConfig(), journal=journal)
+
+
+def assert_identical(reference, got) -> None:
+    for ref, out in zip(reference, got):
+        assert np.array_equal(ref, out)
+
+
+def manifest(ckpt_dir) -> dict:
+    return json.loads((ckpt_dir / MANIFEST_NAME).read_text())
 
 
 class TestJournalAndResume:
     def test_resume_is_bit_identical_and_all_hits(self, tmp_path, blocks):
         reference = make_pipeline().transform(blocks)
-        first = make_pipeline(tmp_path).transform(blocks)
-        for ref, got in zip(reference, first):
-            assert np.array_equal(ref, got)
+        first_pipeline = make_pipeline(tmp_path)
+        assert_identical(reference, first_pipeline.transform(blocks))
+        assert first_pipeline.journal_hits == 0
+        assert first_pipeline.journal_misses == N
 
         resumed_pipeline = make_pipeline(tmp_path)
+        assert len(resumed_pipeline.memo_keys) == N
         resumed = resumed_pipeline.transform(blocks)
-        assert resumed_pipeline.checkpoint.hits == 3
-        assert resumed_pipeline.checkpoint.misses == 0
-        for ref, got in zip(reference, resumed):
-            assert np.array_equal(ref, got)
+        assert resumed_pipeline.journal_hits == N
+        assert resumed_pipeline.journal_misses == 0
+        assert resumed_pipeline.transform_misses == 0
+        assert_identical(reference, resumed)
+        # Nothing new to journal.
+        assert len(manifest(tmp_path)["segments"]) == 3
 
     def test_manifest_format_is_versioned_and_content_addressed(
         self, tmp_path, blocks
     ):
         make_pipeline(tmp_path).transform(blocks)
-        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        assert manifest["version"] == 1
-        assert manifest["run_key"] == "test-v1"
-        assert sorted(manifest["chunks"]) == ["0", "1", "2"]
-        entry = manifest["chunks"]["0"]
-        assert entry["lo"] == 0 and entry["hi"] == CHUNK_ROWS
-        assert entry["input_digest"] == array_digest(blocks[:CHUNK_ROWS]).hex()
-        assert (tmp_path / entry["payload"]).exists()
+        data = manifest(tmp_path)
+        assert data["version"] == 2
+        assert sorted(data) == ["segments", "version"]
+        segments = data["segments"]
+        assert [entry["payload"] for entry in segments] == [
+            "segment-00000.npz", "segment-00001.npz", "segment-00002.npz"
+        ]
+        assert {entry["width"] for entry in segments} == {K}
+        with np.load(tmp_path / segments[0]["payload"]) as archive:
+            keys = [row.tobytes() for row in archive["keys"]]
+            assert archive["psd"].shape == (SEGMENT_ROWS, K)
+        assert keys == row_digests(blocks[:SEGMENT_ROWS])
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_interrupted_run_resumes_from_completed_chunks(
         self, tmp_path, blocks, monkeypatch
     ):
-        """Crash after two chunks: the resumed run recalls them from the
-        journal, recomputes the rest, and matches an uninterrupted run."""
-        import repro.runtime.batch as batch_mod
-
+        """Crash after two segments: the resumed run recalls their rows
+        from the journal, recomputes the rest, and matches an
+        uninterrupted run."""
         reference = make_pipeline().transform(blocks)
         real_tiled = batch_mod._transform_tiled
         calls = {"n": 0}
@@ -89,22 +106,39 @@ class TestJournalAndResume:
 
         resumed_pipeline = make_pipeline(tmp_path)
         resumed = resumed_pipeline.transform(blocks)
-        assert resumed_pipeline.checkpoint.hits == 2
-        assert resumed_pipeline.checkpoint.misses == 1
-        for ref, got in zip(reference, resumed):
-            assert np.array_equal(ref, got)
+        assert resumed_pipeline.journal_hits == 2 * SEGMENT_ROWS
+        assert resumed_pipeline.journal_misses == N - 2 * SEGMENT_ROWS
+        assert_identical(reference, resumed)
 
     def test_torn_payload_self_heals(self, tmp_path, blocks):
         reference = make_pipeline().transform(blocks)
         make_pipeline(tmp_path).transform(blocks)
-        (tmp_path / "chunk-00001.npz").write_bytes(b"torn mid-write")
+        (tmp_path / "segment-00001.npz").write_bytes(b"torn mid-write")
 
         resumed_pipeline = make_pipeline(tmp_path)
         resumed = resumed_pipeline.transform(blocks)
-        assert resumed_pipeline.checkpoint.hits == 2
-        assert resumed_pipeline.checkpoint.misses == 1
-        for ref, got in zip(reference, resumed):
-            assert np.array_equal(ref, got)
+        assert resumed_pipeline.journal_hits == N - SEGMENT_ROWS
+        assert resumed_pipeline.journal_misses == SEGMENT_ROWS
+        assert_identical(reference, resumed)
+        # The recomputed rows are journaled again, in a segment of their own.
+        again = make_pipeline(tmp_path)
+        assert_identical(reference, again.transform(blocks))
+        assert again.journal_hits == N
+
+    def test_digest_mismatch_is_recomputed(self, tmp_path, blocks):
+        reference = make_pipeline().transform(blocks)
+        make_pipeline(tmp_path).transform(blocks)
+        # A well-formed payload whose outputs no longer match the digest.
+        path = tmp_path / "segment-00000.npz"
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        arrays["psd"] = arrays["psd"] + 1.0
+        np.savez(path, **arrays)
+
+        resumed_pipeline = make_pipeline(tmp_path)
+        resumed = resumed_pipeline.transform(blocks)
+        assert resumed_pipeline.journal_hits == N - SEGMENT_ROWS
+        assert_identical(reference, resumed)
 
     def test_changed_input_bytes_are_not_served(self, tmp_path, blocks):
         make_pipeline(tmp_path).transform(blocks)
@@ -112,70 +146,77 @@ class TestJournalAndResume:
         changed[3, 0, 0] += 1.0
         resumed_pipeline = make_pipeline(tmp_path)
         resumed = resumed_pipeline.transform(changed)
-        # Chunk 0 holds the changed row: recomputed, chunks 1-2 recalled.
-        assert resumed_pipeline.checkpoint.hits == 2
-        assert resumed_pipeline.checkpoint.misses == 1
-        reference = make_pipeline().transform(changed)
-        for ref, got in zip(reference, resumed):
-            assert np.array_equal(ref, got)
+        # Only the changed row is recomputed; every other row is recalled.
+        assert resumed_pipeline.journal_hits == N - 1
+        assert resumed_pipeline.journal_misses == 1
+        assert_identical(make_pipeline().transform(changed), resumed)
 
-    def test_run_key_mismatch_starts_fresh(self, tmp_path, blocks):
-        make_pipeline(tmp_path, run_key="test-v1").transform(blocks)
-        other = make_pipeline(tmp_path, run_key="other-config")
-        other.transform(blocks)
-        assert other.checkpoint.hits == 0
-        assert other.checkpoint.misses == 3
+    def test_version_1_manifest_is_ignored(self, tmp_path, blocks):
+        """A chunk journal from an older build, whose poisoned chunk is
+        addressed by the rows' own bytes, is never read."""
+        n = blocks.shape[0]
+        np.savez(
+            tmp_path / "chunk-00000.npz",
+            offsets=np.zeros((n, 3)), rms=np.zeros(n), psd=np.zeros((n, K)),
+        )
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps({
+            "version": 1,
+            "run_key": "transform-v2:chunk_rows=8192",
+            "chunks": {"0": {"lo": 0, "hi": n, "payload": "chunk-00000.npz",
+                             "input_digest": array_digest(blocks).hex()}},
+            "superseded": [],
+        }))
+        pipeline = make_pipeline(tmp_path)
+        assert len(pipeline.memo_keys) == 0
+        assert_identical(make_pipeline().transform(blocks), pipeline.transform(blocks))
+        assert pipeline.journal_hits == 0
+        assert pipeline.journal_misses == N
+        assert manifest(tmp_path)["version"] == 2
 
-
-def superseded(ckpt_dir) -> list[str]:
-    return json.loads((ckpt_dir / MANIFEST_NAME).read_text())["superseded"]
+    def test_only_the_newest_psd_width_is_loaded(self, tmp_path, blocks):
+        """Rows of another block length have other bytes, so their
+        segments can never hit; only the newest width seeds the memo."""
+        short = blocks[:, : K // 2].copy()
+        make_pipeline(tmp_path).transform(blocks)
+        make_pipeline(tmp_path).transform(short)
+        pipeline = make_pipeline(tmp_path)
+        assert set(pipeline.memo_keys) == set(row_digests(short))
+        assert_identical(make_pipeline().transform(short), pipeline.transform(short))
+        assert pipeline.journal_hits == N
 
 
 class TestStaleCacheRevalidation:
-    def test_warm_hit_cannot_resurrect_superseded_chunk(self, tmp_path, blocks):
-        """The manifest records superseded chunks, but no warm hit needs
-        checking against them: the transform row memo is keyed by row
-        content, so a hit can only serve the bytes it was computed from."""
+    def test_each_input_recalls_only_its_own_rows(self, tmp_path, blocks):
+        """Two inputs journaled into one directory: each recalls exactly
+        its own rows, bit-identical to a cold transform, and a warm
+        memo re-transforms (and journals) only a row whose bytes
+        changed."""
+        changed = blocks + 1.0
         pipeline = make_pipeline(tmp_path)
         pipeline.transform(blocks)
-
-        # A second run over different bytes re-records every chunk slot,
-        # superseding the original digests in the shared manifest.
-        changed = blocks + 1.0
-        other = AnalysisPipeline(
-            PipelineConfig(),
-                chunk_rows=CHUNK_ROWS,
-            checkpoint=pipeline.checkpoint,
-        )
+        other = make_pipeline(tmp_path)
         other.transform(changed)
-        chunk_key = array_digest(blocks[:CHUNK_ROWS]).hex()
-        assert chunk_key in superseded(tmp_path)
+        assert other.journal_hits == 0
+        assert other.journal_misses == N
 
-        # The first pipeline's warm rerun serves every row from its memo,
-        # bit-identical to a cold transform.
-        reference = make_pipeline().transform(blocks)
-        warm = pipeline.transform(blocks)
-        assert pipeline.transform_hits == N
-        for ref, got in zip(reference, warm):
-            assert np.array_equal(ref, got)
-
-        # A cold pipeline over the same journal recomputes the chunks;
-        # re-recording un-supersedes their digests.
-        rerun = make_pipeline(tmp_path).transform(blocks)
-        for ref, got in zip(reference, rerun):
-            assert np.array_equal(ref, got)
-        assert chunk_key not in superseded(tmp_path)
+        for data in (blocks, changed):
+            resumed = make_pipeline(tmp_path)
+            assert_identical(make_pipeline().transform(data), resumed.transform(data))
+            assert resumed.journal_hits == N
+            assert resumed.journal_misses == 0
 
         # Content keying: changing one sample of a seen row re-transforms
         # that row and only that row.
+        reference = make_pipeline().transform(blocks)
         poked = blocks.copy()
         poked[7, 3, 1] += 1e-9
         hits0, misses0 = pipeline.transform_hits, pipeline.transform_misses
+        journaled0 = pipeline.journal_misses
         result = pipeline.transform(poked)
         assert pipeline.transform_misses - misses0 == 1
         assert pipeline.transform_hits - hits0 == N - 1
-        for ref, got in zip(make_pipeline().transform(poked), result):
-            assert np.array_equal(ref, got)
+        assert pipeline.journal_misses - journaled0 == 1
+        assert_identical(make_pipeline().transform(poked), result)
         assert not np.array_equal(result[2][7], reference[2][7])
 
 
@@ -188,12 +229,7 @@ class TestAtomicity:
         resumed_pipeline = make_pipeline(tmp_path)
         resumed_pipeline.transform(blocks)
         # Unreadable manifest -> fresh start, re-journaled cleanly.
-        assert resumed_pipeline.checkpoint.misses == 3
-        assert json.loads(manifest_path.read_text())["version"] == 1
-
-    def test_describe_mentions_directory_and_chunks(self, tmp_path, blocks):
-        pipeline = make_pipeline(tmp_path)
-        pipeline.transform(blocks)
-        text = pipeline.checkpoint.describe()
-        assert str(tmp_path) in text
-        assert "3 chunk(s)" in text
+        assert resumed_pipeline.journal_hits == 0
+        assert resumed_pipeline.journal_misses == N
+        assert manifest(tmp_path)["version"] == 2
+        assert len(manifest(tmp_path)["segments"]) == 3

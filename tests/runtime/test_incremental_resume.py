@@ -15,21 +15,22 @@ import pytest
 import repro.runtime.batch as batch_mod
 from repro.core.pipeline import PipelineConfig
 from repro.core.pipeline import AnalysisPipeline
-from repro.runtime.checkpoint import CheckpointManager
+from repro.runtime.checkpoint import RowJournal
 from repro.runtime.profile import RuntimeProfile
 
 from tests.runtime.conftest import make_workload
 
-CHUNK_ROWS = 64
+SEGMENT_ROWS = 64
+
+
+@pytest.fixture(autouse=True)
+def small_segments(monkeypatch):
+    monkeypatch.setattr(batch_mod, "DEFAULT_CHUNK_ROWS", SEGMENT_ROWS)
 
 
 def make_pipeline(ckpt_dir=None) -> AnalysisPipeline:
-    checkpoint = CheckpointManager(ckpt_dir) if ckpt_dir else None
-    return AnalysisPipeline(
-        PipelineConfig(),
-        chunk_rows=CHUNK_ROWS,
-        checkpoint=checkpoint,
-    )
+    journal = RowJournal(ckpt_dir) if ckpt_dir else None
+    return AnalysisPipeline(PipelineConfig(), journal=journal)
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +58,9 @@ def test_killed_batch_window_resumes_bit_identical(tmp_path, window, monkeypatch
 
     resumed_pipeline = make_pipeline(tmp_path)
     resumed = resumed_pipeline.run(ids, days, blocks, labels)
-    assert resumed_pipeline.checkpoint.hits == 1
-    assert resumed_pipeline.checkpoint.misses >= 1
+    # The kill left one segment journaled; only the other rows recompute.
+    assert resumed_pipeline.journal_hits == SEGMENT_ROWS
+    assert resumed_pipeline.journal_misses == blocks.shape[0] - SEGMENT_ROWS
     np.testing.assert_array_equal(resumed.da, reference.da)
     np.testing.assert_array_equal(resumed.psd, reference.psd)
     np.testing.assert_array_equal(resumed.zones, reference.zones)
@@ -93,7 +95,7 @@ def test_killed_incremental_window_resumes_bit_identical(
     resumed_pipeline = make_pipeline(tmp_path)
     profile = RuntimeProfile()
     resumed = resumed_pipeline.run(ids, days, blocks, labels, profile=profile)
-    assert resumed_pipeline.checkpoint.hits == 1
+    assert profile.counters["checkpoint_hits"] == SEGMENT_ROWS
     np.testing.assert_array_equal(resumed.offsets, reference.offsets)
     np.testing.assert_array_equal(resumed.rms, reference.rms)
     np.testing.assert_array_equal(resumed.psd, reference.psd)
@@ -111,11 +113,16 @@ def test_killed_incremental_window_resumes_bit_identical(
         grown_ids, grown_days, grown_blocks, labels, profile=profile
     )
     cold = make_pipeline().run(grown_ids, grown_days, grown_blocks, labels)
+    # In-process memo hits: the grown run's n known rows; journal hits:
+    # the resumed run's one journaled segment.
     assert profile.counters["transform_cache_hits"] == n
-    assert profile.counters["transform_cache_misses"] == n + 8
-    # Rows actually transformed: the chunk the kill left unjournaled,
-    # then the 8 new rows.
-    assert profile.stages["transform"].items == (n - CHUNK_ROWS) + 8
+    assert profile.counters["checkpoint_hits"] == SEGMENT_ROWS
+    # Rows actually transformed, and journaled: the rows the kill left
+    # unjournaled, then the 8 new rows.
+    transformed = (n - SEGMENT_ROWS) + 8
+    assert profile.counters["transform_cache_misses"] == transformed
+    assert profile.counters["checkpoint_misses"] == transformed
+    assert profile.stages["transform"].items == transformed
     np.testing.assert_array_equal(grown.offsets, cold.offsets)
     np.testing.assert_array_equal(grown.rms, cold.rms)
     np.testing.assert_array_equal(grown.da, cold.da)
