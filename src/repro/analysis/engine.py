@@ -286,8 +286,80 @@ class VibrationAnalysisEngine:
             self._pipeline = self._make_pipeline()
         pipeline = self._pipeline
         # Retrieval verifies every row but decodes only the rows the row
-        # memo lacks; the memo gathers the rest by key.
-        self.api.known_row_keys = pipeline.memo_keys
+        # memo cannot serve; the memo gathers the rest by key.  A
+        # diagnosing run reads every row's PSD, so only rows whose PSD
+        # the memo holds are served.  A plain run reads the PSD of its
+        # labelled Zone A rows alone: when the memo lacks one of those
+        # (a label added to a row seen without it), the window is read
+        # again with that row decoded.
+        keep_psd = self.config.rotation_hz is not None
+        known = pipeline.psd_keys if keep_psd else pipeline.memo_keys
+        window = self._retrieve(known, profile)
+        if not keep_psd:
+            keys, train_labels = window[4], window[6]
+            lacking = {
+                keys[i]
+                for i, zone in train_labels.items()
+                if zone == ZONE_A
+                and keys[i] in known
+                and keys[i] not in pipeline.psd_keys
+            }
+            if lacking:
+                window = self._retrieve(known - lacking, profile)
+        pumps, mids, service, samples, keys, health, train_labels = window
+
+        # One supervision delta per run, closed after the diagnosis fan-out,
+        # feeds both the report and the profile.
+        sup_tally = pipeline.executor.supervision_report
+        sup_before = sup_tally.as_dict() if sup_tally is not None else None
+        result = pipeline.run(
+            pumps,
+            service,
+            samples,
+            train_labels,
+            profile=profile,
+            row_keys=keys,
+            keep_psd=keep_psd,
+        )
+
+        events = self.api.get_events()
+        wasted = self.config.cost.wasted_rul_value(events)
+        if profile is not None:
+            with profile.stage("diagnose"):
+                diagnoses = self._diagnose(pumps, service, result, pipeline)
+        else:
+            diagnoses = self._diagnose(pumps, service, result, pipeline)
+        supervision = None
+        if sup_tally is not None:
+            sup_after = sup_tally.as_dict()
+            delta = {key: sup_after[key] - sup_before[key] for key in sup_after}
+            supervision = SupervisionReport(**delta)
+            if profile is not None:
+                profile.add_supervision(delta)
+        return AnalysisReport(
+            pump_ids=pumps,
+            measurement_ids=mids,
+            service_days=service,
+            pipeline=result,
+            events=events,
+            wasted_rul=wasted,
+            n_labels_used=len(train_labels),
+            diagnoses=diagnoses,
+            data_health=health,
+            supervision=supervision,
+        )
+
+    def _retrieve(self, known, profile: RuntimeProfile | None) -> tuple:
+        """Read the window, decoding only rows whose key is not in ``known``.
+
+        Returns ``(pumps, mids, service, samples, keys, health,
+        train_labels)`` after the non-finite quarantine and the label
+        join.
+
+        Raises:
+            InsufficientDataError: as :meth:`run`.
+        """
+        self.api.known_row_keys = known
         try:
             window = self.api.measurement_matrices_with_health()
         finally:
@@ -345,41 +417,7 @@ class VibrationAnalysisEngine:
             raise InsufficientDataError(
                 "no valid labels fall inside the analysis period"
             )
-
-        # One supervision delta per run, closed after the diagnosis fan-out,
-        # feeds both the report and the profile.
-        sup_tally = pipeline.executor.supervision_report
-        sup_before = sup_tally.as_dict() if sup_tally is not None else None
-        result = pipeline.run(
-            pumps, service, samples, train_labels, profile=profile, row_keys=keys
-        )
-
-        events = self.api.get_events()
-        wasted = self.config.cost.wasted_rul_value(events)
-        if profile is not None:
-            with profile.stage("diagnose"):
-                diagnoses = self._diagnose(pumps, service, result, pipeline)
-        else:
-            diagnoses = self._diagnose(pumps, service, result, pipeline)
-        supervision = None
-        if sup_tally is not None:
-            sup_after = sup_tally.as_dict()
-            delta = {key: sup_after[key] - sup_before[key] for key in sup_after}
-            supervision = SupervisionReport(**delta)
-            if profile is not None:
-                profile.add_supervision(delta)
-        return AnalysisReport(
-            pump_ids=pumps,
-            measurement_ids=mids,
-            service_days=service,
-            pipeline=result,
-            events=events,
-            wasted_rul=wasted,
-            n_labels_used=len(train_labels),
-            diagnoses=diagnoses,
-            data_health=health,
-            supervision=supervision,
-        )
+        return pumps, mids, service, samples, keys, health, train_labels
 
     def _diagnose(
         self,
@@ -396,7 +434,7 @@ class VibrationAnalysisEngine:
         healthy = result.valid_mask & (result.zones == ZONE_A)
         if not healthy.any():
             return {}
-        healthy_psd = result.psd[healthy].mean(axis=0)
+        healthy_psd = result.psd_of(np.flatnonzero(healthy)).mean(axis=0)
         diagnoser = SpectralDiagnoser(self.config.rotation_hz)
         diagnoser.fit_baseline(extract_harmonic_peaks(healthy_psd, freqs))
 
@@ -411,7 +449,7 @@ class VibrationAnalysisEngine:
             if member.size == 0:
                 continue
             recent = member[np.argsort(service[member])][-window:]
-            items.append((int(pump), result.psd[recent].mean(axis=0)))
+            items.append((int(pump), result.psd_of(recent).mean(axis=0)))
 
         # map_pumps preserves the sorted submission order, so the report
         # iterates pumps identically whatever the executor's width.

@@ -253,7 +253,7 @@ def _cmd_analyze(args, out) -> int:
     from repro.analysis.reporting import render_report
     from repro.core.pipeline import PipelineConfig
     from repro.runtime import RuntimeProfile, SupervisionPolicy
-    from repro.runtime.checkpoint import MANIFEST_NAME
+    from repro.runtime.checkpoint import MANIFEST_NAME, RowJournal
     from repro.storage.api import AnalysisPeriod, DataRetrievalAPI
     from repro.storage.database import VibrationDatabase
 
@@ -263,12 +263,18 @@ def _cmd_analyze(args, out) -> int:
         return 2
     if args.resume is not None:
         manifest = os.path.join(args.resume, MANIFEST_NAME)
+        problem = None
         if not os.path.exists(manifest):
+            problem = f"no checkpoint manifest at {manifest}"
+        else:
+            unusable = RowJournal(args.resume).unusable
+            if unusable is not None:
+                problem = f"checkpoint manifest at {manifest} {unusable}"
+        if problem:
             # Diagnostics go to stderr: the report on stdout must stay
             # byte-identical to a plain run (CI diffs it).
             print(
-                f"note: no checkpoint manifest at {manifest}; "
-                "running fresh (and journaling a new checkpoint)",
+                f"note: {problem}; running fresh (and journaling a new checkpoint)",
                 file=sys.stderr,
             )
     try:

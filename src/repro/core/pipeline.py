@@ -7,9 +7,11 @@ The pipeline mirrors the paper's layer stack:
 * **data preprocessing** — mean-shift outlier detection on acceleration
   averages per sensor, moving-average denoising of the degradation-feature
   time series, and construction of the dense matrices used downstream;
-* **feature matrix extraction** — harmonic peak features and the peak
-  harmonic distance ``D_a`` from a Zone A exemplar; each row's peaks are
-  memoized with its transform outputs, keyed by the row's content;
+* **feature matrix extraction** — harmonic peak features, taken in the
+  transform tile while each PSD row is in cache, and the peak harmonic
+  distance ``D_a`` from a Zone A exemplar; each row's peaks are memoized
+  with its transform outputs, keyed by the row's content, and a PSD row
+  is kept only where a stage reads it;
 * **RUL model layer** — zone classification thresholds, recursive-RANSAC
   lifetime models and per-pump RUL predictions.
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,14 +39,13 @@ from repro.core.outliers import OutlierConfig, detect_invalid_measurements
 from repro.core.peaks import (
     DEFAULT_NUM_PEAKS,
     DEFAULT_WINDOW_SIZE,
-    HarmonicPeaks,
     PackedPeaks,
     extract_harmonic_peaks_batch,
 )
 from repro.core.ransac import LineModel, RecursiveRANSAC
 from repro.core.rul import RULEstimator, RULPrediction, learn_zone_d_threshold
 from repro.core.window import moving_average
-from repro.runtime.batch import TRANSFORM_TILE_ROWS, run_tiles, transform_rows
+from repro.runtime.batch import TRANSFORM_TILE_ROWS, transform_rows
 from repro.runtime.cache import as_float, row_digests
 from repro.runtime.fleet import FleetExecutor
 from repro.runtime.profile import RuntimeProfile
@@ -81,6 +83,50 @@ class PipelineConfig:
             raise ValueError("moving_average_window must be positive")
 
 
+def psd_positions(psd_rows: np.ndarray, rows) -> np.ndarray:
+    """Positions in ``psd_rows`` (ascending row indices) of ``rows``.
+
+    Raises:
+        ValueError: when a row's PSD was not kept.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    positions = np.searchsorted(psd_rows, rows)
+    if rows.size and (
+        positions.max() >= psd_rows.size
+        or not np.array_equal(psd_rows[positions], rows)
+    ):
+        raise ValueError("the PSD of a requested row was not kept")
+    return positions
+
+
+class RowFeatures(NamedTuple):
+    """Per-row transform outputs of :meth:`AnalysisPipeline.transform`.
+
+    Attributes:
+        offsets: ``(n, 3)`` acceleration averages.
+        rms: ``(n,)`` RMS features.
+        peak_frequencies: ``(n, num_peaks)`` harmonic peak frequencies,
+            zero-padded (see :class:`~repro.core.peaks.PackedPeaks`).
+        peak_values: ``(n, num_peaks)`` peak amplitudes, zero-padded.
+        peak_counts: ``(n,)`` real peaks per row.
+        psd: ``(m, K)`` PSD rows of the rows at ``psd_rows``.
+        psd_rows: ``(m,)`` ascending row indices whose PSD was kept.
+    """
+
+    offsets: np.ndarray
+    rms: np.ndarray
+    peak_frequencies: np.ndarray
+    peak_values: np.ndarray
+    peak_counts: np.ndarray
+    psd: np.ndarray
+    psd_rows: np.ndarray
+
+    @property
+    def peaks(self) -> PackedPeaks:
+        """Every row's harmonic peaks, packed."""
+        return PackedPeaks(self.peak_frequencies, self.peak_values, self.peak_counts)
+
+
 @dataclass
 class PipelineResult:
     """All artifacts produced by one pipeline run.
@@ -89,7 +135,11 @@ class PipelineResult:
         valid_mask: per-measurement validity after outlier detection.
         offsets: ``(n, 3)`` acceleration averages.
         rms: ``(n,)`` RMS features.
-        psd: ``(n, K)`` PSD feature matrix.
+        peaks: harmonic peaks of every measurement, packed.
+        psd: ``(m, K)`` PSD rows of the measurements at ``psd_rows``:
+            the labelled Zone A rows, or every row when the run was
+            asked to keep them (``keep_psd``).
+        psd_rows: ``(m,)`` ascending measurement indices of ``psd``.
         da: ``(n,)`` peak harmonic distance from the Zone A exemplar
             (NaN for invalid measurements).
         zones: predicted zone label per measurement (``""`` for invalid).
@@ -102,13 +152,23 @@ class PipelineResult:
     valid_mask: np.ndarray
     offsets: np.ndarray
     rms: np.ndarray
+    peaks: PackedPeaks
     psd: np.ndarray
+    psd_rows: np.ndarray
     da: np.ndarray
     zones: np.ndarray
     zone_thresholds: np.ndarray
     zone_d_threshold: float
     lifetime_models: list[LineModel]
     rul: dict[object, RULPrediction]
+
+    def psd_of(self, rows) -> np.ndarray:
+        """PSD rows of measurement indices ``rows``, in the order given.
+
+        Raises:
+            ValueError: when a row's PSD was not kept.
+        """
+        return self.psd[psd_positions(self.psd_rows, rows)]
 
 
 class AnalysisPipeline:
@@ -135,13 +195,16 @@ class AnalysisPipeline:
         self.journal = journal
         self.estimator_: RULEstimator | None = None
         #: Row memo of the last :meth:`transform` call (or the journal's
-        #: rows, before the first): row digest → row index into frozen
-        #: ``(offsets, rms, psd)`` and peak rows ``(frequencies, values,
-        #: counts, extracted)``, which :meth:`run` fills in for the valid
-        #: rows it scores.
+        #: rows, before the first): row key → row index into the frozen
+        #: per-row outputs ``(offsets, rms, peak_frequencies,
+        #: peak_values, peak_counts)``, and row key → row of the frozen
+        #: PSD rows that call kept.
         self._memo_rows: dict[bytes, int] = {}
         self._memo_outputs: tuple[np.ndarray, ...] = ()
-        self._memo_peaks: tuple[np.ndarray, ...] = ()
+        self._memo_psd_rows: dict[bytes, int] = {}
+        self._memo_psd = np.empty((0, 0))
+        #: Rows the last :meth:`transform` call transformed.
+        self._fresh = np.zeros(0, dtype=bool)
         #: Rows recalled from the in-process memo / transformed, cumulative.
         self.transform_hits = 0
         self.transform_misses = 0
@@ -151,35 +214,55 @@ class AnalysisPipeline:
         #: Valid rows whose peaks were recalled / extracted, cumulative.
         self.peak_hits = 0
         self.peak_misses = 0
-        seed = journal.load() if journal is not None else None
+        seed = journal.load(self._peak_spec()) if journal is not None else None
         #: True while the memo holds the journal's rows, until the first
         #: transform: its hits are journal hits.
         self._memo_from_journal = seed is not None
         if seed is not None:
-            keys, *outputs = seed
-            self._remember(keys, outputs, self._empty_peaks(len(keys)))
+            keys, outputs, psd_rows, psd = seed
+            self._remember(keys, outputs, [keys[i] for i in psd_rows], psd)
 
     @property
     def memo_keys(self):
         """Row keys the row memo holds (a read-only view)."""
         return self._memo_rows.keys()
 
-    def _empty_peaks(self, n: int) -> tuple[np.ndarray, ...]:
-        width = self.config.num_peaks
+    @property
+    def psd_keys(self):
+        """Row keys whose PSD row the row memo holds (a read-only view)."""
+        return self._memo_psd_rows.keys()
+
+    def _peak_spec(self) -> str:
+        """The peak parameters journaled rows must share to be recalled."""
+        config = self.config
         return (
-            np.zeros((n, width)),
-            np.zeros((n, width)),
-            np.zeros(n, dtype=np.intp),
-            np.zeros(n, dtype=bool),
+            f"peaks={config.num_peaks} window={config.peak_window_size}"
+            f" fs={config.sampling_rate_hz!r}"
         )
 
-    def _remember(self, keys, outputs, peaks) -> None:
-        """Make ``outputs`` (frozen) and ``peaks`` the row memo of ``keys``."""
-        for out in outputs:
+    def _remember(self, keys, outputs, psd_keys, psd) -> None:
+        """Make ``outputs`` and ``psd`` (frozen) the row memo of ``keys``."""
+        for out in (*outputs, psd):
             out.setflags(write=False)
         self._memo_rows = dict(zip(keys, range(len(keys))))
         self._memo_outputs = tuple(outputs)
-        self._memo_peaks = peaks
+        self._memo_psd_rows = dict(zip(psd_keys, range(len(psd_keys))))
+        self._memo_psd = psd
+
+    def _extract(self, num_bins: int):
+        """Tile peak extraction: ``(m, K)`` PSD rows → packed peak arrays."""
+        freqs = self.frequencies(num_bins)
+
+        def extract(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+            packed = extract_harmonic_peaks_batch(
+                rows,
+                freqs,
+                num_peaks=self.config.num_peaks,
+                window_size=self.config.peak_window_size,
+            )
+            return packed.frequencies, packed.values, packed.counts
+
+        return extract
 
     # ------------------------------------------------------------------
     # Individual layers, usable on their own.
@@ -189,23 +272,28 @@ class AnalysisPipeline:
         samples: np.ndarray,
         profile: RuntimeProfile | None = None,
         row_keys: list[bytes] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Data transformation layer: ``(offsets, rms, psd)`` per block.
+        psd_rows=None,
+    ) -> RowFeatures:
+        """Data transformation layer: every block's :class:`RowFeatures`.
+
+        Each row's offsets, RMS and harmonic peaks come out of one pass
+        over its transform tile; its PSD row is kept only when
+        ``psd_rows`` names it (every row when ``psd_rows`` is None).
 
         Rows are memoized by content.  Each row has one key: given in
         ``row_keys``, or else digested here
         (:func:`~repro.runtime.cache.row_digests`).  A row the previous
         call also saw is gathered from that call's frozen result
-        matrices, and only the other rows — compacted — go through
+        matrices — unless its PSD is wanted and that call did not keep
+        it — and only the other rows, compacted, go through
         :func:`~repro.runtime.batch.transform_rows`.  A rolling-window
         refresh therefore transforms just its new tail.  Every transform
         op is row-local, so gathered and recomputed rows are
         bit-identical to a cold run.  The memo holds the last call's
         outputs only, and those are the arrays this call returns:
-        read-only, so no alias can change a memoized row.  A recalled
-        row also brings back its harmonic peaks, if a :meth:`run` has
-        extracted them.  A pipeline with a journal starts from the
-        journal's rows and journals every row it transforms.
+        read-only, so no alias can change a memoized row.  A pipeline
+        with a journal starts from the journal's rows and journals every
+        row it transforms.
 
         Float32 samples (the stored precision) and float64 samples are
         used as given — no whole-matrix upcast; each transform tile
@@ -214,17 +302,21 @@ class AnalysisPipeline:
 
         Args:
             samples: measurement blocks, shape ``(n, K, 3)``; with
-                ``row_keys``, only the rows whose key the memo lacks, in
-                row order (``(0, K, 3)`` when it lacks none).
+                ``row_keys``, only the rows the memo cannot serve — its
+                key is not in :attr:`memo_keys`, or its PSD is wanted
+                and its key is not in :attr:`psd_keys` — in row order
+                (``(0, K, 3)`` when it serves every row).
             profile: optional collector for the ``transform`` stage; its
                 item count is the rows actually transformed.
             row_keys: optional row key of every row, as
                 :func:`~repro.runtime.cache.row_digests` would compute
                 it (the measurement store writes them at ingest).
+            psd_rows: optional row indices whose PSD to keep; None keeps
+                every row's.
 
         Raises:
             ValueError: when ``samples`` does not hold exactly the rows
-                of ``row_keys`` that the memo lacks.
+                of ``row_keys`` that the memo cannot serve.
         """
         start = time.perf_counter()
         blocks = as_float(samples)
@@ -234,14 +326,21 @@ class AnalysisPipeline:
         n, k = len(digests), blocks.shape[1]
         if n and k < 2:
             raise ValueError("measurement must contain at least 2 samples")
-        peaks = self._empty_peaks(n)
-        seen = self._memo_rows
+        if psd_rows is None:
+            keep = np.ones(n, dtype=bool)
+        else:
+            keep = np.zeros(n, dtype=bool)
+            keep[np.asarray(psd_rows, dtype=np.intp)] = True
+        kept = np.flatnonzero(keep)
+        # A memoized row serves this call unless its PSD is wanted and
+        # the memo did not keep it.
+        lacking = {digests[i] for i in kept} - self._memo_psd_rows.keys()
         hit: list[int] = []
         source: list[int] = []
         miss: list[int] = []
         for row, digest in enumerate(digests):
-            index = seen.get(digest)
-            if index is None:
+            index = self._memo_rows.get(digest)
+            if index is None or digest in lacking:
                 miss.append(row)
             else:
                 hit.append(row)
@@ -253,29 +352,41 @@ class AnalysisPipeline:
         else:
             raise ValueError(
                 f"{blocks.shape[0]} sample rows passed for the {len(miss)}"
-                " row keys the memo lacks"
+                " rows the memo lacks"
             )
+        transformed = np.zeros(n, dtype=bool)
+        transformed[miss] = True
+        outputs, psd = transform_rows(
+            fresh,
+            self.executor,
+            self._extract(k),
+            self.config.num_peaks,
+            keep[miss],
+            self.journal,
+            [digests[i] for i in miss],
+        )
         if hit:
-            outputs = (np.empty((n, 3)), np.empty(n), np.empty((n, k)))
-            # Gather tile by tile: one whole-matrix fancy index would
-            # allocate a third PSD-sized temporary next to the old and
-            # new memo.
-            for lo in range(0, len(hit), TRANSFORM_TILE_ROWS):
-                rows = hit[lo : lo + TRANSFORM_TILE_ROWS]
-                from_rows = source[lo : lo + TRANSFORM_TILE_ROWS]
-                for out, previous in zip(
-                    outputs + peaks, self._memo_outputs + self._memo_peaks
-                ):
-                    out[rows] = previous[from_rows]
-            if miss:
-                new = transform_rows(
-                    fresh, self.executor, self.journal, [digests[i] for i in miss]
-                )
-                for out, rows in zip(outputs, new):
-                    out[miss] = rows
-        else:
-            outputs = transform_rows(fresh, self.executor, self.journal, digests)
-        self._remember(digests, outputs, peaks)
+            new_outputs, new_psd = outputs, psd
+            outputs = tuple(
+                np.empty((n, *out.shape[1:]), dtype=out.dtype) for out in new_outputs
+            )
+            for out, previous, rows in zip(outputs, self._memo_outputs, new_outputs):
+                out[hit] = previous[source]
+                out[miss] = rows
+            psd = np.empty((kept.size, k))
+            psd[transformed[kept]] = new_psd
+            # Gather PSD rows tile by tile: one whole-matrix fancy index
+            # would allocate a third PSD-sized temporary next to the old
+            # and new memo.
+            recalled = np.flatnonzero(~transformed[kept])
+            for lo in range(0, recalled.size, TRANSFORM_TILE_ROWS):
+                at = recalled[lo : lo + TRANSFORM_TILE_ROWS]
+                psd[at] = self._memo_psd[
+                    [self._memo_psd_rows[digests[i]] for i in kept[at]]
+                ]
+        kept.setflags(write=False)
+        self._remember(digests, outputs, [digests[i] for i in kept], psd)
+        self._fresh = transformed
         if self._memo_from_journal:
             self.journal_hits += len(hit)
         else:
@@ -286,7 +397,7 @@ class AnalysisPipeline:
             self.journal_misses += len(miss)
         if profile is not None:
             profile.add("transform", time.perf_counter() - start, len(miss))
-        return self._memo_outputs
+        return RowFeatures(*self._memo_outputs, psd, kept)
 
     def preprocess(
         self,
@@ -338,15 +449,22 @@ class AnalysisPipeline:
         train_labels: dict[int, str],
         profile: RuntimeProfile | None = None,
         row_keys: list[bytes] | None = None,
+        keep_psd: bool = False,
     ) -> PipelineResult:
         """Execute the full workflow.
+
+        Only the Zone A exemplar reads PSD rows, so the result keeps the
+        PSD of the labelled Zone A measurements alone unless
+        ``keep_psd`` asks for every row's (a caller that diagnoses).
+        ``D_a`` is scored from the harmonic peaks the transform tile
+        extracted.
 
         Args:
             pump_ids: pump identifier per measurement, shape ``(n,)``.
             service_days: pump service time (days) per measurement.
             samples: raw blocks ``(n, K, 3)`` in g, float32 or float64
                 (see :meth:`transform`); with ``row_keys``, only the rows
-                whose key the row memo lacks.
+                the row memo cannot serve.
             train_labels: mapping from measurement index to expert zone
                 label; must contain at least one measurement of each zone
                 (A, BC and D).
@@ -354,13 +472,14 @@ class AnalysisPipeline:
                 and cache, checkpoint and executor counters.
             row_keys: optional row-memo key per measurement (see
                 :meth:`transform`); None digests ``samples``.
+            keep_psd: keep every measurement's PSD row in the result.
 
         Returns:
             PipelineResult with every layer's artifacts.
 
         Raises:
             ValueError: on misaligned inputs, or when ``samples`` is not
-                exactly the rows of ``row_keys`` the memo lacks.
+                exactly the rows of ``row_keys`` the memo cannot serve.
         """
         ids = np.asarray(pump_ids)
         days = np.asarray(service_days, dtype=np.float64)
@@ -377,11 +496,15 @@ class AnalysisPipeline:
         profile = profile if profile is not None else RuntimeProfile()
         tallies = self._tallies()
 
-        offsets, rms, psd = self.transform(blocks, profile, row_keys)
+        psd_rows = None
+        if not keep_psd:
+            psd_rows = [i for i in sorted(train_labels) if train_labels[i] == ZONE_A]
+        features = self.transform(blocks, profile, row_keys, psd_rows)
+        offsets = features.offsets
 
         with profile.stage("preprocess", n):
             valid = self.preprocess(ids, offsets, days)
-        freqs = self.frequencies(psd.shape[1])
+        freqs = self.frequencies(features.psd.shape[1])
         valid_idx = np.nonzero(valid)[0]
 
         with profile.stage("fit_classifier", len(train_labels)):
@@ -394,14 +517,28 @@ class AnalysisPipeline:
             reference = train_idx[labels == ZONE_A]
             if reference.size == 0:
                 raise ValueError(f"no {ZONE_A!r} samples to build the baseline")
+            reference_psd = features.psd[psd_positions(features.psd_rows, reference)]
             exemplar = PeakHarmonicFeature(
                 num_peaks=self.config.num_peaks,
                 window_size=self.config.peak_window_size,
-            ).fit(psd[reference], freqs).baseline_
+            ).fit(reference_psd, freqs).baseline_
 
         with profile.stage("score_da", int(valid_idx.size)):
+            # Padding every row to num_peaks columns leaves the packed
+            # kernel's output unchanged: it reads only real peaks.
             da = np.full(n, np.nan)
-            da[valid_idx] = self._score_da(valid_idx, freqs, exemplar)
+            peaks = features.peaks
+            da[valid_idx] = packed_harmonic_distances(
+                PackedPeaks(
+                    peaks.frequencies[valid_idx],
+                    peaks.values[valid_idx],
+                    peaks.counts[valid_idx],
+                ),
+                exemplar,
+            )
+            extracted = int(np.count_nonzero(self._fresh[valid_idx]))
+            self.peak_hits += valid_idx.size - extracted
+            self.peak_misses += extracted
             train_da = da[train_idx]
             if self.config.moving_average_window > 1:
                 for pump in np.unique(ids):
@@ -456,54 +593,16 @@ class AnalysisPipeline:
         return PipelineResult(
             valid_mask=valid,
             offsets=offsets,
-            rms=rms,
-            psd=psd,
+            rms=features.rms,
+            peaks=peaks,
+            psd=features.psd,
+            psd_rows=features.psd_rows,
             da=da,
             zones=zones,
             zone_thresholds=classifier.thresholds_,
             zone_d_threshold=zone_d_threshold,
             lifetime_models=estimator.models_,
             rul=rul,
-        )
-
-    def _score_da(
-        self, rows: np.ndarray, freqs: np.ndarray, exemplar: HarmonicPeaks
-    ) -> np.ndarray:
-        """Raw ``D_a`` of ``rows`` of the last :meth:`transform` call.
-
-        Peaks come from the row memo; the rows it lacks are extracted
-        from the memo's PSD in tiles of ``TRANSFORM_TILE_ROWS`` rows on
-        the transform's threads (:func:`~repro.runtime.batch.run_tiles`)
-        and written back, so a later run recalls them.  Extraction is
-        row-local, so tiling leaves every peak bit-identical.  The
-        distances then run through the packed Algorithm 1 kernel in one
-        call.  Padding every row to ``num_peaks`` columns leaves the
-        kernel's output unchanged: it reads only each row's real peaks.
-        """
-        psd = self._memo_outputs[2]
-        peak_freqs, peak_vals, counts, extracted = self._memo_peaks
-        fresh = rows[~extracted[rows]]
-
-        def extract(lo: int, hi: int) -> None:
-            for start in range(lo, hi, TRANSFORM_TILE_ROWS):
-                tile = fresh[start : min(start + TRANSFORM_TILE_ROWS, hi)]
-                packed = extract_harmonic_peaks_batch(
-                    psd[tile],
-                    freqs,
-                    num_peaks=self.config.num_peaks,
-                    window_size=self.config.peak_window_size,
-                )
-                peak_freqs[tile] = packed.frequencies
-                peak_vals[tile] = packed.values
-                counts[tile] = packed.counts
-
-        if fresh.size:
-            run_tiles(extract, 0, fresh.size, max(1, self.executor.max_workers))
-            extracted[fresh] = True
-        self.peak_hits += rows.size - fresh.size
-        self.peak_misses += fresh.size
-        return packed_harmonic_distances(
-            PackedPeaks(peak_freqs[rows], peak_vals[rows], counts[rows]), exemplar
         )
 
     def _tallies(self) -> dict[str, int]:

@@ -1,11 +1,12 @@
 """Batched transform kernel of the Fig. 7 analytical workflow.
 
 :class:`~repro.core.pipeline.AnalysisPipeline` runs its transformation
-layer through :func:`transform_rows`: one batched DCT-II over
-``(n, K, 3)`` plus broadcast mean-offset calibration and a vectorized
-RMS reduction, computed in row tiles spread over the executor's threads
-and optionally journaled per segment.  Feature extraction runs through the
-batched kernels of :mod:`repro.core.peaks` and :mod:`repro.core.distance`.
+layer through :func:`transform_rows`: each row tile is upcast once,
+centred and reduced for its offsets and RMS, pushed through one batched
+DCT-II, and its PSD rows go straight into harmonic-peak extraction
+while they are still in cache.  Only the PSD rows a caller asks for
+leave the tile.  Tiles spread over the executor's threads and are
+optionally journaled per segment.
 
 Every kernel is bit-identical to the scalar per-row oracle in
 ``tests/reference/``; DESIGN.md states that contract at the pipeline
@@ -23,74 +24,85 @@ from scipy.fft import dct
 from repro.runtime.fleet import FleetExecutor
 
 #: Most rows per journal segment (see :mod:`repro.runtime.checkpoint`).
-#: 8192 rows of (1024, 3) samples are ~64 MiB of PSD output per
-#: segment; a crash loses at most one segment of work.
+#: A segment holds each row's offsets, RMS and packed peaks (~360 bytes
+#: a row at 20 peaks) plus the PSD rows the caller kept; a crash loses
+#: at most one segment of work.
 DEFAULT_CHUNK_ROWS = 8192
 
 #: Rows per compute tile.  The segment is the journal's unit; the tile
-#: is the unit of actual compute, for the transform and for
-#: harmonic-peak extraction alike.  Small tiles keep the working set
-#: (float64 block, normalized block, transposed DCT scratch) inside a
-#: few MiB that the preallocated buffers recycle, instead of faulting
-#: in hundreds of MiB of fresh temporaries per call — measured ~4x
-#: faster on the 8,640-row fleet matrix with bit-identical output (the
-#: DCT and every reduction are row-local, so tile boundaries cannot
-#: change a single float).
-TRANSFORM_TILE_ROWS = 256
+#: is the unit of actual compute: upcast, centring, DCT, PSD and peak
+#: extraction all run on one tile's rows while they are in cache.  Every
+#: op is row-local, so tile boundaries cannot change a single float.
+#: Small tiles keep each thread's scratch (K-major block, DCT scratch,
+#: PSD rows, peak temporaries) to a few MiB that the preallocated
+#: buffers recycle.  Chosen from paired cold ``repro analyze`` runs on
+#: the 8,640-row fleet (2 CPUs): peak RSS 294 / 299 / 309 / 330 / 373 MB
+#: at 32 / 64 / 128 / 256 / 512 rows, wall time equal within noise from
+#: 64 rows up and slower at 32 (docs/PERFORMANCE.md).
+TRANSFORM_TILE_ROWS = 64
 
 
 def _transform_tiled(
     blocks: np.ndarray,
     lo: int,
     hi: int,
-    offsets: np.ndarray,
-    rms: np.ndarray,
+    outputs: tuple[np.ndarray, ...],
     psd: np.ndarray,
+    keep: np.ndarray,
+    kept_before: np.ndarray,
+    extract: Callable[[np.ndarray], tuple[np.ndarray, ...]],
 ) -> None:
-    """Compute transform outputs for rows ``[lo, hi)`` tile by tile.
+    """Compute every per-row output of rows ``[lo, hi)`` tile by tile.
 
-    Each tile is first copied into a reused float64 tile buffer — the
-    one place a float32 block is upcast, exactly — so ``blocks`` can
-    stay in its stored precision.  Writes the mean offsets, RMS and PSD
-    rows in place.  Every tile runs this exact op sequence, so outputs
-    are bit-identical regardless of which thread (or which chunking)
-    executed a row.
+    Each tile is copied into a reused K-major ``(K, m, 3)`` float64
+    buffer — the one place a float32 block is upcast, exactly — so the
+    mean, the centring and the square-sum run sequentially over ``K``
+    with a contiguous ``m·3`` inner loop, in the oracle's order.  One
+    transpose feeds the ``(m, 3, K)`` DCT scratch; the PSD rows are
+    ``c_x + c_y + c_z`` and go straight to ``extract``.  Writes offsets,
+    RMS and peaks (``outputs``) of every row, and the PSD of the rows
+    ``keep`` marks at their kept position (``kept_before``).
 
     Raises:
         ValueError: if any sample in ``[lo, hi)`` is non-finite.
     """
+    offsets, rms, *peaks = outputs
     k = blocks.shape[1]
     tile = TRANSFORM_TILE_ROWS
     rows = min(tile, max(hi - lo, 1))
-    block = np.empty((rows, k, 3))
-    norm = np.empty((rows, k, 3))
+    flat = np.empty(k * rows * 3)
     work = np.empty((rows, 3, k))
+    power = np.empty((rows, k))
     for tlo in range(lo, hi, tile):
         thi = min(tlo + tile, hi)
         m = thi - tlo
-        chunk = block[:m]
-        chunk[...] = blocks[tlo:thi]
-        if not np.all(np.isfinite(chunk)):
+        chunk = flat[: k * m * 3].reshape(k, m, 3)
+        chunk[...] = blocks[tlo:thi].transpose(1, 0, 2)
+        if not np.isfinite(chunk).all():
             raise ValueError("measurement contains non-finite samples")
-        means = chunk.mean(axis=1)
-        normalized = norm[:m]
-        np.subtract(chunk, means[:, None, :], out=normalized)
-        per_axis_sq = np.square(normalized).sum(axis=1)
-        per_axis_sq /= k
-        # The DCT and the PSD reduction both run along the K samples, so
-        # the (m, 3, K) contiguous scratch keeps every hot inner loop on
-        # unit stride; the DCT output is bit-identical across layouts
-        # and may destroy the scratch in place.
+        means = chunk.mean(axis=0)
+        chunk -= means
+        # The DCT runs along the K samples, so it reads the centred
+        # block from the contiguous (m, 3, K) scratch and may destroy
+        # it in place; the block itself is then squared in place.
         transposed = work[:m]
-        transposed[...] = normalized.transpose(0, 2, 1)
-        coeffs = dct(transposed, type=2, norm="ortho", axis=2, overwrite_x=True)
+        transposed[...] = chunk.transpose(1, 2, 0)
+        np.square(chunk, out=chunk)
+        per_axis_sq = chunk.sum(axis=0)
+        per_axis_sq /= k
         offsets[tlo:thi] = means
         rms[tlo:thi] = np.sqrt(per_axis_sq.sum(axis=1))
-        # Square and scale in place (coeffs is ours), then reduce the
-        # axis dimension; elementwise identical to (coeffs**2 / k).
+        coeffs = dct(transposed, type=2, norm="ortho", axis=2, overwrite_x=True)
+        # Elementwise identical to (coeffs**2 / k), and the axis sum in
+        # the oracle's left-to-right order.
         np.square(coeffs, out=coeffs)
         coeffs /= k
-        psd[tlo:thi] = coeffs.sum(axis=1)
+        rows_psd = power[:m]
+        np.add(coeffs[:, 0], coeffs[:, 1], out=rows_psd)
+        rows_psd += coeffs[:, 2]
+        for out, values in zip(peaks, extract(rows_psd)):
+            out[tlo:thi] = values
+        psd[kept_before[tlo] : kept_before[thi]] = rows_psd[keep[tlo:thi]]
 
 
 def run_tiles(
@@ -103,8 +115,7 @@ def run_tiles(
     or a single tile is the plain call ``fn(lo, hi)``.  ``fn`` must be
     row-local and write only its own rows, so the result is
     bit-identical whichever thread ran a range.  An exception raises as
-    in the serial call, earliest range first.  The transform and the
-    harmonic-peak extraction both run through here.
+    in the serial call, earliest range first.
     """
     tiles = -(-(hi - lo) // TRANSFORM_TILE_ROWS)
     parts = min(workers, tiles)
@@ -124,15 +135,25 @@ def run_tiles(
 def transform_rows(
     blocks: np.ndarray,
     executor: FleetExecutor,
+    extract: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+    num_peaks: int,
+    keep: np.ndarray,
     journal=None,
     keys: list[bytes] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Transform every row of ``blocks`` into ``(offsets, rms, psd)``.
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Transform every row of ``blocks`` into its per-row outputs.
 
-    ``blocks`` may be float32 or float64; tiles upcast as they go.  The
-    tiles spread over ``executor.max_workers`` plain threads (``0``/``1``
-    is serial) via :func:`run_tiles`.  The threads bypass the executor
-    itself, so its fault injection, supervision tally and
+    ``blocks`` may be float32 or float64; tiles upcast as they go.
+    ``extract`` maps a tile's ``(m, K)`` PSD rows to their packed
+    harmonic peaks ``(frequencies, values, counts)``, ``num_peaks``
+    wide.  Returns ``(outputs, psd)``: ``outputs`` is ``(offsets, rms,
+    peak_frequencies, peak_values, peak_counts)`` of every row, and
+    ``psd`` holds the PSD rows the boolean mask ``keep`` marks, in row
+    order.
+
+    The tiles spread over ``executor.max_workers`` plain threads
+    (``0``/``1`` is serial) via :func:`run_tiles`.  The threads bypass
+    the executor itself, so its fault injection, supervision tally and
     ``last_backend`` never see transform tiles.  Without a journal this
     is one :func:`run_tiles` call.  With a
     :class:`~repro.runtime.checkpoint.RowJournal`, rows run in segments
@@ -140,24 +161,36 @@ def transform_rows(
     under its rows' ``keys`` the moment it completes.
     """
     n, k = blocks.shape[0], blocks.shape[1]
-    offsets = np.empty((n, 3))
-    rms = np.empty(n)
-    psd = np.empty((n, k))
+    outputs = (
+        np.empty((n, 3)),
+        np.empty(n),
+        np.empty((n, num_peaks)),
+        np.empty((n, num_peaks)),
+        np.empty(n, dtype=np.intp),
+    )
+    kept_before = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(keep, out=kept_before[1:])
+    psd = np.empty((int(kept_before[-1]), k))
     workers = max(1, executor.max_workers)
 
     def transform(lo: int, hi: int) -> None:
-        _transform_tiled(blocks, lo, hi, offsets, rms, psd)
+        _transform_tiled(blocks, lo, hi, outputs, psd, keep, kept_before, extract)
 
     if journal is None:
         run_tiles(transform, 0, n, workers)
-        return offsets, rms, psd
+        return outputs, psd
     for lo in range(0, n, DEFAULT_CHUNK_ROWS):
         hi = min(lo + DEFAULT_CHUNK_ROWS, n)
         run_tiles(transform, lo, hi, workers)
         # Journal each segment the moment it completes, so a crash
         # mid-run resumes from here rather than from scratch.
-        journal.append(keys[lo:hi], offsets[lo:hi], rms[lo:hi], psd[lo:hi])
-    return offsets, rms, psd
+        journal.append(
+            keys[lo:hi],
+            [out[lo:hi] for out in outputs],
+            np.flatnonzero(keep[lo:hi]),
+            psd[kept_before[lo] : kept_before[hi]],
+        )
+    return outputs, psd
 
 
 def finite_block_mask(blocks: np.ndarray) -> np.ndarray:

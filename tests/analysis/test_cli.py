@@ -407,7 +407,7 @@ class TestCheckpointResume:
         assert counters["rows_decoded"] == 0
         assert counters["transform_cache_misses"] == 0
 
-    def test_v1_journal_is_ignored_not_misread(self, smoke, tmp_path):
+    def test_v1_journal_is_ignored_not_misread(self, smoke, tmp_path, capsys):
         import json
 
         from repro.runtime.cache import array_digest
@@ -435,12 +435,75 @@ class TestCheckpointResume:
                              "payload": "chunk-00000.npz"}},
             "superseded": [],
         }))
+        capsys.readouterr()
         code, resumed = run_cli(["analyze", "--db", db_path, "--resume", str(ckpt),
                                  "--profile"])
         assert code == 0
         assert resumed.startswith(plain)
+        assert capsys.readouterr().err == (
+            f"note: checkpoint manifest at {ckpt / MANIFEST_NAME} is version 1,"
+            " not 3; running fresh (and journaling a new checkpoint)\n"
+        )
         counters = profile_counters(resumed)
         assert counters["checkpoint_hits"] == 0
         assert counters["checkpoint_misses"] == n
         manifest = json.loads((ckpt / MANIFEST_NAME).read_text())
-        assert manifest["version"] == 2
+        assert manifest["version"] == 3
+
+    def test_v2_journal_is_ignored_with_a_note(self, smoke, tmp_path, capsys):
+        """A version-2 PSD journal (no peaks) of an older build is not read."""
+        import json
+
+        from repro.runtime.checkpoint import MANIFEST_NAME
+
+        db_path, plain = smoke
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        (ckpt / MANIFEST_NAME).write_text(json.dumps({
+            "version": 2,
+            "segments": [{"payload": "segment-00000.npz", "width": 256,
+                          "digest": "0" * 40}],
+        }))
+        capsys.readouterr()
+        code, resumed = run_cli(["analyze", "--db", db_path, "--resume", str(ckpt),
+                                 "--profile"])
+        assert code == 0
+        assert resumed.startswith(plain)
+        assert capsys.readouterr().err == (
+            f"note: checkpoint manifest at {ckpt / MANIFEST_NAME} is version 2,"
+            " not 3; running fresh (and journaling a new checkpoint)\n"
+        )
+        assert profile_counters(resumed)["checkpoint_hits"] == 0
+
+    def test_truncated_manifest_is_ignored_with_a_note(self, smoke, tmp_path, capsys):
+        from repro.runtime.checkpoint import MANIFEST_NAME
+
+        db_path, plain = smoke
+        ckpt = str(tmp_path / "ckpt")
+        code, _ = run_cli(["analyze", "--db", db_path, "--checkpoint", ckpt])
+        assert code == 0
+        manifest = tmp_path / "ckpt" / MANIFEST_NAME
+        text = manifest.read_text()
+        manifest.write_text(text[: len(text) // 2])
+        capsys.readouterr()
+        code, resumed = run_cli(["analyze", "--db", db_path, "--resume", ckpt,
+                                 "--profile"])
+        assert code == 0
+        assert resumed.startswith(plain)
+        assert capsys.readouterr().err == (
+            f"note: checkpoint manifest at {manifest} is unreadable;"
+            " running fresh (and journaling a new checkpoint)\n"
+        )
+        counters = profile_counters(resumed)
+        assert counters["checkpoint_hits"] == 0
+        assert counters["rows_decoded"] == 960
+
+    def test_usable_journal_prints_no_note(self, smoke, tmp_path, capsys):
+        db_path, plain = smoke
+        ckpt = str(tmp_path / "ckpt")
+        run_cli(["analyze", "--db", db_path, "--checkpoint", ckpt])
+        capsys.readouterr()
+        code, resumed = run_cli(["analyze", "--db", db_path, "--resume", ckpt])
+        assert code == 0
+        assert resumed == plain
+        assert capsys.readouterr().err == ""

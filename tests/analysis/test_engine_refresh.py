@@ -16,13 +16,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.analysis.engine import EngineConfig, VibrationAnalysisEngine
+from repro.analysis.engine import EngineConfig, VibrationAnalysisEngine, label_rows
 from repro.analysis.reporting import render_report
 from repro.chaos.retry import RetryPolicy
 from repro.core.pipeline import PipelineConfig
 from repro.runtime.profile import RuntimeProfile
 from repro.storage.api import AnalysisPeriod, DataRetrievalAPI
 from repro.storage.database import VibrationDatabase
+from repro.storage.records import LabelRecord
 from repro.viz.dashboard import write_dashboard
 
 T0 = 60.0
@@ -323,4 +324,99 @@ def test_resume_after_a_refresh_recalls_every_journaled_row(refresh_db, tmp_path
     assert profile.counters["checkpoint_misses"] == 0
     assert outputs(resumed, tmp_path / "resumed.html") == fresh_outputs(
         db, api.period, tmp_path / "fresh.html"
+    )
+
+
+# PSD rows only where a stage reads them: the Zone A exemplar reads the
+# labelled Zone A rows, the diagnosis every row.
+PLAIN = dataclasses.replace(CONFIG, rotation_hz=None)
+
+
+def zone_a_rows(report, api) -> list[int]:
+    labels = label_rows(report.pump_ids, report.measurement_ids, api.get_labels())
+    return sorted(row for row, zone in labels.items() if zone == "A")
+
+
+def test_plain_run_keeps_psd_of_labelled_zone_a_rows_only(refresh_db):
+    db, _ = refresh_db
+    api = DataRetrievalAPI(db, AnalysisPeriod(0.0, T0))
+    plain = VibrationAnalysisEngine(api, PLAIN).run().pipeline
+    diagnosing = VibrationAnalysisEngine(api, CONFIG).run()
+    n = diagnosing.measurement_ids.size
+    rows = zone_a_rows(diagnosing, api)
+    assert 0 < len(rows) < n
+    assert plain.psd_rows.tolist() == rows
+    assert plain.psd.shape == (len(rows), diagnosing.pipeline.psd.shape[1])
+    assert plain.psd.tobytes() == diagnosing.pipeline.psd_of(rows).tobytes()
+    for name in ("frequencies", "values", "counts"):
+        assert (
+            getattr(plain.peaks, name).tobytes()
+            == getattr(diagnosing.pipeline.peaks, name).tobytes()
+        )
+    assert plain.da.tobytes() == diagnosing.pipeline.da.tobytes()
+
+
+def test_diagnosing_engine_keeps_every_psd_row(refresh_db):
+    db, _ = refresh_db
+    api = DataRetrievalAPI(db, AnalysisPeriod(0.0, T0))
+    report = VibrationAnalysisEngine(api, CONFIG).run()
+    n = report.measurement_ids.size
+    assert report.pipeline.psd_rows.tolist() == list(range(n))
+    assert report.pipeline.psd.shape[0] == n
+    assert report.diagnoses
+
+
+def test_zone_a_label_added_to_a_memoised_row_matches_a_fresh_engine(
+    refresh_db, tmp_path
+):
+    """The memo of a plain run lacks the PSD of an unlabelled row; once
+    that row is labelled Zone A, the next run decodes and transforms it
+    again, and renders a fresh engine's bytes."""
+    db, _ = refresh_db
+    api = DataRetrievalAPI(db, AnalysisPeriod(0.0, T0))
+    engine = VibrationAnalysisEngine(api, PLAIN)
+    first = engine.run()
+    labelled = set(zone_a_rows(first, api))
+    row = next(
+        i for i in np.flatnonzero(first.pipeline.valid_mask) if i not in labelled
+    )
+    labels = {(r.pump_id, r.measurement_id) for r in api.get_labels()}
+    key = (int(first.pump_ids[row]), int(first.measurement_ids[row]))
+    assert key not in labels
+    db.labels.add(LabelRecord(pump_id=key[0], measurement_id=key[1], zone="A"))
+
+    profile = RuntimeProfile()
+    second = engine.run(profile=profile)
+    n = second.measurement_ids.size
+    assert row in second.pipeline.psd_rows
+    assert profile.stages["transform"].items == 1
+    assert profile.counters["transform_cache_hits"] == n - 1
+    assert profile.counters["rows_decoded"] == 1
+    fresh = VibrationAnalysisEngine(DataRetrievalAPI(db, api.period), PLAIN).run()
+    assert outputs(second, tmp_path / "warm.html") == outputs(
+        fresh, tmp_path / "fresh.html"
+    )
+    assert second.pipeline.psd.tobytes() == fresh.pipeline.psd.tobytes()
+
+
+def test_diagnosing_resume_over_a_plain_journal_transforms_the_missing_psd_rows(
+    refresh_db, tmp_path
+):
+    db, _ = refresh_db
+    period = AnalysisPeriod(0.0, T0)
+    ckpt = str(tmp_path / "ckpt")
+    plain = VibrationAnalysisEngine(
+        DataRetrievalAPI(db, period), dataclasses.replace(PLAIN, checkpoint_dir=ckpt)
+    ).run()
+    kept = plain.pipeline.psd_rows.size
+    profile = RuntimeProfile()
+    resumed = VibrationAnalysisEngine(
+        DataRetrievalAPI(db, period), dataclasses.replace(CONFIG, checkpoint_dir=ckpt)
+    ).run(profile=profile)
+    n = resumed.measurement_ids.size
+    assert profile.counters["checkpoint_hits"] == kept
+    assert profile.counters["rows_decoded"] == n - kept
+    assert profile.stages["transform"].items == n - kept
+    assert outputs(resumed, tmp_path / "resumed.html") == fresh_outputs(
+        db, period, tmp_path / "fresh.html"
     )

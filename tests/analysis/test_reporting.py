@@ -9,6 +9,7 @@ from repro.analysis.reporting import (
     fleet_health_summary,
     render_report,
 )
+from repro.core.peaks import PackedPeaks
 from repro.core.pipeline import PipelineResult
 from repro.core.ransac import LineModel
 from repro.core.rul import RULPrediction
@@ -39,7 +40,9 @@ def make_report(zones_by_pump: dict[int, str], rul_by_pump: dict[int, float]):
         valid_mask=np.ones(n, dtype=bool),
         offsets=np.zeros((n, 3)),
         rms=np.zeros(n),
+        peaks=PackedPeaks(np.zeros((n, 2)), np.zeros((n, 2)), np.zeros(n, dtype=int)),
         psd=np.zeros((n, 4)),
+        psd_rows=np.arange(n),
         da=np.linspace(0.1, 0.2, n),
         zones=np.asarray(zones, dtype=object),
         zone_thresholds=np.asarray([0.15, 0.3]),

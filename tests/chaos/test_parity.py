@@ -47,6 +47,11 @@ def test_zero_fault_arrays_are_identical(reference, zero_fault):
     np.testing.assert_array_equal(zf.service_days, ref.service_days)
     np.testing.assert_array_equal(zf.pipeline.zones, ref.pipeline.zones)
     np.testing.assert_array_equal(zf.pipeline.da, ref.pipeline.da)
+    for name in ("frequencies", "values", "counts"):
+        np.testing.assert_array_equal(
+            getattr(zf.pipeline.peaks, name), getattr(ref.pipeline.peaks, name)
+        )
+    np.testing.assert_array_equal(zf.pipeline.psd_rows, ref.pipeline.psd_rows)
     np.testing.assert_array_equal(zf.pipeline.psd, ref.pipeline.psd)
 
 

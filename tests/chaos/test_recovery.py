@@ -43,11 +43,26 @@ def _strip_supervision(text: str) -> str:
     return "\n".join(lines[: i - 1] + lines[i + 2 :])
 
 
-def _psd_by_row(report) -> dict[tuple[int, int], np.ndarray]:
-    return {
-        (int(p), int(m)): report.pipeline.psd[i]
-        for i, (p, m) in enumerate(zip(report.pump_ids, report.measurement_ids))
+def _features_by_row(report) -> dict[tuple[int, int], tuple[np.ndarray, ...]]:
+    """Each analyzed row's peaks, plus its PSD row where the run kept it."""
+    pipeline = report.pipeline
+    peaks = pipeline.peaks
+    keys = list(zip(report.pump_ids.tolist(), report.measurement_ids.tolist()))
+    rows = {
+        key: (peaks.frequencies[i], peaks.values[i], peaks.counts[i:i + 1])
+        for i, key in enumerate(keys)
     }
+    for i, psd in zip(pipeline.psd_rows.tolist(), pipeline.psd):
+        rows[keys[i]] += (psd,)
+    return rows
+
+
+def _assert_survivors_identical(result, reference) -> None:
+    expected = _features_by_row(reference)
+    for key, arrays in _features_by_row(result).items():
+        assert len(arrays) == len(expected[key])
+        for got, want in zip(arrays, expected[key]):
+            np.testing.assert_array_equal(got, want)
 
 
 @pytest.fixture(scope="module")
@@ -98,9 +113,7 @@ def test_blob_corruption_quarantines_and_survivors_stay_bit_identical(
         )
     )
     assert analyzed.isdisjoint(result.corrupted)
-    ref_psd = _psd_by_row(reference.report)
-    for key, row in _psd_by_row(result.report).items():
-        np.testing.assert_array_equal(row, ref_psd[key])
+    _assert_survivors_identical(result.report, reference.report)
 
 
 def test_crash_recovery_plan_completes_with_quarantine_and_salvage(
@@ -119,9 +132,7 @@ def test_crash_recovery_plan_completes_with_quarantine_and_salvage(
     health = result.report.data_health
     assert health.n_corrupt == len(result.corrupted)
     assert health.dead_letters == len(result.dead_letters)
-    ref_psd = _psd_by_row(reference.report)
-    for key, row in _psd_by_row(result.report).items():
-        np.testing.assert_array_equal(row, ref_psd[key])
+    _assert_survivors_identical(result.report, reference.report)
 
 
 def test_crash_recovery_replay_is_identical(scenario, fleet_dataset):

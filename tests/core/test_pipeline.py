@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.pipeline import AnalysisPipeline, PipelineConfig
+from repro.core.pipeline import AnalysisPipeline, PipelineConfig, psd_positions
 from repro.runtime.cache import row_digests
 
 
@@ -18,11 +18,32 @@ class TestLayers:
     def test_transform_shapes(self, fleet_inputs):
         _, pumps, service, samples, _ = fleet_inputs
         pipeline = AnalysisPipeline()
-        offsets, rms, psd = pipeline.transform(samples)
+        features = pipeline.transform(samples)
         n, k = samples.shape[0], samples.shape[1]
-        assert offsets.shape == (n, 3)
-        assert rms.shape == (n,)
-        assert psd.shape == (n, k)
+        width = pipeline.config.num_peaks
+        assert features.offsets.shape == (n, 3)
+        assert features.rms.shape == (n,)
+        assert features.peak_frequencies.shape == (n, width)
+        assert features.peak_values.shape == (n, width)
+        assert features.peak_counts.shape == (n,)
+        assert features.psd.shape == (n, k)
+        np.testing.assert_array_equal(features.psd_rows, np.arange(n))
+
+    def test_transform_keeps_only_the_psd_rows_asked_for(self, fleet_inputs):
+        _, _, _, samples, _ = fleet_inputs
+        full = AnalysisPipeline().transform(samples)
+        rows = [3, 0, 17, 3]
+        kept = AnalysisPipeline().transform(samples, psd_rows=rows)
+        np.testing.assert_array_equal(kept.psd_rows, [0, 3, 17])
+        assert kept.psd.tobytes() == full.psd[[0, 3, 17]].tobytes()
+        positions = psd_positions(kept.psd_rows, [17, 0])
+        assert kept.psd[positions].tobytes() == full.psd[[17, 0]].tobytes()
+        with pytest.raises(ValueError, match="not kept"):
+            psd_positions(kept.psd_rows, [1])
+        with pytest.raises(ValueError, match="not kept"):
+            psd_positions(kept.psd_rows, [18])
+        for got, want in zip(kept[:5], full[:5]):  # every per-row field
+            assert got.tobytes() == want.tobytes()
 
     def test_transform_rejects_bad_shape(self):
         with pytest.raises(ValueError):
@@ -31,7 +52,7 @@ class TestLayers:
     def test_preprocess_keeps_stable_sensors(self, fleet_inputs):
         _, pumps, service, samples, _ = fleet_inputs
         pipeline = AnalysisPipeline()
-        offsets, _, _ = pipeline.transform(samples)
+        offsets = pipeline.transform(samples).offsets
         valid = pipeline.preprocess(pumps, offsets, service)
         # This fleet has only stable sensors: nearly everything is valid.
         assert valid.mean() > 0.95
@@ -137,7 +158,7 @@ class TestEpochSplitting:
         service = np.concatenate([np.arange(30.0), np.arange(30.0)])
 
         pipeline = AnalysisPipeline()
-        offsets, _, _ = pipeline.transform(samples)
+        offsets = pipeline.transform(samples).offsets
 
         with_epochs = pipeline.preprocess(pumps, offsets, service)
         assert with_epochs.all(), "both epochs are individually stable"
@@ -207,6 +228,10 @@ class TestRowKeys:
         warm = pipeline.run(pumps, service, samples[:0], labels, row_keys=keys)
         for result in (cold, warm):
             assert result.da.tobytes() == expected.da.tobytes()
+            for name in ("frequencies", "values", "counts"):
+                got, want = getattr(result.peaks, name), getattr(expected.peaks, name)
+                assert got.tobytes() == want.tobytes()
+            assert result.psd_rows.tobytes() == expected.psd_rows.tobytes()
             assert result.psd.tobytes() == expected.psd.tobytes()
         assert pipeline.transform_hits == len(keys)
 

@@ -15,6 +15,7 @@ import numpy as np
 from repro.core.classify import ZoneClassifier
 from repro.core.features import measurement_offsets, psd_feature, psd_frequencies, rms_feature
 from repro.core.outliers import detect_invalid_measurements
+from repro.core.peaks import PackedPeaks, extract_harmonic_peaks
 from repro.core.pipeline import PipelineConfig, PipelineResult
 from repro.core.ransac import RecursiveRANSAC
 from repro.core.rul import RULEstimator, RULPrediction, learn_zone_d_threshold
@@ -37,17 +38,61 @@ def transform_reference(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return offsets, rms, psd
 
 
+def features_reference(
+    samples: np.ndarray, config: PipelineConfig | None = None
+) -> tuple[np.ndarray, ...]:
+    """:func:`transform_reference` plus scalar per-row harmonic peaks.
+
+    Returns the fields of :class:`~repro.core.pipeline.RowFeatures` in
+    order — ``(offsets, rms, peak_frequencies, peak_values, peak_counts,
+    psd, psd_rows)`` — with every row's PSD kept.
+    """
+    config = config or PipelineConfig()
+    offsets, rms, psd = transform_reference(samples)
+    freqs = psd_frequencies(psd.shape[1], config.sampling_rate_hz)
+    peaks = peaks_reference(psd, freqs, config)
+    return (
+        offsets,
+        rms,
+        peaks.frequencies,
+        peaks.values,
+        peaks.counts,
+        psd,
+        np.arange(psd.shape[0]),
+    )
+
+
+def peaks_reference(
+    psd: np.ndarray, freqs: np.ndarray, config: PipelineConfig | None = None
+) -> PackedPeaks:
+    """Scalar :func:`extract_harmonic_peaks` per PSD row, packed."""
+    config = config or PipelineConfig()
+    n, width = psd.shape[0], config.num_peaks
+    frequencies, values = np.zeros((n, width)), np.zeros((n, width))
+    counts = np.zeros(n, dtype=np.intp)
+    for i, row in enumerate(psd):
+        peaks = extract_harmonic_peaks(
+            row, freqs, num_peaks=width, window_size=config.peak_window_size
+        )
+        counts[i] = len(peaks)
+        frequencies[i, : counts[i]] = peaks.frequencies
+        values[i, : counts[i]] = peaks.values
+    return PackedPeaks(frequencies, values, counts)
+
+
 class ReferencePipeline:
     """The scalar Fig. 7 workflow over in-memory measurement arrays.
 
-    ``run`` takes the production signature (``profile`` and ``row_keys``
-    are accepted and ignored) and ``executor`` is a serial one, so
+    ``run`` takes the production signature (``profile``, ``row_keys``
+    and ``keep_psd`` are accepted and ignored: every row's PSD is kept)
+    and ``executor`` is a serial one, so
     :class:`~tests.reference.engine.ReferenceEngine` can drive it exactly
-    like the production pipeline.  It has no row memo: ``memo_keys`` is
-    empty, so retrieval decodes every row for it.
+    like the production pipeline.  It has no row memo: ``memo_keys`` and
+    ``psd_keys`` are empty, so retrieval decodes every row for it.
     """
 
     memo_keys = frozenset()
+    psd_keys = frozenset()
 
     def __init__(self, config: PipelineConfig | None = None):
         self.config = config or PipelineConfig()
@@ -90,6 +135,7 @@ class ReferencePipeline:
         train_labels: dict[int, str],
         profile=None,
         row_keys=None,
+        keep_psd=False,
     ) -> PipelineResult:
         ids = np.asarray(pump_ids)
         days = np.asarray(service_days, dtype=np.float64)
@@ -154,7 +200,9 @@ class ReferencePipeline:
             valid_mask=valid,
             offsets=offsets,
             rms=rms,
+            peaks=peaks_reference(psd, freqs, self.config),
             psd=psd,
+            psd_rows=np.arange(n),
             da=da,
             zones=zones,
             zone_thresholds=thresholds if thresholds is not None else np.empty(0),

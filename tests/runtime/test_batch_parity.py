@@ -20,7 +20,11 @@ from repro.runtime import FleetExecutor
 from repro.runtime.batch import transform_rows
 from repro.runtime.checkpoint import RowJournal
 from repro.runtime.profile import RuntimeProfile
-from tests.reference.pipeline import ReferencePipeline, transform_reference
+from tests.reference.pipeline import (
+    ReferencePipeline,
+    features_reference,
+    transform_reference,
+)
 
 from .conftest import make_workload
 
@@ -30,10 +34,41 @@ def fresh_batch(config: PipelineConfig | None = None, **kwargs) -> AnalysisPipel
     return AnalysisPipeline(config, **kwargs)
 
 
+def extract_for(k: int, config: PipelineConfig | None = None):
+    """The pipeline's tile peak extraction for ``k``-sample rows."""
+    config = config or PipelineConfig()
+    freqs = psd_frequencies(k, config.sampling_rate_hz)
+
+    def extract(rows):
+        packed = extract_harmonic_peaks_batch(
+            rows, freqs, num_peaks=config.num_peaks, window_size=config.peak_window_size
+        )
+        return packed.frequencies, packed.values, packed.counts
+
+    return extract
+
+
+def kernel(blocks, executor, keep=None):
+    """``transform_rows`` with the default config's peak extraction,
+    keeping every PSD row unless ``keep`` says otherwise."""
+    if keep is None:
+        keep = np.ones(blocks.shape[0], dtype=bool)
+    return transform_rows(
+        blocks, executor, extract_for(blocks.shape[1]), PipelineConfig().num_peaks, keep
+    )
+
+
 def assert_results_identical(scalar, batch) -> None:
-    for name in ("offsets", "rms", "psd", "da"):
+    for name in ("offsets", "rms", "da"):
         a, b = getattr(scalar, name), getattr(batch, name)
         assert np.array_equal(a, b, equal_nan=True), f"{name} diverged"
+    for name in ("frequencies", "values", "counts"):
+        a, b = getattr(scalar.peaks, name), getattr(batch.peaks, name)
+        assert np.array_equal(a, b), f"peak {name} diverged"
+    # The production run keeps the PSD of fewer rows than the oracle:
+    # each kept row must equal the oracle's.
+    assert batch.psd_rows.size
+    assert np.array_equal(scalar.psd_of(batch.psd_rows), batch.psd)
     assert np.array_equal(scalar.valid_mask, batch.valid_mask)
     assert np.array_equal(scalar.zones, batch.zones)
     assert np.array_equal(scalar.zone_thresholds, batch.zone_thresholds)
@@ -46,17 +81,17 @@ def assert_results_identical(scalar, batch) -> None:
 class TestTransformParity:
     def test_transform_bit_identical(self, workload):
         _, _, blocks, _ = workload
-        s_off, s_rms, s_psd = transform_reference(blocks)
-        b_off, b_rms, b_psd = fresh_batch().transform(blocks)
-        assert np.array_equal(s_off, b_off)
-        assert np.array_equal(s_rms, b_rms)
-        assert np.array_equal(s_psd, b_psd)
+        reference = features_reference(blocks)
+        features = fresh_batch().transform(blocks)
+        assert len(features) == len(reference)
+        for ref, got, name in zip(reference, features, features._fields):
+            assert np.array_equal(ref, got), name
 
     def test_transform_parity_across_chunk_boundaries(
         self, workload, tmp_path, monkeypatch
     ):
         _, _, blocks, _ = workload
-        reference = transform_reference(blocks)
+        reference = features_reference(blocks)
         # Journal segment sizes that divide, straddle, and exceed the row
         # count.
         for chunk_rows in (1, 7, blocks.shape[0], blocks.shape[0] + 5):
@@ -69,10 +104,13 @@ class TestTransformParity:
     def test_transform_empty_matrix(self):
         # The scalar oracle cannot represent an empty result (np.stack
         # needs at least one row); the pipeline degrades gracefully.
-        b_off, b_rms, b_psd = fresh_batch().transform(np.empty((0, 128, 3)))
-        assert b_off.shape == (0, 3)
-        assert b_rms.shape == (0,)
-        assert b_psd.shape == (0, 128)
+        features = fresh_batch().transform(np.empty((0, 128, 3)))
+        assert features.offsets.shape == (0, 3)
+        assert features.rms.shape == (0,)
+        assert features.peak_frequencies.shape == (0, PipelineConfig().num_peaks)
+        assert features.peak_counts.shape == (0,)
+        assert features.psd.shape == (0, 128)
+        assert features.psd_rows.shape == (0,)
 
     def test_nan_bearing_measurement_raises_in_both_paths(self, workload):
         _, _, blocks, _ = workload
@@ -120,9 +158,9 @@ class TestThreadedTransformParity:
     def test_bit_identical_to_reference(self, workers, n):
         blocks = self.rows(n)
         executor = FleetExecutor(max_workers=workers)
-        outputs = transform_rows(blocks, executor)
-        assert outputs[2].shape == (n, 64)
-        for ref, got in zip(transform_reference(blocks), outputs):
+        outputs, psd = kernel(blocks, executor)
+        assert psd.shape == (n, 64)
+        for ref, got in zip(features_reference(blocks), (*outputs, psd)):
             assert np.array_equal(ref, got)
         # Transform tiles bypass the executor's map and its bookkeeping.
         assert executor.last_backend is None
@@ -131,7 +169,7 @@ class TestThreadedTransformParity:
         blocks = self.rows(1000)
         blocks[-1, 10, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            transform_rows(blocks, FleetExecutor(max_workers=3))
+            kernel(blocks, FleetExecutor(max_workers=3))
 
     def test_checkpointed_threaded_run_resumes_identically(
         self, tmp_path, monkeypatch
@@ -152,9 +190,51 @@ class TestThreadedTransformParity:
         profile = RuntimeProfile()
         resumed = journaled().transform(blocks, profile)
         assert profile.stages["transform"].items == 0
-        for ref, a, b in zip(transform_reference(blocks), first, resumed):
+        for ref, a, b in zip(features_reference(blocks), first, resumed):
             assert np.array_equal(ref, a)
             assert a.tobytes() == b.tobytes()
+
+
+class TestTileKernelParity:
+    """One pass per transform tile: ``transform_rows`` equals the scalar
+    transform plus a per-row ``extract_harmonic_peaks``, bit for bit, in
+    the stored float32 and in float64, for any ``K``, any worker count,
+    and a row count that is not a multiple of the tile."""
+
+    N = batch_mod.TRANSFORM_TILE_ROWS + 45
+
+    @staticmethod
+    def rows(n: int, k: int, dtype) -> np.ndarray:
+        rng = np.random.default_rng(k)
+        scale = rng.uniform(0.1, 3.0, size=(n, 1, 3))
+        offset = rng.normal(size=(n, 1, 3))
+        return (rng.normal(size=(n, k, 3)) * scale + offset).astype(dtype)
+
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    @pytest.mark.parametrize("k", [2, 3, 5, 1024])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_scalar_transform_and_peaks(self, dtype, k, workers):
+        blocks = self.rows(self.N, k, dtype)
+        executor = FleetExecutor(max_workers=workers)
+        reference = features_reference(blocks)
+        outputs, psd = kernel(blocks, executor)
+        for ref, got in zip(reference, (*outputs, psd)):
+            assert ref.tobytes() == got.tobytes()
+        # Keeping a subset of PSD rows changes no other output.
+        keep = np.zeros(self.N, dtype=bool)
+        keep[[0, 7, batch_mod.TRANSFORM_TILE_ROWS, self.N - 1]] = True
+        kept_outputs, kept_psd = kernel(blocks, executor, keep)
+        assert kept_psd.tobytes() == reference[5][keep].tobytes()
+        for ref, got in zip(reference, kept_outputs):
+            assert ref.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_row_raises(self, dtype, workers):
+        blocks = self.rows(self.N, 64, dtype)
+        blocks[self.N - 2, 3, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            kernel(blocks, FleetExecutor(max_workers=workers))
 
 
 class TestFeatureParity:
@@ -183,10 +263,11 @@ class TestFeatureParity:
         second = pipeline.run(ids, days, blocks, labels)
         assert (pipeline.peak_hits, pipeline.peak_misses) == (valid.sum(),) * 2
 
-        freqs = psd_frequencies(first.psd.shape[1], 4000.0)
+        _, _, psd = transform_reference(blocks)
+        freqs = psd_frequencies(psd.shape[1], 4000.0)
         zone_a = [i for i, zone in sorted(labels.items()) if zone == "A" and valid[i]]
-        scalar = PeakHarmonicFeature().fit(first.psd[zone_a], freqs)
-        expected = scalar.score_many(first.psd[valid], freqs)
+        scalar = PeakHarmonicFeature().fit(psd[zone_a], freqs)
+        expected = scalar.score_many(psd[valid], freqs)
         assert np.array_equal(first.da[valid], expected)
         assert np.array_equal(second.da[valid], expected)
 

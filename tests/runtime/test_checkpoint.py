@@ -70,16 +70,22 @@ class TestJournalAndResume:
     ):
         make_pipeline(tmp_path).transform(blocks)
         data = manifest(tmp_path)
-        assert data["version"] == 2
+        assert data["version"] == 3
         assert sorted(data) == ["segments", "version"]
         segments = data["segments"]
         assert [entry["payload"] for entry in segments] == [
             "segment-00000.npz", "segment-00001.npz", "segment-00002.npz"
         ]
         assert {entry["width"] for entry in segments} == {K}
+        assert {entry["spec"] for entry in segments} == {
+            "peaks=20 window=24 fs=4000.0"
+        }
         with np.load(tmp_path / segments[0]["payload"]) as archive:
             keys = [row.tobytes() for row in archive["keys"]]
             assert archive["psd"].shape == (SEGMENT_ROWS, K)
+            assert archive["psd_index"].tolist() == list(range(SEGMENT_ROWS))
+            assert archive["peak_frequencies"].shape == (SEGMENT_ROWS, 20)
+            assert archive["peak_counts"].shape == (SEGMENT_ROWS,)
         assert keys == row_digests(blocks[:SEGMENT_ROWS])
         assert not list(tmp_path.glob("*.tmp"))
 
@@ -171,7 +177,73 @@ class TestJournalAndResume:
         assert_identical(make_pipeline().transform(blocks), pipeline.transform(blocks))
         assert pipeline.journal_hits == 0
         assert pipeline.journal_misses == N
-        assert manifest(tmp_path)["version"] == 2
+        assert manifest(tmp_path)["version"] == 3
+
+    def test_version_2_manifest_is_ignored(self, tmp_path, blocks):
+        """A PSD journal from an older build has no peaks: it is never
+        read, the journal says why, and the first append replaces it."""
+        n = blocks.shape[0]
+        keys = np.frombuffer(b"".join(row_digests(blocks)), dtype=np.uint8)
+        np.savez(
+            tmp_path / "segment-00000.npz",
+            keys=keys.reshape(n, -1), offsets=np.zeros((n, 3)), rms=np.zeros(n),
+            psd=np.zeros((n, K)),
+        )
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps({
+            "version": 2,
+            "segments": [{"payload": "segment-00000.npz", "width": K,
+                          "digest": "0" * 40}],
+        }))
+        journal = RowJournal(tmp_path)
+        assert journal.unusable == "is version 2, not 3"
+        pipeline = AnalysisPipeline(PipelineConfig(), journal=journal)
+        assert len(pipeline.memo_keys) == 0
+        assert_identical(make_pipeline().transform(blocks), pipeline.transform(blocks))
+        assert pipeline.journal_hits == 0
+        assert manifest(tmp_path)["version"] == 3
+        assert RowJournal(tmp_path).unusable is None
+
+    def test_unusable_says_why_a_manifest_was_ignored(self, tmp_path, blocks):
+        assert RowJournal(tmp_path).unusable is None  # no manifest at all
+        (tmp_path / MANIFEST_NAME).write_text('{"version": 1, "chunks": {}}')
+        assert RowJournal(tmp_path).unusable == "is version 1, not 3"
+        (tmp_path / MANIFEST_NAME).write_text('{"version": 3, "segm')
+        assert RowJournal(tmp_path).unusable == "is unreadable"
+        (tmp_path / MANIFEST_NAME).write_text('{"version": 3, "segments": 7}')
+        assert RowJournal(tmp_path).unusable == "is unreadable"
+
+    def test_rows_of_other_peak_parameters_are_not_recalled(self, tmp_path, blocks):
+        """Peaks depend on the peak parameters, so a pipeline recalls only
+        segments journaled under its own."""
+        make_pipeline(tmp_path).transform(blocks)
+        config = PipelineConfig(num_peaks=7)
+        other = AnalysisPipeline(config, journal=RowJournal(tmp_path))
+        assert len(other.memo_keys) == 0
+        got = other.transform(blocks)
+        assert got.peak_frequencies.shape == (N, 7)
+        assert_identical(AnalysisPipeline(config).transform(blocks), got)
+        again = make_pipeline(tmp_path)
+        assert_identical(make_pipeline().transform(blocks), again.transform(blocks))
+        assert again.journal_hits == N
+
+    def test_kept_psd_rows_are_journaled_and_recalled(self, tmp_path, blocks):
+        """A segment journals the PSD of the rows the run kept; a later
+        run that wants another row's PSD transforms that row again."""
+        reference = make_pipeline().transform(blocks)
+        make_pipeline(tmp_path).transform(blocks, psd_rows=[1, 5, 20])
+        with np.load(tmp_path / "segment-00001.npz") as archive:
+            assert archive["psd_index"].tolist() == [4]
+            assert archive["psd"].shape == (1, K)
+        resumed = make_pipeline(tmp_path)
+        digests = row_digests(blocks)
+        assert set(resumed.psd_keys) == {digests[i] for i in (1, 5, 20)}
+        got = resumed.transform(blocks, psd_rows=[5, 2])
+        assert resumed.journal_hits == N - 1
+        assert resumed.transform_misses == 1  # row 2's PSD was not kept
+        np.testing.assert_array_equal(got.psd_rows, [2, 5])
+        assert got.psd.tobytes() == reference.psd[[2, 5]].tobytes()
+        for ref, have in zip(reference[:5], got[:5]):
+            assert ref.tobytes() == have.tobytes()
 
     def test_only_the_newest_psd_width_is_loaded(self, tmp_path, blocks):
         """Rows of another block length have other bytes, so their
@@ -217,7 +289,7 @@ class TestStaleCacheRevalidation:
         assert pipeline.transform_hits - hits0 == N - 1
         assert pipeline.journal_misses - journaled0 == 1
         assert_identical(make_pipeline().transform(poked), result)
-        assert not np.array_equal(result[2][7], reference[2][7])
+        assert not np.array_equal(result.psd[7], reference.psd[7])
 
 
 class TestAtomicity:
@@ -231,5 +303,5 @@ class TestAtomicity:
         # Unreadable manifest -> fresh start, re-journaled cleanly.
         assert resumed_pipeline.journal_hits == 0
         assert resumed_pipeline.journal_misses == N
-        assert manifest(tmp_path)["version"] == 2
+        assert manifest(tmp_path)["version"] == 3
         assert len(manifest(tmp_path)["segments"]) == 3

@@ -28,6 +28,16 @@ def small_segments(monkeypatch):
     monkeypatch.setattr(batch_mod, "DEFAULT_CHUNK_ROWS", SEGMENT_ROWS)
 
 
+def assert_kept_psd_and_peaks_equal(got, want) -> None:
+    """Every row's peaks, and the kept PSD rows with their indices."""
+    for name in ("frequencies", "values", "counts"):
+        np.testing.assert_array_equal(
+            getattr(got.peaks, name), getattr(want.peaks, name)
+        )
+    np.testing.assert_array_equal(got.psd_rows, want.psd_rows)
+    np.testing.assert_array_equal(got.psd, want.psd)
+
+
 def make_pipeline(ckpt_dir=None) -> AnalysisPipeline:
     journal = RowJournal(ckpt_dir) if ckpt_dir else None
     return AnalysisPipeline(PipelineConfig(), journal=journal)
@@ -62,7 +72,7 @@ def test_killed_batch_window_resumes_bit_identical(tmp_path, window, monkeypatch
     assert resumed_pipeline.journal_hits == SEGMENT_ROWS
     assert resumed_pipeline.journal_misses == blocks.shape[0] - SEGMENT_ROWS
     np.testing.assert_array_equal(resumed.da, reference.da)
-    np.testing.assert_array_equal(resumed.psd, reference.psd)
+    assert_kept_psd_and_peaks_equal(resumed, reference)
     np.testing.assert_array_equal(resumed.zones, reference.zones)
 
 
@@ -98,7 +108,7 @@ def test_killed_incremental_window_resumes_bit_identical(
     assert profile.counters["checkpoint_hits"] == SEGMENT_ROWS
     np.testing.assert_array_equal(resumed.offsets, reference.offsets)
     np.testing.assert_array_equal(resumed.rms, reference.rms)
-    np.testing.assert_array_equal(resumed.psd, reference.psd)
+    assert_kept_psd_and_peaks_equal(resumed, reference)
     np.testing.assert_array_equal(resumed.da, reference.da)
 
     # The resumed pipeline keeps rolling: growing the window transforms
@@ -126,4 +136,4 @@ def test_killed_incremental_window_resumes_bit_identical(
     np.testing.assert_array_equal(grown.offsets, cold.offsets)
     np.testing.assert_array_equal(grown.rms, cold.rms)
     np.testing.assert_array_equal(grown.da, cold.da)
-    np.testing.assert_array_equal(grown.psd, cold.psd)
+    assert_kept_psd_and_peaks_equal(grown, cold)
