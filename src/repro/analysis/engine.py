@@ -25,6 +25,7 @@ from repro.runtime.checkpoint import RowJournal
 from repro.runtime.fleet import FleetExecutor, SupervisionPolicy, SupervisionReport
 from repro.runtime.profile import RuntimeProfile
 from repro.storage.api import DataRetrievalAPI
+from repro.storage.database import KnownRows
 from repro.storage.records import LabelRecord, MaintenanceEvent
 
 
@@ -289,24 +290,23 @@ class VibrationAnalysisEngine:
         # memo cannot serve; the memo gathers the rest by key.  A
         # diagnosing run reads every row's PSD, so only rows whose PSD
         # the memo holds are served.  A plain run reads the PSD of its
-        # labelled Zone A rows alone: when the memo lacks one of those
-        # (a label added to a row seen without it), the window is read
-        # again with that row decoded.
+        # labelled Zone A rows alone, so the memo serves such a row only
+        # with its PSD: a label added to a row seen without it decodes
+        # that row in the same read.
         keep_psd = self.config.rotation_hz is not None
-        known = pipeline.psd_keys if keep_psd else pipeline.memo_keys
-        window = self._retrieve(known, profile)
-        if not keep_psd:
-            keys, train_labels = window[4], window[6]
-            lacking = {
-                keys[i]
-                for i, zone in train_labels.items()
-                if zone == ZONE_A
-                and keys[i] in known
-                and keys[i] not in pipeline.psd_keys
-            }
-            if lacking:
-                window = self._retrieve(known - lacking, profile)
-        pumps, mids, service, samples, keys, health, train_labels = window
+        labels = self.api.get_labels()
+        if keep_psd:
+            known = KnownRows(pipeline.psd_keys, pipeline.psd_keys)
+        else:
+            zones = {(r.pump_id, r.measurement_id): r.zone for r in labels}
+            known = KnownRows(
+                pipeline.memo_keys,
+                pipeline.psd_keys,
+                {pair for pair, zone in zones.items() if zone == ZONE_A},
+            )
+        pumps, mids, service, samples, keys, health, train_labels = self._retrieve(
+            known, labels, profile
+        )
 
         # One supervision delta per run, closed after the diagnosis fan-out,
         # feeds both the report and the profile.
@@ -349,21 +349,27 @@ class VibrationAnalysisEngine:
             supervision=supervision,
         )
 
-    def _retrieve(self, known, profile: RuntimeProfile | None) -> tuple:
-        """Read the window, decoding only rows whose key is not in ``known``.
+    def _retrieve(
+        self,
+        known: KnownRows,
+        labels: list[LabelRecord],
+        profile: RuntimeProfile | None,
+    ) -> tuple:
+        """Read the window, decoding only the rows ``known`` does not serve.
 
         Returns ``(pumps, mids, service, samples, keys, health,
-        train_labels)`` after the non-finite quarantine and the label
-        join.
+        train_labels)`` after the non-finite quarantine and the join of
+        ``labels``; ``samples`` holds exactly the rows the pipeline's
+        memo cannot serve.
 
         Raises:
             InsufficientDataError: as :meth:`run`.
         """
-        self.api.known_row_keys = known
+        self.api.known_rows = known
         try:
             window = self.api.measurement_matrices_with_health()
         finally:
-            self.api.known_row_keys = frozenset()
+            self.api.known_rows = KnownRows()
         pumps, mids, service, samples = window[:4]
         keys = window.row_keys
         total_retrieved = int(pumps.size)
@@ -385,6 +391,8 @@ class VibrationAnalysisEngine:
         # storage reads) instead of letting them fail the whole run.
         # Only decoded rows need the check: a memo-known row's key is its
         # content, which was finite when the memo took it.
+        decoded = np.zeros(pumps.size, dtype=bool)
+        decoded[window.decoded] = True
         finite = finite_block_mask(samples)
         quarantined_nonfinite: dict[int, int] = {}
         if not finite.all():
@@ -398,6 +406,7 @@ class VibrationAnalysisEngine:
             service = service[keep]
             samples = samples[finite]
             keys = [key for key, ok in zip(keys, keep.tolist()) if ok]
+            decoded = decoded[keep]
         if pumps.size == 0:
             raise InsufficientDataError(
                 "analysis period contains no finite measurements"
@@ -412,11 +421,22 @@ class VibrationAnalysisEngine:
 
         # Map stored labels onto the retrieved measurement ordering
         # (after the quarantine, so indices address surviving rows).
-        train_labels = label_rows(pumps, mids, self.api.get_labels())
+        train_labels = label_rows(pumps, mids, labels)
         if not train_labels:
             raise InsufficientDataError(
                 "no valid labels fall inside the analysis period"
             )
+        # A pair read on several rows (a duplicated read) is decoded on
+        # each, but its label, and so its wanted PSD, names the last row:
+        # the memo serves the others.
+        served = [
+            position
+            for position, row in enumerate(np.flatnonzero(decoded).tolist())
+            if keys[row] in known.keys
+            and (keys[row] in known.psd_keys or train_labels.get(row) != ZONE_A)
+        ]
+        if served:
+            samples = np.delete(samples, served, axis=0)
         return pumps, mids, service, samples, keys, health, train_labels
 
     def _diagnose(

@@ -30,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
+
+from repro.core._pocketfft import dct_ortho
 
 AXES = ("x", "y", "z")
 
@@ -120,8 +121,10 @@ def psd_feature(samples: np.ndarray, per_axis: bool = False) -> np.ndarray:
     """DCT-based power spectral density ``s_mn`` of a measurement.
 
     Each axis is normalized, transformed with the orthonormal DCT-II
-    (the ``W_K`` matrix), squared and scaled by ``1/K`` so that Parseval's
-    identity ``sum_k s_k == rms^2`` holds exactly per axis.
+    (the ``W_K`` matrix; :func:`~repro.core._pocketfft.dct_ortho`, bit for
+    bit ``scipy.fft.dct(type=2, norm="ortho")``), squared and scaled by
+    ``1/K`` so that Parseval's identity ``sum_k s_k == rms^2`` holds
+    exactly per axis.
 
     Args:
         samples: raw acceleration block, shape ``(K, 3)``.
@@ -134,7 +137,7 @@ def psd_feature(samples: np.ndarray, per_axis: bool = False) -> np.ndarray:
     """
     normalized = normalize_measurement(samples)
     k = normalized.shape[0]
-    coeffs = dct(normalized, type=2, norm="ortho", axis=0)
+    coeffs = dct_ortho(normalized, axis=0)
     spectra = coeffs**2 / k
     if per_axis:
         return spectra

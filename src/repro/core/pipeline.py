@@ -284,8 +284,8 @@ class AnalysisPipeline:
         ``row_keys``, or else digested here
         (:func:`~repro.runtime.cache.row_digests`).  A row the previous
         call also saw is gathered from that call's frozen result
-        matrices — unless its PSD is wanted and that call did not keep
-        it — and only the other rows, compacted, go through
+        matrices — unless its own PSD is wanted and that call did not
+        keep it — and only the other rows, compacted, go through
         :func:`~repro.runtime.batch.transform_rows`.  A rolling-window
         refresh therefore transforms just its new tail.  Every transform
         op is row-local, so gathered and recomputed rows are
@@ -303,9 +303,9 @@ class AnalysisPipeline:
         Args:
             samples: measurement blocks, shape ``(n, K, 3)``; with
                 ``row_keys``, only the rows the memo cannot serve — its
-                key is not in :attr:`memo_keys`, or its PSD is wanted
-                and its key is not in :attr:`psd_keys` — in row order
-                (``(0, K, 3)`` when it serves every row).
+                key is not in :attr:`memo_keys`, or its own PSD is
+                wanted and its key is not in :attr:`psd_keys` — in row
+                order (``(0, K, 3)`` when it serves every row).
             profile: optional collector for the ``transform`` stage; its
                 item count is the rows actually transformed.
             row_keys: optional row key of every row, as
@@ -332,15 +332,14 @@ class AnalysisPipeline:
             keep = np.zeros(n, dtype=bool)
             keep[np.asarray(psd_rows, dtype=np.intp)] = True
         kept = np.flatnonzero(keep)
-        # A memoized row serves this call unless its PSD is wanted and
-        # the memo did not keep it.
-        lacking = {digests[i] for i in kept} - self._memo_psd_rows.keys()
+        # A memoized row serves this call unless its own PSD is wanted
+        # and the memo did not keep it.
         hit: list[int] = []
         source: list[int] = []
         miss: list[int] = []
-        for row, digest in enumerate(digests):
+        for row, (digest, wanted) in enumerate(zip(digests, keep.tolist())):
             index = self._memo_rows.get(digest)
-            if index is None or digest in lacking:
+            if index is None or (wanted and digest not in self._memo_psd_rows):
                 miss.append(row)
             else:
                 hit.append(row)

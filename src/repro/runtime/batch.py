@@ -3,10 +3,11 @@
 :class:`~repro.core.pipeline.AnalysisPipeline` runs its transformation
 layer through :func:`transform_rows`: each row tile is upcast once,
 centred and reduced for its offsets and RMS, pushed through one batched
-DCT-II, and its PSD rows go straight into harmonic-peak extraction
-while they are still in cache.  Only the PSD rows a caller asks for
-leave the tile.  Tiles spread over the executor's threads and are
-optionally journaled per segment.
+orthonormal DCT-II (:func:`~repro.core._pocketfft.dct_ortho`, scipy's
+pocketfft kernel without the ``scipy.fft`` import), and its PSD rows go
+straight into harmonic-peak extraction while they are still in cache.
+Only the PSD rows a caller asks for leave the tile.  Tiles spread over
+the executor's threads and are optionally journaled per segment.
 
 Every kernel is bit-identical to the scalar per-row oracle in
 ``tests/reference/``; DESIGN.md states that contract at the pipeline
@@ -19,8 +20,8 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.fft import dct
 
+from repro.core._pocketfft import dct_ortho
 from repro.runtime.fleet import FleetExecutor
 
 #: Most rows per journal segment (see :mod:`repro.runtime.checkpoint`).
@@ -58,7 +59,8 @@ def _transform_tiled(
     buffer — the one place a float32 block is upcast, exactly — so the
     mean, the centring and the square-sum run sequentially over ``K``
     with a contiguous ``m·3`` inner loop, in the oracle's order.  One
-    transpose feeds the ``(m, 3, K)`` DCT scratch; the PSD rows are
+    transpose feeds the ``(m, 3, K)`` DCT scratch, which
+    :func:`~repro.core._pocketfft.dct_ortho` overwrites; the PSD rows are
     ``c_x + c_y + c_z`` and go straight to ``extract``.  Writes offsets,
     RMS and peaks (``outputs``) of every row, and the PSD of the rows
     ``keep`` marks at their kept position (``kept_before``).
@@ -92,7 +94,7 @@ def _transform_tiled(
         per_axis_sq /= k
         offsets[tlo:thi] = means
         rms[tlo:thi] = np.sqrt(per_axis_sq.sum(axis=1))
-        coeffs = dct(transposed, type=2, norm="ortho", axis=2, overwrite_x=True)
+        coeffs = dct_ortho(transposed, axis=2, overwrite_x=True)
         # Elementwise identical to (coeffs**2 / k), and the axis sum in
         # the oracle's left-to-right order.
         np.square(coeffs, out=coeffs)

@@ -19,6 +19,7 @@ import numpy as np
 from repro.runtime.cache import row_key
 from repro.storage.database import (
     BLOB_DTYPE,
+    KnownRows,
     VibrationDatabase,
     WindowArrays,
     WindowRows,
@@ -96,11 +97,10 @@ class DataRetrievalAPI:
         self._injector = injector
         self._retry = retry
         self._clock = clock
-        #: Row-memo keys whose samples the caller already holds: matrix
-        #: retrieval still verifies those rows but does not decode them.
-        #: A long-lived engine sets this to its memo's keys around its
-        #: retrieval call.
-        self.known_row_keys = frozenset()
+        #: The rows the caller's row memo serves: matrix retrieval still
+        #: verifies those rows but does not decode them.  A long-lived
+        #: engine sets this from its memo around its retrieval call.
+        self.known_rows = KnownRows()
 
     def advance(self, delta_days: float) -> None:
         """Slide the analysis window forward (periodic refresh)."""
@@ -168,12 +168,12 @@ class DataRetrievalAPI:
         """:meth:`measurement_matrices` plus per-pump drop accounting.
 
         Every stored BLOB in the window is CRC-verified on every call.
-        Rows whose key is in :attr:`known_row_keys` are returned with
-        their ids and keys but not decoded into ``samples`` (see
+        Rows that :attr:`known_rows` serves are returned with their ids
+        and keys but not decoded into ``samples`` (see
         :class:`~repro.storage.database.WindowArrays`); with no known
-        keys, ``samples`` holds every kept row.
+        rows, ``samples`` holds every kept row.
         """
-        known = self.known_row_keys
+        known = self.known_rows
         if self._injector is None and self._retry is None:
             # Fast path: no chaos hooks to honour, so the store can stream
             # BLOBs straight into one preallocated float32 matrix

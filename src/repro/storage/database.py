@@ -117,6 +117,19 @@ def _stored_key(blob: bytes, checksum, digest) -> bytes:
     return digest
 
 
+class KnownRows(NamedTuple):
+    """The rows a caller's row memo serves, which retrieval need not decode.
+
+    A row is served when its key is in ``keys`` — unless its
+    ``(pump_id, measurement_id)`` is in ``psd_pairs`` (the caller wants
+    that row's PSD) and its key is not in ``psd_keys``.
+    """
+
+    keys: Container[bytes] = frozenset()
+    psd_keys: Container[bytes] = frozenset()
+    psd_pairs: Container[tuple[int, int]] = frozenset()
+
+
 class WindowArrays(NamedTuple):
     """One analysis window's measurements as dense arrays.
 
@@ -125,8 +138,8 @@ class WindowArrays(NamedTuple):
         measurement_ids: measurement id per kept row.
         service_days: service time per kept row.
         samples: float32 ``(D, K, 3)`` blocks of the *decoded* rows —
-            every kept row whose key is not in the caller's ``known``
-            set, in row order; ``K`` is the window's block length even
+            every kept row the caller's :class:`KnownRows` does not
+            serve, in row order; ``K`` is the window's block length even
             when ``D`` is 0.
         dropped_incomplete: pump id → rows discarded for not matching
             the majority block length ``K``.
@@ -151,13 +164,13 @@ class WindowRows:
     """Accumulates a window's kept rows, decoding those ``known`` lacks.
 
     The arrays are preallocated for ``n`` rows of length ``k``; a row
-    whose key is in ``known`` keeps its ids and key but is not decoded.
+    that ``known`` serves keeps its ids and key but is not decoded.
     Both retrieval paths (:meth:`MeasurementStore.query_arrays` and the
     record path of :class:`~repro.storage.api.DataRetrievalAPI`) build
     their :class:`WindowArrays` here.
     """
 
-    def __init__(self, n: int, k: int, known: Container[bytes]):
+    def __init__(self, n: int, k: int, known: KnownRows):
         self.pumps = np.empty(n, dtype=int)
         self.mids = np.empty(n, dtype=int)
         self.service = np.empty(n)
@@ -170,12 +183,16 @@ class WindowRows:
         """Add one verified row; ``block`` is its ``"<f4"`` sample buffer.
 
         ``block`` (a stored BLOB or a contiguous float32 array) is
-        decoded into :attr:`samples` only when ``known`` lacks ``key``.
+        decoded into :attr:`samples` only when ``known`` does not serve
+        the row.
         """
         index = len(self.keys)
         self.pumps[index], self.mids[index], self.service[index] = pump, mid, service
         self.keys.append(key)
-        if key not in self.known:
+        known = self.known
+        if key not in known.keys or (
+            key not in known.psd_keys and (pump, mid) in known.psd_pairs
+        ):
             self.samples[len(self.decoded)] = np.frombuffer(
                 block, dtype=BLOB_DTYPE
             ).reshape(self.samples.shape[1:])
@@ -481,7 +498,7 @@ class MeasurementStore:
         start_day: float = -np.inf,
         end_day: float = np.inf,
         pump_ids: Sequence[int] | None = None,
-        known: Container[bytes] = frozenset(),
+        known: KnownRows = KnownRows(),
     ) -> WindowArrays:
         """Bulk fetch straight into dense arrays, skipping per-row records.
 
@@ -498,10 +515,10 @@ class MeasurementStore:
         already at hand.  Quarantine rows are written once the cursor
         is exhausted.
 
-        Every BLOB in the window is CRC-verified, but a kept row whose
-        row-memo key is in ``known`` — the caller already holds its
-        content — is not decoded: :attr:`WindowArrays.samples` holds only
-        the other rows, and :attr:`WindowArrays.decoded` says which.
+        Every BLOB in the window is CRC-verified, but a kept row that
+        ``known`` serves — the caller already holds what it needs of the
+        row — is not decoded: :attr:`WindowArrays.samples` holds only the
+        other rows, and :attr:`WindowArrays.decoded` says which.
         """
         where, params = self._window(start_day, end_day, pump_ids)
         others = []

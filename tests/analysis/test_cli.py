@@ -313,31 +313,54 @@ class TestInputValidation:
 
 
 class TestImportFootprint:
-    """``repro analyze`` loads only ``scipy.fft`` (and what it pulls in)
-    from scipy; the welch/Mahalanobis call sites import
-    the rest on first use.  It runs on threads, so it loads no
-    ``multiprocessing`` module either."""
+    """``repro analyze`` loads no scipy Python module: the DCT-II calls
+    scipy's compiled pocketfft extension, loaded on its own, and the
+    welch/Mahalanobis call sites import the rest on first use.  It runs
+    on threads, so it loads no ``multiprocessing`` module either."""
 
-    def test_analyze_imports_skip_scipy_signal_stats_linalg(self):
+    @staticmethod
+    def loaded_after(code: str, cwd=None) -> list[str]:
         probe = (
             "import sys\n"
             "import repro.__main__, repro.analysis.engine, repro.analysis.reporting\n"
             "import repro.core.pipeline, repro.runtime, repro.storage\n"
-            "print(' '.join(sorted(m for m in sys.modules\n"
-            "                      if m.startswith(('scipy.', 'multiprocessing')))))\n"
+            + code
+            + "heavy = ('scipy', 'numpy.f2py', 'multiprocessing')\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith(heavy))))\n"
         )
         src = os.path.dirname(os.path.dirname(repro.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        loaded = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", probe],
             env={**os.environ, "PYTHONPATH": path},
+            cwd=cwd,
             capture_output=True,
             text=True,
             check=True,
         ).stdout.split()
-        assert "scipy.fft" in loaded
-        for heavy in ("scipy.signal", "scipy.stats", "scipy.linalg", "multiprocessing"):
-            assert heavy not in loaded
+
+    def test_analyze_imports_skip_scipy_signal_stats_linalg(self):
+        # No scipy.fft, scipy.special, scipy._lib, numpy.f2py or
+        # multiprocessing either.
+        assert self.loaded_after("") == ["scipy.fft._pocketfft.pypocketfft"]
+
+    def test_a_whole_analyze_loads_only_the_pocketfft_extension_from_scipy(
+        self, tmp_path
+    ):
+        code, _ = run_cli(
+            ["simulate", "--db", str(tmp_path / "smoke.db"), "--pumps", "6",
+             "--days", "40", "--interval", "0.25", "--labels", "20,20,15",
+             "--seed", "7"]
+        )
+        assert code == 0
+        loaded = self.loaded_after(
+            "import contextlib, io\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['analyze', '--db', 'smoke.db']) == 0\n",
+            cwd=tmp_path,
+        )
+        assert loaded == ["scipy.fft._pocketfft.pypocketfft"]
 
 
 class TestOracleParity:

@@ -22,7 +22,7 @@ from repro.chaos.retry import RetryPolicy
 from repro.core.pipeline import PipelineConfig
 from repro.runtime.profile import RuntimeProfile
 from repro.storage.api import AnalysisPeriod, DataRetrievalAPI
-from repro.storage.database import VibrationDatabase
+from repro.storage.database import KnownRows, VibrationDatabase
 from repro.storage.records import LabelRecord
 from repro.viz.dashboard import write_dashboard
 
@@ -201,7 +201,7 @@ def test_refresh_without_new_rows_decodes_nothing(refresh_db, tmp_path):
         db, api.period, tmp_path / "fresh.html"
     )
     # Retrieval keeps the block length K with zero decoded rows.
-    api.known_row_keys = engine._pipeline.memo_keys
+    api.known_rows = KnownRows(engine._pipeline.memo_keys)
     window = api.measurement_matrices_with_health()
     assert window.samples.shape == (0, first.pipeline.psd.shape[1], 3)
     assert window.decoded == []
@@ -371,7 +371,8 @@ def test_zone_a_label_added_to_a_memoised_row_matches_a_fresh_engine(
 ):
     """The memo of a plain run lacks the PSD of an unlabelled row; once
     that row is labelled Zone A, the next run decodes and transforms it
-    again, and renders a fresh engine's bytes."""
+    again in its one read of the window, and renders a fresh engine's
+    bytes."""
     db, _ = refresh_db
     api = DataRetrievalAPI(db, AnalysisPeriod(0.0, T0))
     engine = VibrationAnalysisEngine(api, PLAIN)
@@ -392,11 +393,89 @@ def test_zone_a_label_added_to_a_memoised_row_matches_a_fresh_engine(
     assert profile.stages["transform"].items == 1
     assert profile.counters["transform_cache_hits"] == n - 1
     assert profile.counters["rows_decoded"] == 1
+    assert profile.counters["rows_verified"] == n
     fresh = VibrationAnalysisEngine(DataRetrievalAPI(db, api.period), PLAIN).run()
     assert outputs(second, tmp_path / "warm.html") == outputs(
         fresh, tmp_path / "fresh.html"
     )
     assert second.pipeline.psd.tobytes() == fresh.pipeline.psd.tobytes()
+
+
+def label_an_unlabelled_row_zone_a(report, api, db) -> tuple[int, int]:
+    labelled = {(r.pump_id, r.measurement_id) for r in api.get_labels()}
+    pair = next(
+        pair
+        for pair in zip(report.pump_ids.tolist(), report.measurement_ids.tolist())
+        if pair not in labelled
+    )
+    db.labels.add(LabelRecord(pump_id=pair[0], measurement_id=pair[1], zone="A"))
+    return pair
+
+
+def test_zone_a_label_added_before_a_plain_resume_decodes_that_row_once(
+    refresh_db, tmp_path
+):
+    """An engine whose memo comes from a plain journal has seen no window
+    of its own; a row labelled Zone A since the journal was written is
+    still decoded in the one read."""
+    db, _ = refresh_db
+    period = AnalysisPeriod(0.0, T0)
+    config = dataclasses.replace(PLAIN, checkpoint_dir=str(tmp_path / "ckpt"))
+    api = DataRetrievalAPI(db, period)
+    first = VibrationAnalysisEngine(api, config).run()
+    label_an_unlabelled_row_zone_a(first, api, db)
+    profile = RuntimeProfile()
+    resumed = VibrationAnalysisEngine(DataRetrievalAPI(db, period), config).run(
+        profile=profile
+    )
+    n = resumed.measurement_ids.size
+    assert profile.counters["rows_verified"] == n
+    assert profile.counters["rows_decoded"] == 1
+    assert profile.counters["checkpoint_hits"] == n - 1
+    fresh = VibrationAnalysisEngine(DataRetrievalAPI(db, period), PLAIN).run()
+    assert outputs(resumed, tmp_path / "resumed.html") == outputs(
+        fresh, tmp_path / "fresh.html"
+    )
+
+
+class _DuplicateOneRecord(_PoisonOneRecord):
+    """Duck-typed injector: once armed, returns one record twice."""
+
+    def mutate_measurements(self, point, records):
+        if not self.armed:
+            return records
+        out = []
+        for r in records:
+            out.append(r)
+            if (r.pump_id, r.measurement_id) == self.target:
+                out.append(r)
+        return out
+
+
+def test_duplicated_read_of_a_newly_zone_a_row_matches_a_fresh_engine(
+    refresh_db, tmp_path
+):
+    """A read that returns a row twice decodes both copies when the row
+    was labelled Zone A after the memo took it without its PSD; the label
+    names the last copy, so the memo serves the first."""
+    db, _ = refresh_db
+    period = AnalysisPeriod(0.0, T0)
+    injector = _DuplicateOneRecord(None)
+    api = DataRetrievalAPI(db, period, injector=injector)
+    engine = VibrationAnalysisEngine(api, PLAIN)
+    first = engine.run()
+    injector.target = label_an_unlabelled_row_zone_a(first, api, db)
+    injector.armed = True
+    profile = RuntimeProfile()
+    report = engine.run(profile=profile)
+    assert profile.counters["rows_decoded"] == 2
+    assert profile.stages["transform"].items == 1
+    fresh = VibrationAnalysisEngine(
+        DataRetrievalAPI(db, period, injector=injector), PLAIN
+    ).run()
+    assert outputs(report, tmp_path / "warm.html") == outputs(
+        fresh, tmp_path / "fresh.html"
+    )
 
 
 def test_diagnosing_resume_over_a_plain_journal_transforms_the_missing_psd_rows(

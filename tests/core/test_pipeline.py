@@ -235,6 +235,20 @@ class TestRowKeys:
             assert result.psd.tobytes() == expected.psd.tobytes()
         assert pipeline.transform_hits == len(keys)
 
+    def test_a_row_misses_for_its_own_wanted_psd_only(self):
+        """Rows 1 and 2 share content; once row 2's PSD is wanted and the
+        memo lacks it, row 2 alone is transformed again."""
+        blocks = np.random.default_rng(4).standard_normal((2, 16, 3))
+        samples = blocks[[0, 1, 1]]
+        keys = row_digests(samples)
+        pipeline = AnalysisPipeline()
+        pipeline.transform(samples, row_keys=keys, psd_rows=[0])
+        features = pipeline.transform(samples[[2]], row_keys=keys, psd_rows=[0, 2])
+        assert (pipeline.transform_hits, pipeline.transform_misses) == (2, 4)
+        expected = AnalysisPipeline().transform(samples, psd_rows=[0, 2])
+        for got, want in zip(features, expected):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_rows_must_match_the_keys_the_memo_lacks(self, fleet_inputs):
         _, pumps, service, samples, labels = fleet_inputs
         pipeline = AnalysisPipeline(PipelineConfig(ransac_min_inliers=25))

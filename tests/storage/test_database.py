@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.runtime.cache import row_digests
-from repro.storage.database import DatabaseCorruptionError, VibrationDatabase
+from repro.storage.database import (
+    DatabaseCorruptionError,
+    KnownRows,
+    VibrationDatabase,
+)
 from repro.storage.records import (
     BM,
     PM,
@@ -628,7 +632,7 @@ class TestKnownRowKeys:
         fresh = DataRetrievalAPI(db, period, retry=policy)
         expected = fresh.measurement_matrices_with_health()
         api = DataRetrievalAPI(db, period, retry=policy)
-        api.known_row_keys = known
+        api.known_rows = KnownRows(known)
         got = api.measurement_matrices_with_health()
         for a, b in zip(got[:3], expected[:3]):
             assert np.array_equal(a, b)
