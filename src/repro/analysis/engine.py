@@ -17,15 +17,18 @@ from repro.analysis.cost import CostModel
 from repro.core.classify import ZONE_A
 from repro.core.diagnosis import Diagnosis, SpectralDiagnoser
 from repro.core.peaks import extract_harmonic_peaks
-from repro.core.pipeline import AnalysisPipeline, PipelineConfig, PipelineResult
+from repro.core.pipeline import (
+    AnalysisPipeline,
+    PipelineConfig,
+    PipelineResult,
+    zone_a_rows,
+)
 from repro.core.ransac import LineModel
 from repro.core.rul import RULPrediction
-from repro.runtime.batch import finite_block_mask
 from repro.runtime.checkpoint import RowJournal
 from repro.runtime.fleet import FleetExecutor, SupervisionPolicy, SupervisionReport
 from repro.runtime.profile import RuntimeProfile
 from repro.storage.api import DataRetrievalAPI
-from repro.storage.database import KnownRows
 from repro.storage.records import LabelRecord, MaintenanceEvent
 
 
@@ -286,41 +289,31 @@ class VibrationAnalysisEngine:
         if self._pipeline is None:
             self._pipeline = self._make_pipeline()
         pipeline = self._pipeline
-        # Retrieval verifies every row but decodes only the rows the row
-        # memo cannot serve; the memo gathers the rest by key.  A
-        # diagnosing run reads every row's PSD, so only rows whose PSD
-        # the memo holds are served.  A plain run reads the PSD of its
-        # labelled Zone A rows alone, so the memo serves such a row only
-        # with its PSD: a label added to a row seen without it decodes
-        # that row in the same read.
+        # Retrieval verifies every row and streams the rows the row memo
+        # cannot serve into the transform as it decodes them; the memo
+        # gathers the rest by key.  A diagnosing run reads every row's
+        # PSD, so only rows whose PSD the memo holds are served.  A plain
+        # run reads the PSD of its labelled Zone A rows alone, so the
+        # memo serves such a row only with its PSD: a label added to a
+        # row seen without it decodes that row in the same read.
         keep_psd = self.config.rotation_hz is not None
         labels = self.api.get_labels()
-        if keep_psd:
-            known = KnownRows(pipeline.psd_keys, pipeline.psd_keys)
-        else:
+        psd_pairs = None
+        if not keep_psd:
             zones = {(r.pump_id, r.measurement_id): r.zone for r in labels}
-            known = KnownRows(
-                pipeline.memo_keys,
-                pipeline.psd_keys,
-                {pair for pair, zone in zones.items() if zone == ZONE_A},
-            )
-        pumps, mids, service, samples, keys, health, train_labels = self._retrieve(
-            known, labels, profile
-        )
-
+            psd_pairs = {pair for pair, zone in zones.items() if zone == ZONE_A}
         # One supervision delta per run, closed after the diagnosis fan-out,
         # feeds both the report and the profile.
         sup_tally = pipeline.executor.supervision_report
         sup_before = sup_tally.as_dict() if sup_tally is not None else None
-        result = pipeline.run(
-            pumps,
-            service,
-            samples,
-            train_labels,
-            profile=profile,
-            row_keys=keys,
-            keep_psd=keep_psd,
-        )
+        with pipeline.stream(psd_pairs, profile) as stream:
+            pumps, mids, service, keys, health, train_labels = self._retrieve(
+                stream, labels, profile
+            )
+            features = stream.features(
+                keys, None if keep_psd else zone_a_rows(train_labels)
+            )
+        result = pipeline.analyze(pumps, service, features, train_labels, profile)
 
         events = self.api.get_events()
         wasted = self.config.cost.wasted_rul_value(events)
@@ -351,26 +344,24 @@ class VibrationAnalysisEngine:
 
     def _retrieve(
         self,
-        known: KnownRows,
+        stream,
         labels: list[LabelRecord],
         profile: RuntimeProfile | None,
     ) -> tuple:
-        """Read the window, decoding only the rows ``known`` does not serve.
+        """Read the window into ``stream``, the pipeline's row stream.
 
-        Returns ``(pumps, mids, service, samples, keys, health,
-        train_labels)`` after the non-finite quarantine and the join of
-        ``labels``; ``samples`` holds exactly the rows the pipeline's
-        memo cannot serve.
+        Returns ``(pumps, mids, service, keys, health, train_labels)``
+        after the non-finite quarantine and the join of ``labels``.
 
         Raises:
             InsufficientDataError: as :meth:`run`.
         """
-        self.api.known_rows = known
+        self.api.sink = stream
         try:
             window = self.api.measurement_matrices_with_health()
         finally:
-            self.api.known_rows = KnownRows()
-        pumps, mids, service, samples = window[:4]
+            self.api.sink = None
+        pumps, mids, service = window[:3]
         keys = window.row_keys
         total_retrieved = int(pumps.size)
         if profile is not None:
@@ -388,25 +379,21 @@ class VibrationAnalysisEngine:
             raise InsufficientDataError("analysis period contains no measurements")
 
         # Quarantine non-finite blocks (corrupted uploads, poisoned
-        # storage reads) instead of letting them fail the whole run.
-        # Only decoded rows need the check: a memo-known row's key is its
-        # content, which was finite when the memo took it.
-        decoded = np.zeros(pumps.size, dtype=bool)
-        decoded[window.decoded] = True
-        finite = finite_block_mask(samples)
+        # storage reads) instead of letting them fail the whole run: the
+        # transform skipped them.  Only decoded rows can be among them: a
+        # memo-known row's key is its content, which was finite when the
+        # memo took it.
+        nonfinite = stream.nonfinite
         quarantined_nonfinite: dict[int, int] = {}
-        if not finite.all():
-            keep = np.ones(pumps.size, dtype=bool)
-            keep[np.asarray(window.decoded)[~finite]] = False
-            for pump in pumps[~keep]:
-                pump = int(pump)
+        if nonfinite.size:
+            for pump in pumps[nonfinite].tolist():
                 quarantined_nonfinite[pump] = quarantined_nonfinite.get(pump, 0) + 1
+            keep = np.ones(pumps.size, dtype=bool)
+            keep[nonfinite] = False
             pumps = pumps[keep]
             mids = mids[keep]
             service = service[keep]
-            samples = samples[finite]
             keys = [key for key, ok in zip(keys, keep.tolist()) if ok]
-            decoded = decoded[keep]
         if pumps.size == 0:
             raise InsufficientDataError(
                 "analysis period contains no finite measurements"
@@ -426,18 +413,7 @@ class VibrationAnalysisEngine:
             raise InsufficientDataError(
                 "no valid labels fall inside the analysis period"
             )
-        # A pair read on several rows (a duplicated read) is decoded on
-        # each, but its label, and so its wanted PSD, names the last row:
-        # the memo serves the others.
-        served = [
-            position
-            for position, row in enumerate(np.flatnonzero(decoded).tolist())
-            if keys[row] in known.keys
-            and (keys[row] in known.psd_keys or train_labels.get(row) != ZONE_A)
-        ]
-        if served:
-            samples = np.delete(samples, served, axis=0)
-        return pumps, mids, service, samples, keys, health, train_labels
+        return pumps, mids, service, keys, health, train_labels
 
     def _diagnose(
         self,

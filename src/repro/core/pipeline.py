@@ -45,7 +45,7 @@ from repro.core.peaks import (
 from repro.core.ransac import LineModel, RecursiveRANSAC
 from repro.core.rul import RULEstimator, RULPrediction, learn_zone_d_threshold
 from repro.core.window import moving_average
-from repro.runtime.batch import TRANSFORM_TILE_ROWS, transform_rows
+from repro.runtime.batch import TRANSFORM_TILE_ROWS, RowTransformer
 from repro.runtime.cache import as_float, row_digests
 from repro.runtime.fleet import FleetExecutor
 from repro.runtime.profile import RuntimeProfile
@@ -99,6 +99,25 @@ def psd_positions(psd_rows: np.ndarray, rows) -> np.ndarray:
     return positions
 
 
+def zone_a_rows(train_labels: dict[int, str]) -> list[int]:
+    """Ascending indices of the rows labelled Zone A: the rows whose PSD
+    the Zone A exemplar reads."""
+    return [i for i in sorted(train_labels) if train_labels[i] == ZONE_A]
+
+
+def _check_inputs(pump_ids, service_days, rows: int, train_labels) -> None:
+    """Raise ValueError unless the per-row inputs align and the labels
+    name rows."""
+    n = np.shape(pump_ids)[0]
+    if np.shape(service_days)[0] != n or rows != n:
+        raise ValueError("pump_ids, service_days and samples must align")
+    if not train_labels:
+        raise ValueError("train_labels must not be empty")
+    bad_idx = [i for i in train_labels if not 0 <= i < n]
+    if bad_idx:
+        raise ValueError(f"train_labels reference invalid indices: {bad_idx}")
+
+
 class RowFeatures(NamedTuple):
     """Per-row transform outputs of :meth:`AnalysisPipeline.transform`.
 
@@ -125,6 +144,217 @@ class RowFeatures(NamedTuple):
     def peaks(self) -> PackedPeaks:
         """Every row's harmonic peaks, packed."""
         return PackedPeaks(self.peak_frequencies, self.peak_values, self.peak_counts)
+
+
+class RowStream:
+    """One window's rows streaming into the transformation layer.
+
+    The row sink (see :class:`~repro.storage.database.DenseRows`) that
+    :meth:`AnalysisPipeline.stream` returns.  Retrieval asks
+    :meth:`wants` of every kept row, in row order: a row the pipeline's
+    row memo serves — its key is memoized, and its PSD is not wanted or
+    memoized too — is not decoded.  Each batch of decoded rows goes
+    through the transform tiles on arrival (:meth:`put`), so the window's
+    sample matrix is never held.  A row whose id is in ``psd_ids`` (every
+    row when ``psd_ids`` is None) keeps its PSD row.  Rows holding a
+    non-finite sample are skipped and listed in :attr:`nonfinite`.  Once
+    the window is complete, :meth:`features` merges the transformed rows
+    with the memoized ones.  Use it as a context manager: leaving it
+    shuts the transform threads down.
+
+    One kind of row waits instead: a memoized row decoded only because
+    its id is in ``psd_ids`` and the memo lacks its PSD.  Its samples
+    are held until :meth:`features` knows which rows' PSD is wanted — a
+    row read twice is labelled on its last copy only, so the memo serves
+    the other — and only then transformed.  Such rows are the ones
+    labelled since the memo took them, so few are held.
+    """
+
+    def __init__(self, pipeline: "AnalysisPipeline", psd_ids=None, profile=None):
+        self._pipeline = pipeline
+        self._psd_ids = psd_ids
+        self._profile = profile
+        config = pipeline.config
+        self._transformer = RowTransformer(
+            pipeline.executor.max_workers, config.num_peaks, pipeline.journal
+        )
+        self.start(0, 0)
+
+    def __enter__(self) -> "RowStream":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._transformer.close()
+
+    def start(self, n: int, k: int) -> None:
+        """Open a window of at most ``n`` rows of ``k`` samples."""
+        self._k = k
+        #: Per kept row: its position among the transformed rows, -1
+        #: when the memo serves it, or ``-2 - h`` for held row ``h``.
+        self._fresh_at: list[int] = []
+        #: Per transformed row: its key and whether its PSD is kept.
+        self._keys: list[bytes] = []
+        self._keep: list[bool] = []
+        #: Per decoded row since the last batch: whether it is held.
+        self._queue: list[bool] = []
+        self._held: list[np.ndarray] = []
+        self._held_rows = 0
+        expected = n if self._psd_ids is None else min(n, len(self._psd_ids))
+        extract = self._pipeline._extract(k) if k >= 2 else None
+        self._transformer.start(n, k, expected, extract)
+
+    @property
+    def samples(self) -> np.ndarray:
+        """No samples are held: an empty ``(0, K, 3)`` float32 array."""
+        return np.empty((0, self._k, 3), dtype=np.float32)
+
+    def wants(self, key: bytes, row_id) -> bool:
+        """Whether the next kept row, ``row_id``, must be decoded."""
+        pipeline = self._pipeline
+        psd = self._psd_ids is None or row_id in self._psd_ids
+        if key in pipeline._memo_rows:
+            if not psd or key in pipeline._memo_psd_rows:
+                self._fresh_at.append(-1)
+                return False
+            if self._psd_ids is not None:
+                self._fresh_at.append(-2 - self._held_rows)
+                self._held_rows += 1
+                self._queue.append(True)
+                return True
+        self._fresh_at.append(len(self._keys))
+        self._keys.append(key)
+        self._keep.append(psd)
+        self._queue.append(False)
+        return True
+
+    def put(self, rows: np.ndarray) -> None:
+        """Take a batch of decoded ``(m, K, 3)`` rows, in row order."""
+        if self._k < 2:
+            raise ValueError("measurement must contain at least 2 samples")
+        queue, self._queue = np.asarray(self._queue, dtype=bool), []
+        if queue.any():
+            self._held.append(rows[queue])
+            rows = rows[~queue]
+        if rows.shape[0]:
+            self._transform(rows)
+
+    def _transform(self, rows: np.ndarray) -> None:
+        """Transform the next rows of :attr:`_keys` (one ``transform`` stage)."""
+        start = time.perf_counter()
+        transformer = self._transformer
+        lo, hi = transformer.done, transformer.done + rows.shape[0]
+        transformer.put(
+            rows, np.asarray(self._keep[lo:hi], dtype=bool), self._keys[lo:hi]
+        )
+        if self._profile is not None:
+            self._profile.add(
+                "transform",
+                time.perf_counter() - start,
+                int(np.count_nonzero(transformer.finite[lo:hi])),
+            )
+
+    @property
+    def nonfinite(self) -> np.ndarray:
+        """Ascending kept-row indices skipped for a non-finite sample."""
+        transformer = self._transformer
+        bad = np.flatnonzero(~transformer.finite[: transformer.done])
+        if not bad.size:
+            return bad
+        return np.flatnonzero(np.isin(self._fresh_at, bad))
+
+    def features(self, keys: list[bytes], psd_rows=None) -> RowFeatures:
+        """Every row's :class:`RowFeatures`, and they become the row memo.
+
+        ``keys`` are the key of every kept row but the :attr:`nonfinite`
+        ones, in row order; ``psd_rows`` the indices (into ``keys``) of
+        the rows whose PSD to return, which must be rows whose id was in
+        ``psd_ids`` (None: every row).  A transformed row's outputs are
+        gathered from the transform, a served row's from the frozen
+        matrices of the previous memo; every op is row-local, so both
+        are bit-identical to a cold run.  The memo holds the outputs
+        returned, read-only, so no alias can change a memoized row.
+
+        Raises:
+            ValueError: when ``keys`` does not match the rows streamed,
+                or a requested row's PSD was not kept.
+        """
+        pipeline = self._pipeline
+        transformer = self._transformer
+        fresh_at = np.asarray(self._fresh_at, dtype=np.intp)
+        nonfinite = self.nonfinite
+        if nonfinite.size:
+            fresh_at = np.delete(fresh_at, nonfinite)
+        n = len(keys)
+        if fresh_at.size != n:
+            raise ValueError(f"{n} row keys passed for {fresh_at.size} streamed rows")
+        wanted = np.ones(n, dtype=bool)
+        if psd_rows is not None:
+            wanted[:] = False
+            wanted[np.asarray(psd_rows, dtype=np.intp)] = True
+        kept = np.flatnonzero(wanted)
+
+        # A held row is transformed only if its own PSD is wanted.
+        held = np.flatnonzero(fresh_at <= -2)
+        if held.size:
+            needed = held[wanted[held]]
+            samples = np.concatenate(self._held)[-2 - fresh_at[needed]]
+            fresh_at[held] = -1
+            fresh_at[needed] = transformer.done + np.arange(needed.size)
+            self._keys.extend(keys[i] for i in needed.tolist())
+            self._keep.extend([True] * needed.size)
+            if needed.size:
+                self._transform(samples)
+        start = time.perf_counter()
+        transformer.finish()
+        done, k = transformer.done, self._k
+        fresh = transformer.outputs
+        transformed = fresh_at >= 0
+        hit = np.flatnonzero(~transformed)
+        miss = np.flatnonzero(transformed)
+        if done == n and np.array_equal(fresh_at, np.arange(n)):
+            outputs = tuple(out[:n] for out in fresh)
+        else:
+            outputs = tuple(
+                np.empty((n, *out.shape[1:]), dtype=out.dtype) for out in fresh
+            )
+            for out, rows in zip(outputs, fresh):
+                out[miss] = rows[fresh_at[miss]]
+            if hit.size:
+                source = [pipeline._memo_rows[keys[i]] for i in hit.tolist()]
+                for out, previous in zip(outputs, pipeline._memo_outputs):
+                    out[hit] = previous[source]
+
+        # Position of each transformed row's PSD row, or -1.
+        keep = transformer.keep[:done]
+        psd_at = np.where(keep, np.cumsum(keep) - 1, -1)
+        from_fresh = transformed[kept]
+        at = psd_at[fresh_at[kept[from_fresh]]]
+        if (at < 0).any():
+            raise ValueError("the PSD of a requested row was not kept")
+        if from_fresh.all() and np.array_equal(at, np.arange(kept.size)):
+            psd = transformer.psd[: kept.size]
+        else:
+            psd = np.empty((kept.size, k))
+            psd[from_fresh] = transformer.psd[at]
+            # Gather memoized PSD rows tile by tile: one whole-matrix
+            # fancy index would allocate a third PSD-sized temporary
+            # next to the old and new memo.
+            recalled = np.flatnonzero(~from_fresh)
+            memo_psd = pipeline._memo_psd_rows
+            for lo in range(0, recalled.size, TRANSFORM_TILE_ROWS):
+                tile = recalled[lo : lo + TRANSFORM_TILE_ROWS]
+                try:
+                    rows = [memo_psd[keys[i]] for i in kept[tile].tolist()]
+                except KeyError:
+                    raise ValueError("the PSD of a requested row was not kept") from None
+                psd[tile] = pipeline._memo_psd[rows]
+        kept.setflags(write=False)
+        pipeline._remember(keys, outputs, [keys[i] for i in kept.tolist()], psd)
+        pipeline._fresh = transformed
+        pipeline._count_transform(hit.size, miss.size, self._profile)
+        if self._profile is not None:
+            self._profile.add("transform", time.perf_counter() - start)
+        return RowFeatures(*pipeline._memo_outputs, psd, kept)
 
 
 @dataclass
@@ -267,6 +497,38 @@ class AnalysisPipeline:
     # ------------------------------------------------------------------
     # Individual layers, usable on their own.
     # ------------------------------------------------------------------
+    def stream(self, psd_ids=None, profile: RuntimeProfile | None = None) -> RowStream:
+        """A :class:`RowStream` into this pipeline's transformation layer.
+
+        Args:
+            psd_ids: ids of the rows whose PSD to keep (retrieval passes
+                ``(pump_id, measurement_id)`` pairs); None keeps every
+                row's.
+            profile: optional collector for the ``transform`` stage;
+                its item count is the rows actually transformed.
+        """
+        return RowStream(self, psd_ids, profile)
+
+    def _count_transform(
+        self, hits: int, misses: int, profile: RuntimeProfile | None
+    ) -> None:
+        """Tally one transform's recalled and transformed rows."""
+        from_journal, self._memo_from_journal = self._memo_from_journal, False
+        counts = {
+            "transform_cache_hits": 0 if from_journal else hits,
+            "transform_cache_misses": misses,
+        }
+        self.transform_hits += counts["transform_cache_hits"]
+        self.transform_misses += misses
+        if self.journal is not None:
+            counts["checkpoint_hits"] = hits if from_journal else 0
+            counts["checkpoint_misses"] = misses
+            self.journal_hits += counts["checkpoint_hits"]
+            self.journal_misses += misses
+        if profile is not None:
+            for name, value in counts.items():
+                profile.count(name, value)
+
     def transform(
         self,
         samples: np.ndarray,
@@ -276,24 +538,21 @@ class AnalysisPipeline:
     ) -> RowFeatures:
         """Data transformation layer: every block's :class:`RowFeatures`.
 
-        Each row's offsets, RMS and harmonic peaks come out of one pass
-        over its transform tile; its PSD row is kept only when
-        ``psd_rows`` names it (every row when ``psd_rows`` is None).
+        The in-memory entry to :meth:`stream`: the rows go through the
+        same :class:`RowStream` a retrieval feeds, so each row's offsets,
+        RMS and harmonic peaks come out of one pass over its transform
+        tile, and its PSD row is kept only when ``psd_rows`` names it
+        (every row when ``psd_rows`` is None).
 
         Rows are memoized by content.  Each row has one key: given in
         ``row_keys``, or else digested here
         (:func:`~repro.runtime.cache.row_digests`).  A row the previous
         call also saw is gathered from that call's frozen result
         matrices — unless its own PSD is wanted and that call did not
-        keep it — and only the other rows, compacted, go through
-        :func:`~repro.runtime.batch.transform_rows`.  A rolling-window
-        refresh therefore transforms just its new tail.  Every transform
-        op is row-local, so gathered and recomputed rows are
-        bit-identical to a cold run.  The memo holds the last call's
-        outputs only, and those are the arrays this call returns:
-        read-only, so no alias can change a memoized row.  A pipeline
-        with a journal starts from the journal's rows and journals every
-        row it transforms.
+        keep it — and only the other rows, compacted, are transformed.
+        A rolling-window refresh therefore transforms just its new tail.
+        A pipeline with a journal starts from the journal's rows and
+        journals every row it transforms.
 
         Float32 samples (the stored precision) and float64 samples are
         used as given — no whole-matrix upcast; each transform tile
@@ -316,9 +575,9 @@ class AnalysisPipeline:
 
         Raises:
             ValueError: when ``samples`` does not hold exactly the rows
-                of ``row_keys`` that the memo cannot serve.
+                of ``row_keys`` that the memo cannot serve, or holds a
+                non-finite sample.
         """
-        start = time.perf_counter()
         blocks = as_float(samples)
         if blocks.ndim != 3 or blocks.shape[2] != 3:
             raise ValueError(f"samples must have shape (n, K, 3), got {blocks.shape}")
@@ -326,77 +585,24 @@ class AnalysisPipeline:
         n, k = len(digests), blocks.shape[1]
         if n and k < 2:
             raise ValueError("measurement must contain at least 2 samples")
-        if psd_rows is None:
-            keep = np.ones(n, dtype=bool)
-        else:
-            keep = np.zeros(n, dtype=bool)
-            keep[np.asarray(psd_rows, dtype=np.intp)] = True
-        kept = np.flatnonzero(keep)
-        # A memoized row serves this call unless its own PSD is wanted
-        # and the memo did not keep it.
-        hit: list[int] = []
-        source: list[int] = []
-        miss: list[int] = []
-        for row, (digest, wanted) in enumerate(zip(digests, keep.tolist())):
-            index = self._memo_rows.get(digest)
-            if index is None or (wanted and digest not in self._memo_psd_rows):
-                miss.append(row)
+        ids = None if psd_rows is None else set(np.asarray(psd_rows).tolist())
+        with self.stream(ids, profile) as stream:
+            stream.start(n, k)
+            miss = [row for row, key in enumerate(digests) if stream.wants(key, row)]
+            if row_keys is None:
+                fresh = blocks[miss] if len(miss) < n else blocks
+            elif len(miss) == blocks.shape[0]:
+                fresh = blocks
             else:
-                hit.append(row)
-                source.append(index)
-        if row_keys is None:
-            fresh = blocks[miss] if hit else blocks
-        elif len(miss) == blocks.shape[0]:
-            fresh = blocks
-        else:
-            raise ValueError(
-                f"{blocks.shape[0]} sample rows passed for the {len(miss)}"
-                " rows the memo lacks"
-            )
-        transformed = np.zeros(n, dtype=bool)
-        transformed[miss] = True
-        outputs, psd = transform_rows(
-            fresh,
-            self.executor,
-            self._extract(k),
-            self.config.num_peaks,
-            keep[miss],
-            self.journal,
-            [digests[i] for i in miss],
-        )
-        if hit:
-            new_outputs, new_psd = outputs, psd
-            outputs = tuple(
-                np.empty((n, *out.shape[1:]), dtype=out.dtype) for out in new_outputs
-            )
-            for out, previous, rows in zip(outputs, self._memo_outputs, new_outputs):
-                out[hit] = previous[source]
-                out[miss] = rows
-            psd = np.empty((kept.size, k))
-            psd[transformed[kept]] = new_psd
-            # Gather PSD rows tile by tile: one whole-matrix fancy index
-            # would allocate a third PSD-sized temporary next to the old
-            # and new memo.
-            recalled = np.flatnonzero(~transformed[kept])
-            for lo in range(0, recalled.size, TRANSFORM_TILE_ROWS):
-                at = recalled[lo : lo + TRANSFORM_TILE_ROWS]
-                psd[at] = self._memo_psd[
-                    [self._memo_psd_rows[digests[i]] for i in kept[at]]
-                ]
-        kept.setflags(write=False)
-        self._remember(digests, outputs, [digests[i] for i in kept], psd)
-        self._fresh = transformed
-        if self._memo_from_journal:
-            self.journal_hits += len(hit)
-        else:
-            self.transform_hits += len(hit)
-        self._memo_from_journal = False
-        self.transform_misses += len(miss)
-        if self.journal is not None:
-            self.journal_misses += len(miss)
-        if profile is not None:
-            profile.add("transform", time.perf_counter() - start, len(miss))
-        return RowFeatures(*self._memo_outputs, psd, kept)
+                raise ValueError(
+                    f"{blocks.shape[0]} sample rows passed for the {len(miss)}"
+                    " rows the memo lacks"
+                )
+            if miss:
+                stream.put(fresh)
+            if stream.nonfinite.size:
+                raise ValueError("measurement contains non-finite samples")
+            return stream.features(digests, psd_rows)
 
     def preprocess(
         self,
@@ -450,13 +656,11 @@ class AnalysisPipeline:
         row_keys: list[bytes] | None = None,
         keep_psd: bool = False,
     ) -> PipelineResult:
-        """Execute the full workflow.
+        """Execute the full workflow: :meth:`transform`, then :meth:`analyze`.
 
         Only the Zone A exemplar reads PSD rows, so the result keeps the
         PSD of the labelled Zone A measurements alone unless
         ``keep_psd`` asks for every row's (a caller that diagnoses).
-        ``D_a`` is scored from the harmonic peaks the transform tile
-        extracted.
 
         Args:
             pump_ids: pump identifier per measurement, shape ``(n,)``.
@@ -480,25 +684,34 @@ class AnalysisPipeline:
             ValueError: on misaligned inputs, or when ``samples`` is not
                 exactly the rows of ``row_keys`` the memo cannot serve.
         """
+        blocks = as_float(samples)
+        rows = blocks.shape[0] if row_keys is None else len(row_keys)
+        _check_inputs(pump_ids, service_days, rows, train_labels)
+        psd_rows = None if keep_psd else zone_a_rows(train_labels)
+        features = self.transform(blocks, profile, row_keys, psd_rows)
+        return self.analyze(pump_ids, service_days, features, train_labels, profile)
+
+    def analyze(
+        self,
+        pump_ids: np.ndarray,
+        service_days: np.ndarray,
+        features: RowFeatures,
+        train_labels: dict[int, str],
+        profile: RuntimeProfile | None = None,
+    ) -> PipelineResult:
+        """Every layer after the transform, from each row's features.
+
+        ``features`` are the rows' :class:`RowFeatures` (from
+        :meth:`transform` or :meth:`RowStream.features`); the PSD rows of
+        the labelled Zone A measurements must be among them.  ``D_a`` is
+        scored from the harmonic peaks the transform tile extracted.
+        Arguments and result as :meth:`run`.
+        """
         ids = np.asarray(pump_ids)
         days = np.asarray(service_days, dtype=np.float64)
-        blocks = as_float(samples)
+        _check_inputs(ids, days, features.offsets.shape[0], train_labels)
         n = ids.shape[0]
-        rows = blocks.shape[0] if row_keys is None else len(row_keys)
-        if days.shape[0] != n or rows != n:
-            raise ValueError("pump_ids, service_days and samples must align")
-        if not train_labels:
-            raise ValueError("train_labels must not be empty")
-        bad_idx = [i for i in train_labels if not 0 <= i < n]
-        if bad_idx:
-            raise ValueError(f"train_labels reference invalid indices: {bad_idx}")
         profile = profile if profile is not None else RuntimeProfile()
-        tallies = self._tallies()
-
-        psd_rows = None
-        if not keep_psd:
-            psd_rows = [i for i in sorted(train_labels) if train_labels[i] == ZONE_A]
-        features = self.transform(blocks, profile, row_keys, psd_rows)
         offsets = features.offsets
 
         with profile.stage("preprocess", n):
@@ -538,6 +751,8 @@ class AnalysisPipeline:
             extracted = int(np.count_nonzero(self._fresh[valid_idx]))
             self.peak_hits += valid_idx.size - extracted
             self.peak_misses += extracted
+            profile.count("peak_cache_hits", valid_idx.size - extracted)
+            profile.count("peak_cache_misses", extracted)
             train_da = da[train_idx]
             if self.config.moving_average_window > 1:
                 for pump in np.unique(ids):
@@ -585,8 +800,6 @@ class AnalysisPipeline:
                         items.append((pump, days[member], da[member]))
                 rul = self.executor.map_pumps(estimator.predict, items)
 
-        for name, value in self._tallies().items():
-            profile.count(name, value - tallies[name])
         profile.count("fleet_workers", self.executor.max_workers)
 
         return PipelineResult(
@@ -604,15 +817,3 @@ class AnalysisPipeline:
             rul=rul,
         )
 
-    def _tallies(self) -> dict[str, int]:
-        """Cumulative cache and checkpoint counters, for per-run deltas."""
-        tallies = {
-            "peak_cache_hits": self.peak_hits,
-            "peak_cache_misses": self.peak_misses,
-            "transform_cache_hits": self.transform_hits,
-            "transform_cache_misses": self.transform_misses,
-        }
-        if self.journal is not None:
-            tallies["checkpoint_hits"] = self.journal_hits
-            tallies["checkpoint_misses"] = self.journal_misses
-        return tallies

@@ -1,13 +1,15 @@
 """Batched transform kernel of the Fig. 7 analytical workflow.
 
 :class:`~repro.core.pipeline.AnalysisPipeline` runs its transformation
-layer through :func:`transform_rows`: each row tile is upcast once,
-centred and reduced for its offsets and RMS, pushed through one batched
-orthonormal DCT-II (:func:`~repro.core._pocketfft.dct_ortho`, scipy's
-pocketfft kernel without the ``scipy.fft`` import), and its PSD rows go
-straight into harmonic-peak extraction while they are still in cache.
-Only the PSD rows a caller asks for leave the tile.  Tiles spread over
-the executor's threads and are optionally journaled per segment.
+layer through a :class:`RowTransformer`, fed batch by batch as
+retrieval decodes rows (or with a whole in-memory matrix): each row
+tile is upcast once, centred and reduced for its offsets and RMS,
+pushed through one batched orthonormal DCT-II
+(:func:`~repro.core._pocketfft.dct_ortho`, scipy's pocketfft kernel
+without the ``scipy.fft`` import), and its PSD rows go straight into
+harmonic-peak extraction while they are still in cache.  Only the PSD
+rows a caller asks for leave the tile.  Tiles spread over one thread
+pool per run and are optionally journaled per segment.
 
 Every kernel is bit-identical to the scalar per-row oracle in
 ``tests/reference/``; DESIGN.md states that contract at the pipeline
@@ -17,12 +19,11 @@ boundary.
 from __future__ import annotations
 
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
 from repro.core._pocketfft import dct_ortho
-from repro.runtime.fleet import FleetExecutor
 
 #: Most rows per journal segment (see :mod:`repro.runtime.checkpoint`).
 #: A segment holds each row's offsets, RMS and packed peaks (~360 bytes
@@ -43,11 +44,14 @@ DEFAULT_CHUNK_ROWS = 8192
 TRANSFORM_TILE_ROWS = 64
 
 
+
+
 def _transform_tiled(
     blocks: np.ndarray,
     lo: int,
     hi: int,
     outputs: tuple[np.ndarray, ...],
+    finite: np.ndarray,
     psd: np.ndarray,
     keep: np.ndarray,
     kept_before: np.ndarray,
@@ -65,8 +69,11 @@ def _transform_tiled(
     RMS and peaks (``outputs``) of every row, and the PSD of the rows
     ``keep`` marks at their kept position (``kept_before``).
 
-    Raises:
-        ValueError: if any sample in ``[lo, hi)`` is non-finite.
+    A row holding a non-finite sample is flagged False in ``finite``
+    and transformed as zeros, so it cannot poison the tile; every op is
+    row-local, so the other rows' outputs are unchanged.  Only a tile
+    whose means are not all finite — which any NaN or Inf sample makes
+    them — pays for the per-row check.
     """
     offsets, rms, *peaks = outputs
     k = blocks.shape[1]
@@ -80,9 +87,13 @@ def _transform_tiled(
         m = thi - tlo
         chunk = flat[: k * m * 3].reshape(k, m, 3)
         chunk[...] = blocks[tlo:thi].transpose(1, 0, 2)
-        if not np.isfinite(chunk).all():
-            raise ValueError("measurement contains non-finite samples")
         means = chunk.mean(axis=0)
+        finite[tlo:thi] = True
+        if not np.isfinite(means).all():
+            bad = ~np.isfinite(chunk).all(axis=(0, 2))
+            finite[tlo:thi] = ~bad
+            chunk[:, bad] = 0.0
+            means[bad] = 0.0
         chunk -= means
         # The DCT runs along the K samples, so it reads the centred
         # block from the contiguous (m, 3, K) scratch and may destroy
@@ -107,113 +118,154 @@ def _transform_tiled(
         psd[kept_before[tlo] : kept_before[thi]] = rows_psd[keep[tlo:thi]]
 
 
-def run_tiles(
-    fn: Callable[[int, int], None], lo: int, hi: int, workers: int
-) -> None:
-    """Call ``fn(start, stop)`` over rows ``[lo, hi)`` on ``workers`` threads.
+class RowTransformer:
+    """Transforms rows batch by batch into per-row outputs, in arrival order.
 
-    The rows split into ``min(workers, tiles)`` contiguous ranges
-    aligned to :data:`TRANSFORM_TILE_ROWS`, one per thread; one worker
-    or a single tile is the plain call ``fn(lo, hi)``.  ``fn`` must be
-    row-local and write only its own rows, so the result is
-    bit-identical whichever thread ran a range.  An exception raises as
-    in the serial call, earliest range first.
+    :meth:`start` sizes the outputs for at most ``n`` rows of length
+    ``k``; each :meth:`put` transforms one batch of rows and writes
+    their outputs after the rows of the batches before it:
+    :attr:`outputs` is ``(offsets, rms, peak_frequencies, peak_values,
+    peak_counts)``, :attr:`finite` flags the rows without a non-finite
+    sample, and :attr:`psd` holds, in row order, the PSD of the rows
+    whose ``keep`` flag was set.  :attr:`done` rows are written.
+
+    A batch's tiles spread over ``workers`` threads (``0``/``1`` is
+    serial) in contiguous ranges aligned to :data:`TRANSFORM_TILE_ROWS`;
+    the threads come from one pool, made on first use and shut down by
+    :meth:`close`, not one pool per batch.  The threads bypass any
+    :class:`~repro.runtime.fleet.FleetExecutor`, so its fault injection,
+    supervision tally and ``last_backend`` never see transform tiles.
+    Every op is row-local, so the bytes depend on neither the batch
+    boundaries nor the thread that ran a range.
+
+    With a :class:`~repro.runtime.checkpoint.RowJournal`, the finite
+    rows are appended to it in segments of at most
+    :data:`DEFAULT_CHUNK_ROWS` transformed rows, each the moment it
+    completes (the last, short one by :meth:`finish`), so a crash
+    mid-run resumes from there rather than from scratch.
     """
-    tiles = -(-(hi - lo) // TRANSFORM_TILE_ROWS)
-    parts = min(workers, tiles)
-    if parts <= 1:
-        fn(lo, hi)
-        return
-    bounds = [lo + (tiles * i // parts) * TRANSFORM_TILE_ROWS for i in range(parts)]
-    bounds.append(hi)
-    with ThreadPoolExecutor(parts) as pool:
-        futures = [
-            pool.submit(fn, start, stop) for start, stop in zip(bounds, bounds[1:])
-        ]
-        for future in futures:
-            future.result()
 
+    def __init__(self, workers: int, num_peaks: int, journal=None):
+        self.workers = max(1, workers)
+        self.num_peaks = num_peaks
+        self.journal = journal
+        self._pool: ThreadPoolExecutor | None = None
+        self.start(0, 0, 0, None)
 
-def transform_rows(
-    blocks: np.ndarray,
-    executor: FleetExecutor,
-    extract: Callable[[np.ndarray], tuple[np.ndarray, ...]],
-    num_peaks: int,
-    keep: np.ndarray,
-    journal=None,
-    keys: list[bytes] | None = None,
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Transform every row of ``blocks`` into its per-row outputs.
+    def start(
+        self,
+        n: int,
+        k: int,
+        psd_rows: int,
+        extract: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None,
+    ) -> None:
+        """Drop every row so far and size the outputs for ``n`` rows.
 
-    ``blocks`` may be float32 or float64; tiles upcast as they go.
-    ``extract`` maps a tile's ``(m, K)`` PSD rows to their packed
-    harmonic peaks ``(frequencies, values, counts)``, ``num_peaks``
-    wide.  Returns ``(outputs, psd)``: ``outputs`` is ``(offsets, rms,
-    peak_frequencies, peak_values, peak_counts)`` of every row, and
-    ``psd`` holds the PSD rows the boolean mask ``keep`` marks, in row
-    order.
-
-    The tiles spread over ``executor.max_workers`` plain threads
-    (``0``/``1`` is serial) via :func:`run_tiles`.  The threads bypass
-    the executor itself, so its fault injection, supervision tally and
-    ``last_backend`` never see transform tiles.  Without a journal this
-    is one :func:`run_tiles` call.  With a
-    :class:`~repro.runtime.checkpoint.RowJournal`, rows run in segments
-    of at most :data:`DEFAULT_CHUNK_ROWS`, each appended to the journal
-    under its rows' ``keys`` the moment it completes.
-    """
-    n, k = blocks.shape[0], blocks.shape[1]
-    outputs = (
-        np.empty((n, 3)),
-        np.empty(n),
-        np.empty((n, num_peaks)),
-        np.empty((n, num_peaks)),
-        np.empty(n, dtype=np.intp),
-    )
-    kept_before = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(keep, out=kept_before[1:])
-    psd = np.empty((int(kept_before[-1]), k))
-    workers = max(1, executor.max_workers)
-
-    def transform(lo: int, hi: int) -> None:
-        _transform_tiled(blocks, lo, hi, outputs, psd, keep, kept_before, extract)
-
-    if journal is None:
-        run_tiles(transform, 0, n, workers)
-        return outputs, psd
-    for lo in range(0, n, DEFAULT_CHUNK_ROWS):
-        hi = min(lo + DEFAULT_CHUNK_ROWS, n)
-        run_tiles(transform, lo, hi, workers)
-        # Journal each segment the moment it completes, so a crash
-        # mid-run resumes from here rather than from scratch.
-        journal.append(
-            keys[lo:hi],
-            [out[lo:hi] for out in outputs],
-            np.flatnonzero(keep[lo:hi]),
-            psd[kept_before[lo] : kept_before[hi]],
+        ``psd_rows`` is the expected number of kept PSD rows (the
+        buffer grows past it when needed); ``extract`` maps a tile's
+        ``(m, k)`` PSD rows to their packed harmonic peaks
+        ``(frequencies, values, counts)``, ``num_peaks`` wide.
+        """
+        width = self.num_peaks
+        self.outputs = (
+            np.empty((n, 3)),
+            np.empty(n),
+            np.empty((n, width)),
+            np.empty((n, width)),
+            np.empty(n, dtype=np.intp),
         )
-    return outputs, psd
+        self.finite = np.empty(n, dtype=bool)
+        self.keep = np.empty(n, dtype=bool)
+        self.psd = np.empty((psd_rows, k))
+        self.extract = extract
+        self.keys: list[bytes] = []
+        self.done = self.kept = 0
+        self._journaled = self._journaled_kept = 0
 
+    def put(self, blocks: np.ndarray, keep: np.ndarray, keys=None) -> None:
+        """Transform ``(m, k, 3)`` float32 or float64 rows.
 
-def finite_block_mask(blocks: np.ndarray) -> np.ndarray:
-    """Boolean mask of measurement blocks that are entirely finite.
+        ``keep`` flags the rows whose PSD to keep; ``keys`` are the
+        rows' memo keys, which a journal needs.
+        """
+        m = blocks.shape[0]
+        lo = 0
+        while lo < m:
+            hi = m
+            if self.journal is not None:
+                hi = min(m, lo + DEFAULT_CHUNK_ROWS - (self.done - self._journaled))
+                self.keys.extend(keys[lo:hi])
+            self._run(blocks[lo:hi], keep[lo:hi])
+            if (
+                self.journal is not None
+                and self.done - self._journaled == DEFAULT_CHUNK_ROWS
+            ):
+                self._append()
+            lo = hi
 
-    The transform stage refuses non-finite input (a NaN row would poison
-    the vectorized DCT), so the engine quarantines offending rows up
-    front using this mask instead of failing the whole fleet run.
+    def finish(self) -> None:
+        """Journal the rows transformed since the last segment."""
+        if self.journal is not None and self.done > self._journaled:
+            self._append()
 
-    Args:
-        blocks: stacked measurement matrix, shape ``(N, K, 3)`` (or any
-            ``(N, ...)`` array — all trailing axes are reduced).
+    def close(self) -> None:
+        """Shut the thread pool down (a later batch makes a new one)."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
-    Returns:
-        Shape ``(N,)`` boolean array; ``True`` where every sample of the
-        block is finite.  The input is not cast: ``isfinite`` on the
-        stored float32 samples gives the same mask as on their float64
-        upcast, without a float64 copy of the whole matrix.
-    """
-    arr = np.asarray(blocks)
-    if arr.ndim < 2:
-        return np.isfinite(arr)
-    axes = tuple(range(1, arr.ndim))
-    return np.isfinite(arr).all(axis=axes)
+    def _run(self, blocks: np.ndarray, keep: np.ndarray) -> None:
+        m = blocks.shape[0]
+        base, kbase = self.done, self.kept
+        kept_before = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum(keep, out=kept_before[1:])
+        kept = kbase + int(kept_before[-1])
+        if kept > self.psd.shape[0]:
+            grown = np.empty((max(kept, 2 * self.psd.shape[0]), self.psd.shape[1]))
+            grown[:kbase] = self.psd[:kbase]
+            self.psd = grown
+        outputs = tuple(out[base : base + m] for out in self.outputs)
+        finite = self.finite[base : base + m]
+        psd = self.psd[kbase:kept]
+        self.keep[base : base + m] = keep
+
+        def transform(lo: int, hi: int) -> None:
+            _transform_tiled(
+                blocks, lo, hi, outputs, finite, psd, keep, kept_before, self.extract
+            )
+
+        tiles = -(-m // TRANSFORM_TILE_ROWS)
+        parts = min(self.workers, tiles)
+        if parts <= 1:
+            transform(0, m)
+        else:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(self.workers)
+            bounds = [(tiles * i // parts) * TRANSFORM_TILE_ROWS for i in range(parts)]
+            bounds.append(m)
+            futures = [
+                self._pool.submit(transform, start, stop)
+                for start, stop in zip(bounds, bounds[1:])
+            ]
+            wait(futures)
+            # An exception raises as in the serial call, earliest range first.
+            for future in futures:
+                future.result()
+        self.done, self.kept = base + m, kept
+
+    def _append(self) -> None:
+        """Journal the finite rows since the last segment as one segment."""
+        lo, hi = self._journaled, self.done
+        keep = self.keep[lo:hi]
+        outputs = [out[lo:hi] for out in self.outputs]
+        keys = self.keys[lo:hi]
+        psd = self.psd[self._journaled_kept : self.kept]
+        finite = self.finite[lo:hi]
+        if not finite.all():
+            outputs = [out[finite] for out in outputs]
+            keys = [key for key, ok in zip(keys, finite.tolist()) if ok]
+            psd = psd[finite[keep]]
+            keep = keep[finite]
+        if keys:
+            self.journal.append(keys, outputs, np.flatnonzero(keep), psd)
+        self._journaled, self._journaled_kept = hi, self.kept

@@ -19,7 +19,7 @@ import numpy as np
 from repro.runtime.cache import row_key
 from repro.storage.database import (
     BLOB_DTYPE,
-    KnownRows,
+    DenseRows,
     VibrationDatabase,
     WindowArrays,
     WindowRows,
@@ -97,10 +97,11 @@ class DataRetrievalAPI:
         self._injector = injector
         self._retry = retry
         self._clock = clock
-        #: The rows the caller's row memo serves: matrix retrieval still
-        #: verifies those rows but does not decode them.  A long-lived
-        #: engine sets this from its memo around its retrieval call.
-        self.known_rows = KnownRows()
+        #: The row sink matrix retrieval streams the window into (see
+        #: :class:`~repro.storage.database.DenseRows`); None collects
+        #: every row into :attr:`WindowArrays.samples`.  The engine sets
+        #: its transform stream here around its retrieval call.
+        self.sink = None
 
     def advance(self, delta_days: float) -> None:
         """Slide the analysis window forward (periodic refresh)."""
@@ -168,29 +169,30 @@ class DataRetrievalAPI:
         """:meth:`measurement_matrices` plus per-pump drop accounting.
 
         Every stored BLOB in the window is CRC-verified on every call.
-        Rows that :attr:`known_rows` serves are returned with their ids
-        and keys but not decoded into ``samples`` (see
-        :class:`~repro.storage.database.WindowArrays`); with no known
-        rows, ``samples`` holds every kept row.
+        Both paths — the cursor stream of
+        :meth:`~repro.storage.database.MeasurementStore.query_arrays`
+        and, under a chaos injector or a retry policy, the record path
+        below — hand the kept rows to :attr:`sink` through one
+        :class:`~repro.storage.database.WindowRows`; with no sink,
+        ``samples`` holds every kept row.
         """
-        known = self.known_rows
+        sink = DenseRows() if self.sink is None else self.sink
         if self._injector is None and self._retry is None:
-            # Fast path: no chaos hooks to honour, so the store can stream
-            # BLOBs straight into one preallocated float32 matrix
-            # (bit-identical to the record path below, without
-            # materializing records).
+            # Fast path: no chaos hooks to honour, so the store streams
+            # BLOBs straight from its cursor into the sink (bit-identical
+            # to the record path below, without materializing records).
             return self._db.measurements.query_arrays(
-                self.period.start_day, self.period.end_day, pump_ids, known
+                self.period.start_day, self.period.end_day, pump_ids, sink
             )
         records = self.get_measurements(pump_ids)
         # The store quarantined checksum failures during the query; its
         # per-pump tally is the record path's corruption accounting.
         corrupt = dict(self._db.measurements.last_corrupt)
         if not records:
-            return WindowRows(0, 0, known).arrays({}, corrupt)
+            return WindowRows(0, 0, sink).arrays({}, corrupt)
         counts = np.bincount([r.num_samples for r in records])
         k = int(counts.argmax())
-        out = WindowRows(int(counts[k]), k, known)
+        out = WindowRows(int(counts[k]), k, sink)
         dropped_incomplete: dict[int, int] = {}
         for r in records:
             if r.num_samples != k:

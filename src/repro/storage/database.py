@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import sqlite3
 import zlib
-from collections.abc import Container, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -117,17 +117,44 @@ def _stored_key(blob: bytes, checksum, digest) -> bytes:
     return digest
 
 
-class KnownRows(NamedTuple):
-    """The rows a caller's row memo serves, which retrieval need not decode.
+#: Decoded rows per batch a :class:`WindowRows` hands its sink: the only
+#: sample buffer retrieval holds, reused for every batch (6 MiB of
+#: float32 at ``K`` = 1,024).  Chosen from paired cold ``repro analyze``
+#: runs on the 8,640-row fleet (docs/PERFORMANCE.md).
+STREAM_BATCH_ROWS = 512
 
-    A row is served when its key is in ``keys`` — unless its
-    ``(pump_id, measurement_id)`` is in ``psd_pairs`` (the caller wants
-    that row's PSD) and its key is not in ``psd_keys``.
+
+class DenseRows:
+    """The default row sink: every decoded row, in one float32 matrix.
+
+    A row sink takes a window's rows as retrieval verifies them:
+    :meth:`start` opens a window of at most ``n`` rows of block length
+    ``k`` (dropping any rows of an earlier start), :meth:`wants` is
+    asked once per kept row, in row order, whether to decode it, and
+    :meth:`put` receives each batch of decoded rows, in row order.
+    :attr:`samples` is what :attr:`WindowArrays.samples` reports.  The
+    transform layer's sink is
+    :class:`~repro.core.pipeline.RowStream`, which never holds more
+    than one batch.
     """
 
-    keys: Container[bytes] = frozenset()
-    psd_keys: Container[bytes] = frozenset()
-    psd_pairs: Container[tuple[int, int]] = frozenset()
+    def __init__(self):
+        self.start(0, 0)
+
+    def start(self, n: int, k: int) -> None:
+        self._matrix = np.empty((n, k, 3), dtype=np.float32)
+        self._rows = 0
+
+    def wants(self, key: bytes, row_id) -> bool:
+        return True
+
+    def put(self, rows: np.ndarray) -> None:
+        self._matrix[self._rows : self._rows + rows.shape[0]] = rows
+        self._rows += rows.shape[0]
+
+    @property
+    def samples(self) -> np.ndarray:
+        return self._matrix[: self._rows]
 
 
 class WindowArrays(NamedTuple):
@@ -137,9 +164,9 @@ class WindowArrays(NamedTuple):
         pump_ids: pump id per kept row, shape ``(N,)``.
         measurement_ids: measurement id per kept row.
         service_days: service time per kept row.
-        samples: float32 ``(D, K, 3)`` blocks of the *decoded* rows —
-            every kept row the caller's :class:`KnownRows` does not
-            serve, in row order; ``K`` is the window's block length even
+        samples: the sink's :attr:`~DenseRows.samples`: float32
+            ``(D, K, 3)`` blocks of every decoded row, in row order, for
+            the default sink; ``K`` is the window's block length even
             when ``D`` is 0.
         dropped_incomplete: pump id → rows discarded for not matching
             the majority block length ``K``.
@@ -147,7 +174,7 @@ class WindowArrays(NamedTuple):
             mismatch.
         row_keys: row-memo key of each kept row
             (:func:`~repro.runtime.cache.row_key`), in row order.
-        decoded: row index of each ``samples`` row, ascending.
+        decoded: row index of each decoded row, ascending.
     """
 
     pump_ids: np.ndarray
@@ -161,54 +188,66 @@ class WindowArrays(NamedTuple):
 
 
 class WindowRows:
-    """Accumulates a window's kept rows, decoding those ``known`` lacks.
+    """Accumulates a window's kept rows and streams the decoded ones.
 
-    The arrays are preallocated for ``n`` rows of length ``k``; a row
-    that ``known`` serves keeps its ids and key but is not decoded.
-    Both retrieval paths (:meth:`MeasurementStore.query_arrays` and the
-    record path of :class:`~repro.storage.api.DataRetrievalAPI`) build
-    their :class:`WindowArrays` here.
+    The id arrays are preallocated for ``n`` rows of length ``k``.  A
+    row the ``sink`` wants is decoded into a reused float32 batch of
+    :data:`STREAM_BATCH_ROWS` rows, and each full batch (and the last,
+    short one) goes to ``sink.put``; the others keep their ids and key
+    only.  Both retrieval paths
+    (:meth:`MeasurementStore.query_arrays` and the record path of
+    :class:`~repro.storage.api.DataRetrievalAPI`) build their
+    :class:`WindowArrays` here, so one sink sees the same rows either
+    way.
     """
 
-    def __init__(self, n: int, k: int, known: KnownRows):
+    def __init__(self, n: int, k: int, sink):
         self.pumps = np.empty(n, dtype=int)
         self.mids = np.empty(n, dtype=int)
         self.service = np.empty(n)
-        self.samples = np.empty((n, k, 3), dtype=np.float32)
         self.keys: list[bytes] = []
         self.decoded: list[int] = []
-        self.known = known
+        self.sink = sink
+        self._batch = np.empty((min(n, STREAM_BATCH_ROWS), k, 3), dtype=np.float32)
+        self._queued = 0
+        sink.start(n, k)
 
     def put(self, pump: int, mid: int, service: float, key: bytes, block) -> None:
         """Add one verified row; ``block`` is its ``"<f4"`` sample buffer.
 
         ``block`` (a stored BLOB or a contiguous float32 array) is
-        decoded into :attr:`samples` only when ``known`` does not serve
-        the row.
+        decoded only when the sink wants the row.
         """
         index = len(self.keys)
         self.pumps[index], self.mids[index], self.service[index] = pump, mid, service
         self.keys.append(key)
-        known = self.known
-        if key not in known.keys or (
-            key not in known.psd_keys and (pump, mid) in known.psd_pairs
-        ):
-            self.samples[len(self.decoded)] = np.frombuffer(
+        if self.sink.wants(key, (pump, mid)):
+            self._batch[self._queued] = np.frombuffer(
                 block, dtype=BLOB_DTYPE
-            ).reshape(self.samples.shape[1:])
+            ).reshape(self._batch.shape[1:])
+            self._queued += 1
             self.decoded.append(index)
+            if self._queued == self._batch.shape[0]:
+                self._flush()
 
     def put_stored(self, row: tuple) -> None:
         """Add one verified ``(pump, mid, service, k, blob, checksum, digest)``."""
         self.put(row[0], row[1], row[2], _stored_key(row[4], row[5], row[6]), row[4])
 
+    def _flush(self) -> None:
+        if self._queued:
+            self.sink.put(self._batch[: self._queued])
+            self._queued = 0
+
     def arrays(self, dropped_incomplete: dict, corrupt: dict) -> WindowArrays:
+        """The window, once every decoded row has reached the sink."""
+        self._flush()
         n = len(self.keys)
         return WindowArrays(
             self.pumps[:n],
             self.mids[:n],
             self.service[:n],
-            self.samples[: len(self.decoded)],
+            self.sink.samples,
             dropped_incomplete,
             corrupt,
             self.keys,
@@ -498,7 +537,7 @@ class MeasurementStore:
         start_day: float = -np.inf,
         end_day: float = np.inf,
         pump_ids: Sequence[int] | None = None,
-        known: KnownRows = KnownRows(),
+        sink=None,
     ) -> WindowArrays:
         """Bulk fetch straight into dense arrays, skipping per-row records.
 
@@ -506,25 +545,26 @@ class MeasurementStore:
         majority-``K`` filtering as :meth:`query` followed by record
         stacking, with bit-identical samples.  The rows stream from the
         cursor: a ``GROUP BY num_samples`` count over the window sizes
-        one ``(N, K, 3)`` float32 matrix — the stored precision, so
-        there is no upcast — and each verified BLOB is decoded straight
-        into its row.  Consumers upcast per transform tile (exactly:
-        every float32 value is a float64 value).  Verified rows of
-        another length wait in a side list, so when checksum failures
-        move the verified majority onto another length, its rows are
-        already at hand.  Quarantine rows are written once the cursor
-        is exhausted.
+        the window's id arrays, and each verified BLOB the ``sink``
+        wants is decoded into a reused float32 batch (the stored
+        precision, so there is no upcast) that reaches the sink as soon
+        as it fills (see :class:`WindowRows`).  The default sink,
+        :class:`DenseRows`, collects every row into one ``(N, K, 3)``
+        matrix.  Verified rows of another length wait in a side list:
+        when checksum failures move the verified majority onto another
+        length, the sink is restarted and those rows stream into it.
+        Quarantine rows are written once the cursor is exhausted.
 
-        Every BLOB in the window is CRC-verified, but a kept row that
-        ``known`` serves — the caller already holds what it needs of the
-        row — is not decoded: :attr:`WindowArrays.samples` holds only the
-        other rows, and :attr:`WindowArrays.decoded` says which.
+        Every BLOB in the window is CRC-verified, whether or not the
+        sink wants it decoded; :attr:`WindowArrays.decoded` says which
+        rows were.
         """
+        sink = DenseRows() if sink is None else sink
         where, params = self._window(start_day, end_day, pump_ids)
         others = []
         corrupt_rows = []
         # One read snapshot for the count and the rows, so a concurrent
-        # writer cannot outgrow the preallocated matrix.
+        # writer cannot outgrow the preallocated id arrays.
         self._conn.execute("SAVEPOINT query_arrays")
         try:
             lengths = dict(
@@ -536,7 +576,7 @@ class MeasurementStore:
                 ).fetchall()
             )
             k = _majority(lengths)
-            out = WindowRows(lengths.get(k, 0), k, known)
+            out = WindowRows(lengths.get(k, 0), k, sink)
             cursor = self._conn.execute(
                 "SELECT pump_id, measurement_id, service_day, num_samples,"
                 " samples, checksum, digest FROM measurements"
@@ -559,17 +599,17 @@ class MeasurementStore:
         corrupt = dict(self.last_corrupt)
         verified = {length: n for length, n in lengths.items() if n}
         if not verified:
-            return WindowRows(0, 0, known).arrays({}, corrupt)
+            return WindowRows(0, 0, sink).arrays({}, corrupt)
 
         dropped_incomplete: dict[int, int] = {}
         majority = _majority(verified)
         if majority != k:
             # Checksum failures moved the verified majority: every row
-            # kept so far is dropped and the side list holds the rows to
-            # keep.
+            # kept so far is dropped (the sink restarts, losing what it
+            # took of them) and the side list holds the rows to keep.
             for pump_id in out.pumps[: len(out.keys)].tolist():
                 dropped_incomplete[pump_id] = dropped_incomplete.get(pump_id, 0) + 1
-            out = WindowRows(verified[majority], majority, known)
+            out = WindowRows(verified[majority], majority, sink)
             for row in others:
                 if row[3] == majority:
                     out.put_stored(row)

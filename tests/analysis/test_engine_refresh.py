@@ -22,7 +22,7 @@ from repro.chaos.retry import RetryPolicy
 from repro.core.pipeline import PipelineConfig
 from repro.runtime.profile import RuntimeProfile
 from repro.storage.api import AnalysisPeriod, DataRetrievalAPI
-from repro.storage.database import KnownRows, VibrationDatabase
+from repro.storage.database import VibrationDatabase
 from repro.storage.records import LabelRecord
 from repro.viz.dashboard import write_dashboard
 
@@ -201,8 +201,9 @@ def test_refresh_without_new_rows_decodes_nothing(refresh_db, tmp_path):
         db, api.period, tmp_path / "fresh.html"
     )
     # Retrieval keeps the block length K with zero decoded rows.
-    api.known_rows = KnownRows(engine._pipeline.memo_keys)
-    window = api.measurement_matrices_with_health()
+    with engine._pipeline.stream() as stream:
+        api.sink = stream
+        window = api.measurement_matrices_with_health()
     assert window.samples.shape == (0, first.pipeline.psd.shape[1], 3)
     assert window.decoded == []
     assert len(window.row_keys) == rows

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.window import hann_window, moving_average, smooth_hann
+from repro.core.window import hann_window, moving_average, smooth_hann, smooth_hann_batch
 
 
 class TestHannWindow:
@@ -86,6 +86,26 @@ class TestSmoothHann:
         smoothed = smooth_hann(series, window)
         assert smoothed.min() >= series.min() - 1e-6 * (1 + abs(series.min()))
         assert smoothed.max() <= series.max() + 1e-6 * (1 + abs(series.max()))
+
+
+class TestSmoothHannBatch:
+    """One flat ``np.convolve`` over a tile's padded rows laid end to end
+    gives every row the bits of a per-row :func:`smooth_hann`."""
+
+    @pytest.mark.parametrize("k", [3, 4, 7, 1024])
+    @pytest.mark.parametrize("window", [1, 2, 3, 5, 24, 2000])
+    def test_bit_identical_to_per_row_smoothing(self, k, window):
+        rows = np.random.default_rng(k * 31 + window).gamma(2.0, size=(65, k))
+        got = smooth_hann_batch(rows, window)
+        want = np.stack([smooth_hann(row, window) for row in rows])
+        assert got.shape == rows.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_empty_and_short_rows_are_copied(self):
+        for rows in (np.zeros((0, 16)), np.arange(6.0).reshape(3, 2)):
+            got = smooth_hann_batch(rows, 5)
+            assert np.array_equal(got, rows)
+            assert got is not rows
 
 
 class TestMovingAverage:

@@ -16,11 +16,12 @@ from repro.core.classify import ZoneClassifier
 from repro.core.features import measurement_offsets, psd_feature, psd_frequencies, rms_feature
 from repro.core.outliers import detect_invalid_measurements
 from repro.core.peaks import PackedPeaks, extract_harmonic_peaks
-from repro.core.pipeline import PipelineConfig, PipelineResult
+from repro.core.pipeline import PipelineConfig, PipelineResult, RowFeatures
 from repro.core.ransac import RecursiveRANSAC
 from repro.core.rul import RULEstimator, RULPrediction, learn_zone_d_threshold
 from repro.core.window import moving_average
 from repro.runtime.fleet import FleetExecutor
+from repro.storage.database import DenseRows
 
 
 def transform_reference(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -80,19 +81,45 @@ def peaks_reference(
     return PackedPeaks(frequencies, values, counts)
 
 
+class ReferenceStream(DenseRows):
+    """The oracle's row stream: every row decoded into one dense matrix.
+
+    Non-finite rows are found by a per-row ``isfinite`` over the whole
+    matrix, and :meth:`features` runs :func:`features_reference` over the
+    other rows, keeping every row's PSD.
+    """
+
+    def __init__(self, config: PipelineConfig):
+        super().__init__()
+        self.config = config
+
+    def __enter__(self) -> "ReferenceStream":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pass
+
+    @property
+    def nonfinite(self) -> np.ndarray:
+        return np.flatnonzero(~np.isfinite(self.samples).all(axis=(1, 2)))
+
+    def features(self, keys, psd_rows=None) -> RowFeatures:
+        blocks = np.delete(self.samples, self.nonfinite, axis=0)
+        if blocks.shape[0] != len(keys):
+            raise ValueError("row keys and streamed rows must align")
+        return RowFeatures(*features_reference(blocks, self.config))
+
+
 class ReferencePipeline:
     """The scalar Fig. 7 workflow over in-memory measurement arrays.
 
-    ``run`` takes the production signature (``profile``, ``row_keys``
-    and ``keep_psd`` are accepted and ignored: every row's PSD is kept)
-    and ``executor`` is a serial one, so
-    :class:`~tests.reference.engine.ReferenceEngine` can drive it exactly
-    like the production pipeline.  It has no row memo: ``memo_keys`` and
-    ``psd_keys`` are empty, so retrieval decodes every row for it.
+    ``run``, ``stream`` and ``analyze`` take the production signatures
+    (``profile``, ``row_keys``, ``keep_psd`` and ``psd_ids`` are
+    accepted and ignored: every row's PSD is kept) and ``executor`` is a
+    serial one, so :class:`~tests.reference.engine.ReferenceEngine` can
+    drive it exactly like the production pipeline.  It has no row memo:
+    its :class:`ReferenceStream` decodes every row.
     """
-
-    memo_keys = frozenset()
-    psd_keys = frozenset()
 
     def __init__(self, config: PipelineConfig | None = None):
         self.config = config or PipelineConfig()
@@ -127,6 +154,9 @@ class ReferencePipeline:
     def frequencies(self, num_bins: int) -> np.ndarray:
         return psd_frequencies(num_bins, self.config.sampling_rate_hz)
 
+    def stream(self, psd_ids=None, profile=None) -> ReferenceStream:
+        return ReferenceStream(self.config)
+
     def run(
         self,
         pump_ids: np.ndarray,
@@ -137,11 +167,22 @@ class ReferencePipeline:
         row_keys=None,
         keep_psd=False,
     ) -> PipelineResult:
+        blocks = np.asarray(samples, dtype=np.float64)
+        features = RowFeatures(*features_reference(blocks, self.config))
+        return self.analyze(pump_ids, service_days, features, train_labels)
+
+    def analyze(
+        self,
+        pump_ids: np.ndarray,
+        service_days: np.ndarray,
+        features: RowFeatures,
+        train_labels: dict[int, str],
+        profile=None,
+    ) -> PipelineResult:
         ids = np.asarray(pump_ids)
         days = np.asarray(service_days, dtype=np.float64)
-        blocks = np.asarray(samples, dtype=np.float64)
         n = ids.shape[0]
-        if days.shape[0] != n or blocks.shape[0] != n:
+        if days.shape[0] != n or features.offsets.shape[0] != n:
             raise ValueError("pump_ids, service_days and samples must align")
         if not train_labels:
             raise ValueError("train_labels must not be empty")
@@ -149,7 +190,7 @@ class ReferencePipeline:
         if bad_idx:
             raise ValueError(f"train_labels reference invalid indices: {bad_idx}")
 
-        offsets, rms, psd = transform_reference(blocks)
+        offsets, rms, psd = features.offsets, features.rms, features.psd
         valid = self.preprocess(ids, offsets, days)
         freqs = self.frequencies(psd.shape[1])
 
@@ -200,7 +241,7 @@ class ReferencePipeline:
             valid_mask=valid,
             offsets=offsets,
             rms=rms,
-            peaks=peaks_reference(psd, freqs, self.config),
+            peaks=features.peaks,
             psd=psd,
             psd_rows=np.arange(n),
             da=da,

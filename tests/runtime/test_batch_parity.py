@@ -17,7 +17,6 @@ from repro.core.peaks import extract_harmonic_peaks_batch
 from repro.core.pipeline import AnalysisPipeline, PipelineConfig
 import repro.runtime.batch as batch_mod
 from repro.runtime import FleetExecutor
-from repro.runtime.batch import transform_rows
 from repro.runtime.checkpoint import RowJournal
 from repro.runtime.profile import RuntimeProfile
 from tests.reference.pipeline import (
@@ -34,28 +33,12 @@ def fresh_batch(config: PipelineConfig | None = None, **kwargs) -> AnalysisPipel
     return AnalysisPipeline(config, **kwargs)
 
 
-def extract_for(k: int, config: PipelineConfig | None = None):
-    """The pipeline's tile peak extraction for ``k``-sample rows."""
-    config = config or PipelineConfig()
-    freqs = psd_frequencies(k, config.sampling_rate_hz)
-
-    def extract(rows):
-        packed = extract_harmonic_peaks_batch(
-            rows, freqs, num_peaks=config.num_peaks, window_size=config.peak_window_size
-        )
-        return packed.frequencies, packed.values, packed.counts
-
-    return extract
-
-
 def kernel(blocks, executor, keep=None):
-    """``transform_rows`` with the default config's peak extraction,
+    """A fresh pipeline's transform of every row: ``(outputs, psd)``,
     keeping every PSD row unless ``keep`` says otherwise."""
-    if keep is None:
-        keep = np.ones(blocks.shape[0], dtype=bool)
-    return transform_rows(
-        blocks, executor, extract_for(blocks.shape[1]), PipelineConfig().num_peaks, keep
-    )
+    psd_rows = None if keep is None else np.flatnonzero(keep)
+    features = AnalysisPipeline(executor=executor).transform(blocks, psd_rows=psd_rows)
+    return tuple(features[:5]), features.psd
 
 
 def assert_results_identical(scalar, batch) -> None:
@@ -146,7 +129,7 @@ class TestTransformParity:
 
 
 class TestThreadedTransformParity:
-    """``transform_rows`` spreads its tiles over the executor's threads;
+    """The transform spreads its tiles over the executor's threads;
     every op is row-local, so the bytes never depend on it."""
 
     @staticmethod
@@ -196,7 +179,7 @@ class TestThreadedTransformParity:
 
 
 class TestTileKernelParity:
-    """One pass per transform tile: ``transform_rows`` equals the scalar
+    """One pass per transform tile: the transform equals the scalar
     transform plus a per-row ``extract_harmonic_peaks``, bit for bit, in
     the stored float32 and in float64, for any ``K``, any worker count,
     and a row count that is not a multiple of the tile."""

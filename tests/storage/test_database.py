@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from repro.runtime.cache import row_digests
 from repro.storage.database import (
     DatabaseCorruptionError,
-    KnownRows,
+    DenseRows,
     VibrationDatabase,
 )
 from repro.storage.records import (
@@ -618,9 +618,21 @@ class TestRowDigests:
         assert after == row_digests(np.frombuffer(blob, dtype="<f4")[np.newaxis])[0]
 
 
+class KnownKeys(DenseRows):
+    """A row sink that declines the rows whose key it already knows."""
+
+    def __init__(self, known):
+        super().__init__()
+        self.known = known
+
+    def wants(self, key, row_id):
+        return key not in self.known
+
+
 class TestKnownRowKeys:
-    """Retrieval with known row keys verifies every row but decodes only
-    the rows whose key is unknown; everything else equals a fresh API's."""
+    """A row sink that declines known row keys gets every row verified
+    but only the rows whose key is unknown decoded; everything else
+    equals a fresh API's."""
 
     @staticmethod
     def assert_matches_fresh(db, known, retry):
@@ -632,7 +644,7 @@ class TestKnownRowKeys:
         fresh = DataRetrievalAPI(db, period, retry=policy)
         expected = fresh.measurement_matrices_with_health()
         api = DataRetrievalAPI(db, period, retry=policy)
-        api.known_rows = KnownRows(known)
+        api.sink = KnownKeys(known)
         got = api.measurement_matrices_with_health()
         for a, b in zip(got[:3], expected[:3]):
             assert np.array_equal(a, b)
