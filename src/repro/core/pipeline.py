@@ -9,9 +9,10 @@ The pipeline mirrors the paper's layer stack:
   time series, and construction of the dense matrices used downstream;
 * **feature matrix extraction** — harmonic peak features, taken in the
   transform tile while each PSD row is in cache, and the peak harmonic
-  distance ``D_a`` from a Zone A exemplar; each row's peaks are memoized
-  with its transform outputs, keyed by the row's content, and a PSD row
-  is kept only where a stage reads it;
+  distance ``D_a`` from a Zone A exemplar; each row's peaks, and its raw
+  ``D_a`` under the exemplar it was scored against, are memoized with
+  its transform outputs, keyed by the row's content, and a PSD row is
+  kept only where a stage reads it;
 * **RUL model layer** — zone classification thresholds, recursive-RANSAC
   lifetime models and per-pump RUL predictions.
 
@@ -97,6 +98,42 @@ def psd_positions(psd_rows: np.ndarray, rows) -> np.ndarray:
     ):
         raise ValueError("the PSD of a requested row was not kept")
     return positions
+
+
+def _room(n: int) -> int:
+    """Rows a row-memo buffer for ``n`` rows holds: geometric headroom,
+    so a growing window appends in place for a while."""
+    return n + n // 2
+
+
+def _buffer(like: np.ndarray, n: int) -> np.ndarray:
+    """An empty buffer for :func:`_room` ``(n)`` rows like ``like``'s."""
+    return np.empty((_room(n), *like.shape[1:]), dtype=like.dtype)
+
+
+def _follows(fresh: np.ndarray, h: int) -> bool:
+    """Whether the flagged rows are exactly those after the first ``h``."""
+    return h <= fresh.size and not fresh[:h].any() and bool(fresh[h:].all())
+
+
+def _extend(buffer: np.ndarray, size: int, fresh: np.ndarray, at) -> np.ndarray:
+    """``buffer[:size]`` followed by rows ``at`` of ``fresh``, as the first
+    rows of one buffer; only rows past ``size`` are written.
+
+    That buffer is ``buffer`` itself while it has room, or else a copy
+    with headroom (:func:`_buffer`) — unless ``size`` is 0 and ``at``
+    names the first rows of ``fresh`` in order: then ``fresh`` is it.
+    """
+    n = size + len(at)
+    if size == 0 and np.array_equal(at, np.arange(n)):
+        return fresh
+    if buffer.shape[0] < n:
+        grown = _buffer(fresh, n)
+        if size:
+            grown[:size] = buffer[:size]
+        buffer = grown
+    buffer[size:n] = fresh[at]
+    return buffer
 
 
 def zone_a_rows(train_labels: dict[int, str]) -> list[int]:
@@ -199,9 +236,16 @@ class RowStream:
         self._queue: list[bool] = []
         self._held: list[np.ndarray] = []
         self._held_rows = 0
-        expected = n if self._psd_ids is None else min(n, len(self._psd_ids))
+        # A PSD row the memo holds is not transformed again, so a
+        # refresh's transform keeps about its new rows' PSD (the buffer
+        # grows when a window holds more).  The memo adopts the
+        # transform's buffers when it holds no row yet, so they get its
+        # headroom.
+        expected = max(n - len(self._pipeline._memo_psd_keys), 0)
+        if self._psd_ids is not None:
+            expected = min(expected, len(self._psd_ids))
         extract = self._pipeline._extract(k) if k >= 2 else None
-        self._transformer.start(n, k, expected, extract)
+        self._transformer.start(_room(n), k, _room(expected), extract)
 
     @property
     def samples(self) -> np.ndarray:
@@ -268,11 +312,21 @@ class RowStream:
         ``keys`` are the key of every kept row but the :attr:`nonfinite`
         ones, in row order; ``psd_rows`` the indices (into ``keys``) of
         the rows whose PSD to return, which must be rows whose id was in
-        ``psd_ids`` (None: every row).  A transformed row's outputs are
-        gathered from the transform, a served row's from the frozen
-        matrices of the previous memo; every op is row-local, so both
-        are bit-identical to a cold run.  The memo holds the outputs
-        returned, read-only, so no alias can change a memoized row.
+        ``psd_ids`` (None: every row).  A transformed row's outputs come
+        from the transform, a served row's from the memo; every op is
+        row-local, so both are bit-identical to a cold run.
+
+        When the served rows are exactly the memo's rows, in memo order,
+        and every transformed row follows them — a cold run, or a
+        refresh of a growing window (``Te_j = Te_{j-1} + δ``) — the memo
+        grows in place: only the transformed rows are written, past the
+        end of the memo's buffers (a larger copy when one is full), and
+        the outputs are read-only views of the buffers' first rows.  Any
+        other window (a row arriving mid-window, a duplicate read, a
+        quarantined row, a journal's rows in another order) gathers
+        every row into new buffers.  The kept PSD rows follow the same
+        rule on their own.  Either way a row handed out is never written
+        again.
 
         Raises:
             ValueError: when ``keys`` does not match the rows streamed,
@@ -306,22 +360,26 @@ class RowStream:
                 self._transform(samples)
         start = time.perf_counter()
         transformer.finish()
-        done, k = transformer.done, self._k
-        fresh = transformer.outputs
+        done = transformer.done
+        # The memo's columns are the transform outputs plus raw D_a, which
+        # no transformed row has yet.
+        fresh = (*transformer.outputs, np.full(done, np.nan))
         transformed = fresh_at >= 0
         hit = np.flatnonzero(~transformed)
         miss = np.flatnonzero(transformed)
-        if done == n and np.array_equal(fresh_at, np.arange(n)):
-            outputs = tuple(out[:n] for out in fresh)
-        else:
-            outputs = tuple(
-                np.empty((n, *out.shape[1:]), dtype=out.dtype) for out in fresh
+        h = len(pipeline._memo_keys)
+        if _follows(transformed, h) and keys[:h] == pipeline._memo_keys:
+            columns = tuple(
+                _extend(column, h, rows, fresh_at[h:])
+                for column, rows in zip(pipeline._memo_columns, fresh)
             )
-            for out, rows in zip(outputs, fresh):
+        else:
+            h = 0
+            source = [pipeline._memo_rows[keys[i]] for i in hit.tolist()]
+            columns = tuple(_buffer(rows, n) for rows in fresh)
+            for out, rows, previous in zip(columns, fresh, pipeline._memo_columns):
                 out[miss] = rows[fresh_at[miss]]
-            if hit.size:
-                source = [pipeline._memo_rows[keys[i]] for i in hit.tolist()]
-                for out, previous in zip(outputs, pipeline._memo_outputs):
+                if hit.size:
                     out[hit] = previous[source]
 
         # Position of each transformed row's PSD row, or -1.
@@ -331,11 +389,14 @@ class RowStream:
         at = psd_at[fresh_at[kept[from_fresh]]]
         if (at < 0).any():
             raise ValueError("the PSD of a requested row was not kept")
-        if from_fresh.all() and np.array_equal(at, np.arange(kept.size)):
-            psd = transformer.psd[: kept.size]
+        psd_keys = [keys[i] for i in kept.tolist()]
+        hp = len(pipeline._memo_psd_keys)
+        if _follows(from_fresh, hp) and psd_keys[:hp] == pipeline._memo_psd_keys:
+            psd = _extend(pipeline._memo_psd, hp, transformer.psd, at)
         else:
-            psd = np.empty((kept.size, k))
-            psd[from_fresh] = transformer.psd[at]
+            hp = 0
+            psd = _buffer(transformer.psd, kept.size)
+            psd[: kept.size][from_fresh] = transformer.psd[at]
             # Gather memoized PSD rows tile by tile: one whole-matrix
             # fancy index would allocate a third PSD-sized temporary
             # next to the old and new memo.
@@ -344,17 +405,21 @@ class RowStream:
             for lo in range(0, recalled.size, TRANSFORM_TILE_ROWS):
                 tile = recalled[lo : lo + TRANSFORM_TILE_ROWS]
                 try:
-                    rows = [memo_psd[keys[i]] for i in kept[tile].tolist()]
+                    rows = [memo_psd[psd_keys[i]] for i in tile.tolist()]
                 except KeyError:
                     raise ValueError("the PSD of a requested row was not kept") from None
                 psd[tile] = pipeline._memo_psd[rows]
-        kept.setflags(write=False)
-        pipeline._remember(keys, outputs, [keys[i] for i in kept.tolist()], psd)
+
+        pipeline._remember(keys, columns, psd_keys, psd, h, hp)
+        views = [column[:n] for column in columns[:-1]] + [psd[: kept.size], kept]
+        for view in views:
+            view.setflags(write=False)
+        pipeline._memo_features = RowFeatures(*views)
         pipeline._fresh = transformed
         pipeline._count_transform(hit.size, miss.size, self._profile)
         if self._profile is not None:
             self._profile.add("transform", time.perf_counter() - start)
-        return RowFeatures(*pipeline._memo_outputs, psd, kept)
+        return pipeline._memo_features
 
 
 @dataclass
@@ -425,14 +490,22 @@ class AnalysisPipeline:
         self.journal = journal
         self.estimator_: RULEstimator | None = None
         #: Row memo of the last :meth:`transform` call (or the journal's
-        #: rows, before the first): row key → row index into the frozen
-        #: per-row outputs ``(offsets, rms, peak_frequencies,
-        #: peak_values, peak_counts)``, and row key → row of the frozen
-        #: PSD rows that call kept.
+        #: rows, before the first): the key of each memo row, in row
+        #: order, and key → row; the per-row column buffers ``(offsets,
+        #: rms, peak_frequencies, peak_values, peak_counts, raw D_a)``,
+        #: whose first rows are the memo's (raw ``D_a`` is NaN where a
+        #: row was not scored against ``_memo_exemplar``, the bytes of
+        #: the exemplar's frequencies and values); and the same for the
+        #: PSD rows that call kept.  :meth:`RowStream.features` grows
+        #: the buffers in place; ``_memo_features`` is what it returned.
+        self._memo_keys: list[bytes] = []
         self._memo_rows: dict[bytes, int] = {}
-        self._memo_outputs: tuple[np.ndarray, ...] = ()
+        self._memo_columns: tuple[np.ndarray, ...] = (np.empty(0),) * 6
+        self._memo_psd_keys: list[bytes] = []
         self._memo_psd_rows: dict[bytes, int] = {}
         self._memo_psd = np.empty((0, 0))
+        self._memo_exemplar = b""
+        self._memo_features: RowFeatures | None = None
         #: Rows the last :meth:`transform` call transformed.
         self._fresh = np.zeros(0, dtype=bool)
         #: Rows recalled from the in-process memo / transformed, cumulative.
@@ -450,7 +523,8 @@ class AnalysisPipeline:
         self._memo_from_journal = seed is not None
         if seed is not None:
             keys, outputs, psd_rows, psd = seed
-            self._remember(keys, outputs, [keys[i] for i in psd_rows], psd)
+            columns = (*outputs, np.full(len(keys), np.nan))
+            self._remember(keys, columns, [keys[i] for i in psd_rows], psd)
 
     @property
     def memo_keys(self):
@@ -470,14 +544,38 @@ class AnalysisPipeline:
             f" fs={config.sampling_rate_hz!r}"
         )
 
-    def _remember(self, keys, outputs, psd_keys, psd) -> None:
-        """Make ``outputs`` and ``psd`` (frozen) the row memo of ``keys``."""
-        for out in (*outputs, psd):
-            out.setflags(write=False)
-        self._memo_rows = dict(zip(keys, range(len(keys))))
-        self._memo_outputs = tuple(outputs)
-        self._memo_psd_rows = dict(zip(psd_keys, range(len(psd_keys))))
+    def _remember(self, keys, columns, psd_keys, psd, h=0, hp=0) -> None:
+        """Make ``columns`` the row memo of ``keys`` and ``psd`` that of
+        ``psd_keys``; the memo already holds the first ``h`` keys (and
+        ``hp`` PSD keys) at those rows."""
+        if not h:
+            self._memo_rows = {}
+        if not hp:
+            self._memo_psd_rows = {}
+        self._memo_keys[h:] = keys[h:]
+        self._memo_rows.update(zip(keys[h:], range(h, len(keys))))
+        self._memo_psd_keys[hp:] = psd_keys[hp:]
+        self._memo_psd_rows.update(zip(psd_keys[hp:], range(hp, len(psd_keys))))
+        self._memo_columns = tuple(columns)
         self._memo_psd = psd
+
+    def _raw_da(self, features: RowFeatures, exemplar) -> np.ndarray:
+        """Raw ``D_a`` of ``features``' rows, NaN where not yet scored.
+
+        The memo's column when ``features`` are its rows — what
+        :meth:`RowStream.features` last returned — cleared when
+        ``exemplar`` differs from the one its rows were scored against;
+        else a new all-NaN array.  Scores written to it are memoized.
+        """
+        n = features.offsets.shape[0]
+        if features is not self._memo_features:
+            return np.full(n, np.nan)
+        column = self._memo_columns[-1][:n]
+        exemplar_bytes = exemplar.frequencies.tobytes() + exemplar.values.tobytes()
+        if exemplar_bytes != self._memo_exemplar:
+            column[:] = np.nan
+            self._memo_exemplar = exemplar_bytes
+        return column
 
     def _extract(self, num_bins: int):
         """Tile peak extraction: ``(m, K)`` PSD rows → packed peak arrays."""
@@ -547,10 +645,11 @@ class AnalysisPipeline:
         Rows are memoized by content.  Each row has one key: given in
         ``row_keys``, or else digested here
         (:func:`~repro.runtime.cache.row_digests`).  A row the previous
-        call also saw is gathered from that call's frozen result
-        matrices — unless its own PSD is wanted and that call did not
-        keep it — and only the other rows, compacted, are transformed.
-        A rolling-window refresh therefore transforms just its new tail.
+        call also saw is recalled from the row memo — unless its own PSD
+        is wanted and that call did not keep it — and only the other
+        rows, compacted, are transformed.  A rolling-window refresh
+        therefore transforms just its new tail, and the memo grows in
+        place (see :meth:`RowStream.features`).
         A pipeline with a journal starts from the journal's rows and
         journals every row it transforms.
 
@@ -704,8 +803,10 @@ class AnalysisPipeline:
         ``features`` are the rows' :class:`RowFeatures` (from
         :meth:`transform` or :meth:`RowStream.features`); the PSD rows of
         the labelled Zone A measurements must be among them.  ``D_a`` is
-        scored from the harmonic peaks the transform tile extracted.
-        Arguments and result as :meth:`run`.
+        scored from the harmonic peaks the transform tile extracted; for
+        the features :meth:`RowStream.features` returned last, a row
+        already scored against an equal Zone A exemplar keeps its raw
+        ``D_a`` from the row memo.  Arguments and result as :meth:`run`.
         """
         ids = np.asarray(pump_ids)
         days = np.asarray(service_days, dtype=np.float64)
@@ -736,18 +837,25 @@ class AnalysisPipeline:
             ).fit(reference_psd, freqs).baseline_
 
         with profile.stage("score_da", int(valid_idx.size)):
-            # Padding every row to num_peaks columns leaves the packed
-            # kernel's output unchanged: it reads only real peaks.
-            da = np.full(n, np.nan)
+            # The kernel is row-local, so a memo row already scored
+            # against an equal exemplar keeps its raw D_a.  Padding every
+            # row to num_peaks columns leaves the kernel's output
+            # unchanged: it reads only real peaks.
+            raw = self._raw_da(features, exemplar)
+            scored = valid_idx[np.isnan(raw[valid_idx])]
             peaks = features.peaks
-            da[valid_idx] = packed_harmonic_distances(
+            raw[scored] = packed_harmonic_distances(
                 PackedPeaks(
-                    peaks.frequencies[valid_idx],
-                    peaks.values[valid_idx],
-                    peaks.counts[valid_idx],
+                    peaks.frequencies[scored],
+                    peaks.values[scored],
+                    peaks.counts[scored],
                 ),
                 exemplar,
             )
+            da = np.full(n, np.nan)
+            da[valid_idx] = raw[valid_idx]
+            profile.count("da_cache_hits", valid_idx.size - scored.size)
+            profile.count("da_cache_misses", scored.size)
             extracted = int(np.count_nonzero(self._fresh[valid_idx]))
             self.peak_hits += valid_idx.size - extracted
             self.peak_misses += extracted

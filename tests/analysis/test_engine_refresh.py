@@ -12,6 +12,7 @@ same window.
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.analysis.reporting import render_report
 from repro.chaos.retry import RetryPolicy
 from repro.core.pipeline import PipelineConfig
 from repro.runtime.profile import RuntimeProfile
+from repro.simulation.fleet import FleetConfig, FleetSimulator
 from repro.storage.api import AnalysisPeriod, DataRetrievalAPI
 from repro.storage.database import VibrationDatabase
 from repro.storage.records import LabelRecord
@@ -34,18 +36,34 @@ CONFIG = EngineConfig(
 )
 
 
+def open_refresh_db(fleet, path, label_end=np.inf):
+    """File-backed DB holding the first window, and the held-back rest;
+    only the labels of measurements before ``label_end`` are stored."""
+    db = VibrationDatabase(str(path))
+    for meta in fleet.sensors:
+        db.sensors.add(meta)
+    held = sorted(fleet.measurements, key=lambda m: m.timestamp_day)
+    db.measurements.add_many(m for m in held if m.timestamp_day < T0)
+    db.events.add_many(fleet.events)
+    records, _ = fleet.expert_labels({"A": 30, "BC": 30, "D": 20})
+    early = {(m.pump_id, m.measurement_id) for m in held if m.timestamp_day < label_end}
+    db.labels.add_many(r for r in records if (r.pump_id, r.measurement_id) in early)
+    return db, [m for m in held if m.timestamp_day >= T0]
+
+
 @pytest.fixture()
 def refresh_db(small_fleet, tmp_path):
-    """File-backed DB holding the first window; the rest is held back."""
-    db = VibrationDatabase(str(tmp_path / "fleet.db"))
-    for meta in small_fleet.sensors:
-        db.sensors.add(meta)
-    held = sorted(small_fleet.measurements, key=lambda m: m.timestamp_day)
-    db.measurements.add_many(m for m in held if m.timestamp_day < T0)
-    db.events.add_many(small_fleet.events)
-    records, _ = small_fleet.expert_labels({"A": 30, "BC": 30, "D": 20})
-    db.labels.add_many(records)
-    yield db, [m for m in held if m.timestamp_day >= T0]
+    db, held = open_refresh_db(small_fleet, tmp_path / "fleet.db")
+    yield db, held
+    db.close()
+
+
+@pytest.fixture()
+def early_labels_db(small_fleet, tmp_path):
+    """As ``refresh_db``, but every label names a row of the first window,
+    so a refresh brings no new label and the Zone A exemplar stays put."""
+    db, held = open_refresh_db(small_fleet, tmp_path / "fleet.db", label_end=T0)
+    yield db, held
     db.close()
 
 
@@ -500,3 +518,234 @@ def test_diagnosing_resume_over_a_plain_journal_transforms_the_missing_psd_rows(
     assert outputs(resumed, tmp_path / "resumed.html") == fresh_outputs(
         db, period, tmp_path / "fresh.html"
     )
+
+
+# The row memo's edge cases.  A window that extends the memo's rows
+# grows the memo in place; every other window gathers its rows.  Either
+# way, and for the raw D_a the memo keeps per row under the exemplar it
+# was scored against, each report must equal a fresh engine's.
+
+
+def grow(db, api, held) -> tuple[list, list]:
+    """Store the held rows before the next window end and advance to it;
+    return the rows still held and the rows stored."""
+    end = api.period.end_day + DELTA
+    batch = [m for m in held if m.timestamp_day < end]
+    db.measurements.add_many(batch)
+    api.advance(DELTA)
+    return held[len(batch):], batch
+
+
+def assert_matches_fresh(report, db, api, path, config=CONFIG, injector=None):
+    fresh = VibrationAnalysisEngine(
+        DataRetrievalAPI(db, api.period, injector=injector), config
+    ).run()
+    assert report.data_health == fresh.data_health
+    assert report.pipeline.da.tobytes() == fresh.pipeline.da.tobytes()
+    assert outputs(report, path.with_suffix(".warm.html")) == outputs(
+        fresh, path.with_suffix(".fresh.html")
+    )
+
+
+def valid_pairs(report) -> list[tuple[int, int]]:
+    valid = report.pipeline.valid_mask
+    return list(
+        zip(report.pump_ids[valid].tolist(), report.measurement_ids[valid].tolist())
+    )
+
+
+def test_refresh_scores_da_only_for_new_valid_rows(early_labels_db, tmp_path):
+    db, held = early_labels_db
+    api = DataRetrievalAPI(db, AnalysisPeriod(0.0, T0))
+    engine = VibrationAnalysisEngine(api, CONFIG)
+    profile = RuntimeProfile()
+    seen = set(valid_pairs(engine.run(profile=profile)))
+    assert profile.counters["da_cache_hits"] == 0
+    assert profile.counters["da_cache_misses"] == len(seen)
+    for index in range(2):
+        held, batch = grow(db, api, held)
+        profile = RuntimeProfile()
+        report = engine.run(profile=profile)
+        now = set(valid_pairs(report))
+        new = {(m.pump_id, m.measurement_id) for m in batch} & now
+        assert new, "the refresh must bring new valid measurements"
+        assert profile.counters["da_cache_misses"] == len(new) == len(now - seen)
+        assert profile.counters["da_cache_hits"] == len(now & seen)
+        assert_matches_fresh(report, db, api, tmp_path / f"refresh-{index}")
+        seen = now
+
+
+def test_zone_a_label_that_changes_the_exemplar_rescores_every_row(
+    refresh_db, tmp_path
+):
+    db, held = refresh_db
+    api = DataRetrievalAPI(db, AnalysisPeriod(0.0, T0))
+    engine = VibrationAnalysisEngine(api, CONFIG)
+    first = engine.run()
+    labelled = {(r.pump_id, r.measurement_id) for r in api.get_labels()}
+    pump, mid = next(p for p in valid_pairs(first) if p not in labelled)
+    db.labels.add(LabelRecord(pump_id=pump, measurement_id=mid, zone="A"))
+    held, _ = grow(db, api, held)
+    profile = RuntimeProfile()
+    report = engine.run(profile=profile)
+    assert profile.counters["da_cache_hits"] == 0
+    assert profile.counters["da_cache_misses"] == report.pipeline.valid_mask.sum()
+    assert_matches_fresh(report, db, api, tmp_path / "labelled")
+    grow(db, api, held)
+    assert_matches_fresh(engine.run(), db, api, tmp_path / "after")
+
+
+def test_late_row_inserted_mid_window_matches_a_fresh_engine(refresh_db, tmp_path):
+    db, held = refresh_db
+    api = DataRetrievalAPI(db, AnalysisPeriod(0.0, T0))
+    engine = VibrationAnalysisEngine(api, CONFIG)
+    previous = engine.run().measurement_ids.size
+    stored = db.measurements.query(0.0, T0)
+    middle = stored[len(stored) // 2]
+    late = dataclasses.replace(
+        middle,
+        measurement_id=middle.measurement_id + 10_000,
+        timestamp_day=middle.timestamp_day + 1e-3,
+        service_day=middle.service_day + 1e-3,
+        samples=np.asarray(middle.samples) * 1.01,
+    )
+    db.measurements.add_many([late])
+    held, batch = grow(db, api, held)
+    profile = RuntimeProfile()
+    report = engine.run(profile=profile)
+    assert report.measurement_ids.size == previous + len(batch) + 1
+    assert profile.counters["rows_decoded"] == len(batch) + 1
+    assert profile.counters["transform_cache_hits"] == previous
+    assert_matches_fresh(report, db, api, tmp_path / "late")
+    grow(db, api, held)
+    assert_matches_fresh(engine.run(), db, api, tmp_path / "after")
+
+
+def test_duplicated_read_on_a_diagnosing_refresh_matches_a_fresh_engine(
+    refresh_db, tmp_path
+):
+    db, held = refresh_db
+    injector = _DuplicateOneRecord(None)
+    api = DataRetrievalAPI(db, AnalysisPeriod(0.0, T0), injector=injector)
+    engine = VibrationAnalysisEngine(api, CONFIG)
+    first = engine.run()
+    injector.target = (int(first.pump_ids[9]), int(first.measurement_ids[9]))
+    injector.armed = True
+    held, batch = grow(db, api, held)
+    profile = RuntimeProfile()
+    report = engine.run(profile=profile)
+    assert report.measurement_ids.size == first.measurement_ids.size + len(batch) + 1
+    assert profile.counters["rows_decoded"] == len(batch)
+    assert_matches_fresh(report, db, api, tmp_path / "duplicate", injector=injector)
+    grow(db, api, held)
+    assert_matches_fresh(engine.run(), db, api, tmp_path / "after", injector=injector)
+
+
+def test_training_row_turned_invalid_rescores_every_row(refresh_db, tmp_path):
+    db, held = refresh_db
+    api = DataRetrievalAPI(db, AnalysisPeriod(0.0, T0))
+    engine = VibrationAnalysisEngine(api, CONFIG)
+    first = engine.run()
+    zone_a = {
+        (r.pump_id, r.measurement_id) for r in api.get_labels() if r.zone == "A"
+    }
+    pump, mid = next(p for p in valid_pairs(first) if p in zone_a)
+    # A gross offset under the same id: the row's content, and so its
+    # key, changes, and outlier detection now flags it.
+    [old] = [m for m in db.measurements.query(0.0, T0, [pump]) if m.measurement_id == mid]
+    db.measurements.add_many(
+        [dataclasses.replace(old, samples=np.asarray(old.samples) + 5.0)]
+    )
+    held, _ = grow(db, api, held)
+    profile = RuntimeProfile()
+    report = engine.run(profile=profile)
+    assert (pump, mid) not in valid_pairs(report)
+    assert profile.counters["da_cache_hits"] == 0
+    assert profile.counters["da_cache_misses"] == report.pipeline.valid_mask.sum()
+    assert_matches_fresh(report, db, api, tmp_path / "flipped")
+    grow(db, api, held)
+    assert_matches_fresh(engine.run(), db, api, tmp_path / "after")
+
+
+def test_refresh_after_a_resume_matches_a_fresh_engine(refresh_db, tmp_path):
+    db, held = refresh_db
+    config = dataclasses.replace(CONFIG, checkpoint_dir=str(tmp_path / "ckpt"))
+    period = AnalysisPeriod(0.0, T0)
+    VibrationAnalysisEngine(DataRetrievalAPI(db, period), config).run()
+    api = DataRetrievalAPI(db, period)
+    resumed = VibrationAnalysisEngine(api, config)
+    profile = RuntimeProfile()
+    report = resumed.run(profile=profile)
+    assert profile.counters["checkpoint_hits"] == report.measurement_ids.size
+    assert profile.counters["da_cache_hits"] == 0
+    assert_matches_fresh(report, db, api, tmp_path / "resumed")
+    for index in range(2):
+        held, batch = grow(db, api, held)
+        profile = RuntimeProfile()
+        report = resumed.run(profile=profile)
+        assert profile.counters["checkpoint_misses"] == len(batch)
+        assert_matches_fresh(report, db, api, tmp_path / f"refresh-{index}")
+
+
+def test_plain_engine_refresh_matches_a_fresh_engine(early_labels_db, tmp_path):
+    db, held = early_labels_db
+    api = DataRetrievalAPI(db, AnalysisPeriod(0.0, T0))
+    engine = VibrationAnalysisEngine(api, PLAIN)
+    seen = set(valid_pairs(engine.run()))
+    for index in range(2):
+        held, batch = grow(db, api, held)
+        profile = RuntimeProfile()
+        report = engine.run(profile=profile)
+        now = set(valid_pairs(report))
+        assert profile.counters["transform_cache_misses"] == len(batch)
+        assert profile.counters["da_cache_misses"] == len(now - seen)
+        assert_matches_fresh(report, db, api, tmp_path / f"plain-{index}", PLAIN)
+        seen = now
+
+
+def test_second_refresh_allocates_less_than_a_window_psd_copy(tmp_path):
+    """A diagnosing engine keeps every row's PSD in its memo.  A refresh
+    that extends the window writes its new rows into the memo's buffers,
+    so it allocates less than one copy of the window's PSD (``n·K·8``
+    bytes); copying the memo would allocate at least that."""
+    fleet = FleetSimulator(
+        FleetConfig(
+            num_pumps=12,
+            duration_days=60,
+            report_interval_days=0.25,
+            pm_interval_days=None,
+            max_initial_age_fraction=0.9,
+            seed=11,
+        )
+    ).run()
+    start = 56.0
+    db = VibrationDatabase(str(tmp_path / "fleet.db"))
+    for meta in fleet.sensors:
+        db.sensors.add(meta)
+    held = sorted(fleet.measurements, key=lambda m: m.timestamp_day)
+    db.measurements.add_many(m for m in held if m.timestamp_day < start)
+    db.events.add_many(fleet.events)
+    records, _ = fleet.expert_labels({"A": 30, "BC": 30, "D": 20})
+    db.labels.add_many(records)
+    held = [m for m in held if m.timestamp_day >= start]
+    del fleet
+    api = DataRetrievalAPI(db, AnalysisPeriod(0.0, start))
+    engine = VibrationAnalysisEngine(api, dataclasses.replace(CONFIG, max_workers=1))
+    try:
+        engine.run()
+        for end in (start + 1.0, start + 2.0):
+            db.measurements.add_many(
+                [m for m in held if end - 1.0 <= m.timestamp_day < end]
+            )
+            api.advance(1.0)
+            tracemalloc.start()
+            try:
+                report = engine.run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+    finally:
+        db.close()
+    n, k = report.measurement_ids.size, report.pipeline.psd.shape[1]
+    assert report.pipeline.psd.shape[0] == n > 2000
+    assert peak < n * k * 8

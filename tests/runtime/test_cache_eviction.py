@@ -2,9 +2,10 @@
 pipeline's row memo.
 
 The memo is content-addressed: digest equality is the only identity.
-These tests pin the two properties that keep that safe — bounded
-eviction (last-call replacement), and *no aliasing* between arrays that
-share a shape (or byte length) but differ in content.
+These tests pin the properties that keep that safe — bounded eviction
+(last-call replacement), *no aliasing* between arrays that share a
+shape (or byte length) but differ in content, and no write to a row an
+earlier call handed out.
 """
 
 from __future__ import annotations
@@ -63,17 +64,44 @@ class TestTransformCacheEviction:
         assert pipeline.transform_hits == 0
         assert pipeline.transform_misses == 12
 
-    def test_hits_return_copies_not_views(self):
-        """A hit is gathered into the new call's own result arrays, so
-        no two calls ever share a buffer."""
+    def test_earlier_results_stay_frozen_across_refreshes(self, workload):
+        """A refresh writes only past the rows it has handed out.
+
+        A growing window first outgrows the memo's buffers (a growth
+        refresh copies them into larger ones) and then fits (an append
+        refresh writes its new rows into the same buffers).  Across
+        both, every array an earlier call returned stays byte-equal to a
+        copy taken before the later call, and every array it shares with
+        the memo stays read-only.
+        """
+        ids, days, blocks, labels = workload
         pipeline = AnalysisPipeline()
-        a = self.rows(5)
-        first = pipeline.transform(a)
-        second = pipeline.transform(a)
-        assert pipeline.transform_hits == a.shape[0]
-        for old, new in zip(first, second):
-            assert not np.shares_memory(old, new)
-            np.testing.assert_array_equal(old, new)
+
+        def refresh(n):
+            features = pipeline.transform(blocks[:n])
+            window = {row: zone for row, zone in labels.items() if row < n}
+            result = pipeline.analyze(ids[:n], days[:n], features, window)
+            peaks = result.peaks
+            memo = [*features, result.offsets, result.rms, result.psd, result.psd_rows]
+            memo += [peaks.frequencies, peaks.values, peaks.counts]
+            owned = [result.valid_mask, result.da, result.zones, result.zone_thresholds]
+            return memo, [array.copy() for array in memo + owned], memo + owned
+
+        calls = [refresh(100)]
+        for n in (200, 240):  # the growth refresh, then the append refresh
+            calls.append(refresh(n))
+            for memo, before, arrays in calls[:-1]:
+                for array in memo:
+                    assert not array.flags.writeable
+                for array, copy in zip(arrays, before):
+                    assert array.dtype == copy.dtype
+                    assert array.tobytes() == copy.tobytes()
+        (cold, _, _), (grown, _, _), (appended, _, _) = calls
+        # offsets and PSD: the growth refresh copied, the append did not.
+        for index in (0, 5):
+            assert not np.shares_memory(cold[index], grown[index])
+            assert np.shares_memory(grown[index], appended[index])
+        assert pipeline.transform_hits == 100 + 200
 
     def test_outputs_are_read_only(self):
         """The memo stores the returned arrays themselves; freezing them
