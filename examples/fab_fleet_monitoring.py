@@ -4,7 +4,9 @@ Mirrors the production deployment of Sec. V: measurements, labels, FICS
 temperature and maintenance events land in the (SQLite) sensor/factory
 databases; the analysis engine re-runs on a rolling analysis period and
 produces the operator report each refresh — including the Table IV-style
-wasted-RUL cost accounting.
+wasted-RUL cost accounting and each pump's spectral fault diagnosis.
+One engine serves every refresh, so each refresh transforms only its new
+measurements and reads again only the PSD rows diagnosis newly needs.
 
 Usage::
 
@@ -14,6 +16,7 @@ Usage::
 from repro.analysis.engine import EngineConfig, VibrationAnalysisEngine
 from repro.core.pipeline import PipelineConfig
 from repro.simulation import FleetConfig, FleetSimulator
+from repro.simulation.signal import MachineProfile
 from repro.storage.api import AnalysisPeriod, DataRetrievalAPI
 from repro.storage.database import VibrationDatabase
 
@@ -49,7 +52,8 @@ def main() -> None:
                 moving_average_window=4,
                 ransac_min_inliers=60,
                 ransac_residual_threshold=0.05,
-            )
+            ),
+            rotation_hz=MachineProfile().rotation_hz,
         ),
     )
 
@@ -66,6 +70,8 @@ def main() -> None:
         for line in report.summary_lines():
             print(line)
         print(f"lifetime models: {len(report.lifetime_models)}")
+        for pump, diagnosis in report.diagnoses.items():
+            print(f"pump {pump} diagnosis: {diagnosis.label}")
         wasted = report.wasted_rul
         print(
             f"maintenance cost in window: ${wasted['total_usd']:,.0f} "

@@ -9,6 +9,7 @@ render for the fab manager.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.runtime.checkpoint import RowJournal
 from repro.runtime.fleet import FleetExecutor, SupervisionPolicy, SupervisionReport
 from repro.runtime.profile import RuntimeProfile
 from repro.storage.api import DataRetrievalAPI
+from repro.storage.database import STREAM_BATCH_ROWS
 from repro.storage.records import LabelRecord, MaintenanceEvent
 
 
@@ -291,37 +293,43 @@ class VibrationAnalysisEngine:
         pipeline = self._pipeline
         # Retrieval verifies every row and streams the rows the row memo
         # cannot serve into the transform as it decodes them; the memo
-        # gathers the rest by key.  A diagnosing run reads every row's
-        # PSD, so only rows whose PSD the memo holds are served.  A plain
-        # run reads the PSD of its labelled Zone A rows alone, so the
-        # memo serves such a row only with its PSD: a label added to a
-        # row seen without it decodes that row in the same read.
-        keep_psd = self.config.rotation_hz is not None
+        # gathers the rest by key.  The exemplar reads the PSD of the
+        # labelled Zone A rows, so the memo serves such a row only with
+        # its PSD: a label added to a row seen without it decodes that
+        # row in the same read.  A diagnosing run also keeps the PSD of
+        # every row it transforms, until diagnosis has read its rows.
+        diagnosing = self.config.rotation_hz is not None
         labels = self.api.get_labels()
-        psd_pairs = None
-        if not keep_psd:
-            zones = {(r.pump_id, r.measurement_id): r.zone for r in labels}
-            psd_pairs = {pair for pair, zone in zones.items() if zone == ZONE_A}
+        zones = {(r.pump_id, r.measurement_id): r.zone for r in labels}
+        psd_pairs = {pair for pair, zone in zones.items() if zone == ZONE_A}
         # One supervision delta per run, closed after the diagnosis fan-out,
         # feeds both the report and the profile.
         sup_tally = pipeline.executor.supervision_report
         sup_before = sup_tally.as_dict() if sup_tally is not None else None
-        with pipeline.stream(psd_pairs, profile) as stream:
+        with pipeline.stream(psd_pairs, profile, diagnosing) as stream:
             pumps, mids, service, keys, health, train_labels = self._retrieve(
                 stream, labels, profile
             )
-            features = stream.features(
-                keys, None if keep_psd else zone_a_rows(train_labels)
-            )
+            features = stream.features(keys, zone_a_rows(train_labels))
         result = pipeline.analyze(pumps, service, features, train_labels, profile)
 
         events = self.api.get_events()
         wasted = self.config.cost.wasted_rul_value(events)
+        diagnoses: dict[int, Diagnosis] = {}
+        reread = 0
+        if diagnosing:
+            with profile.stage("diagnose") if profile is not None else nullcontext():
+                healthy, recent = self._diagnosis_rows(pumps, service, result)
+                read = np.concatenate([healthy, *(rows for _, rows in recent)])
+                reread = self._reread_psd(pumps, mids, keys, read, pipeline)
+                diagnoses = self._diagnose(healthy, recent, keys, result, pipeline)
+                # The memo keeps the PSD of the rows diagnosis read and
+                # of the labelled Zone A rows, which the exemplar reads.
+                keep = read.tolist() + zone_a_rows(train_labels)
+                pipeline.retain_psd([keys[i] for i in keep])
         if profile is not None:
-            with profile.stage("diagnose"):
-                diagnoses = self._diagnose(pumps, service, result, pipeline)
-        else:
-            diagnoses = self._diagnose(pumps, service, result, pipeline)
+            profile.count("psd_rows_kept", len(pipeline.psd_keys))
+            profile.count("psd_rows_reread", reread)
         supervision = None
         if sup_tally is not None:
             sup_after = sup_tally.as_dict()
@@ -415,38 +423,74 @@ class VibrationAnalysisEngine:
             )
         return pumps, mids, service, keys, health, train_labels
 
-    def _diagnose(
+    def _diagnosis_rows(
+        self, pumps: np.ndarray, service: np.ndarray, result: PipelineResult
+    ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+        """The rows diagnosis reads: the valid rows classified Zone A (the
+        baseline), and per pump its last ``diagnosis_window`` valid rows
+        by service time; none when no row is classified Zone A."""
+        healthy = np.flatnonzero(result.valid_mask & (result.zones == ZONE_A))
+        recent: list[tuple[int, np.ndarray]] = []
+        if not healthy.size:
+            return healthy, recent
+        for pump in np.unique(pumps):
+            member = np.nonzero((pumps == pump) & result.valid_mask)[0]
+            if member.size:
+                order = member[np.argsort(service[member])]
+                recent.append((int(pump), order[-self.config.diagnosis_window :]))
+        return healthy, recent
+
+    def _reread_psd(
         self,
         pumps: np.ndarray,
-        service: np.ndarray,
+        mids: np.ndarray,
+        keys: list[bytes],
+        rows: np.ndarray,
+        pipeline: AnalysisPipeline,
+    ) -> int:
+        """Give the PSD memo every row of ``rows`` it lacks: a targeted,
+        CRC-checked read of each by ``(pump_id, measurement_id)``,
+        transformed again.  Returns the number of rows read.
+
+        Raises:
+            RuntimeError: naming a row stored anew since the window read.
+        """
+        missing: dict[bytes, int] = {}
+        for i in rows.tolist():
+            if keys[i] not in pipeline.psd_keys:
+                missing.setdefault(keys[i], i)
+        found = list(missing.items())
+        for lo in range(0, len(found), STREAM_BATCH_ROWS):
+            batch = found[lo : lo + STREAM_BATCH_ROWS]
+            row_keys = [key for key, _ in batch]
+            pairs = [(int(pumps[i]), int(mids[i])) for _, i in batch]
+            pipeline.add_psd(row_keys, self.api.read_rows(pairs, row_keys))
+        return len(found)
+
+    def _diagnose(
+        self,
+        healthy: np.ndarray,
+        recent: list[tuple[int, np.ndarray]],
+        keys: list[bytes],
         result: PipelineResult,
         pipeline: AnalysisPipeline,
     ) -> dict[int, Diagnosis]:
-        """Per-pump spectral diagnosis from recent valid measurements."""
-        if self.config.rotation_hz is None:
+        """Per-pump spectral diagnosis from the PSD memo's rows (see
+        :meth:`_diagnosis_rows`); each mean PSD is summed in place."""
+        if not healthy.size:
             return {}
         freqs = pipeline.frequencies(result.psd.shape[1])
         # Baseline from the measurements the classifier called Zone A.
-        healthy = result.valid_mask & (result.zones == ZONE_A)
-        if not healthy.any():
-            return {}
-        healthy_psd = result.psd_of(np.flatnonzero(healthy)).mean(axis=0)
+        healthy_psd = pipeline.psd_mean([keys[i] for i in healthy])
         diagnoser = SpectralDiagnoser(self.config.rotation_hz)
         diagnoser.fit_baseline(extract_harmonic_peaks(healthy_psd, freqs))
-
-        window = max(1, self.config.diagnosis_window)
 
         def diagnose_pump(mean_psd: np.ndarray) -> Diagnosis:
             return diagnoser.diagnose(extract_harmonic_peaks(mean_psd, freqs))
 
-        items: list[tuple[int, np.ndarray]] = []
-        for pump in np.unique(pumps):
-            member = np.nonzero((pumps == pump) & result.valid_mask)[0]
-            if member.size == 0:
-                continue
-            recent = member[np.argsort(service[member])][-window:]
-            items.append((int(pump), result.psd_of(recent).mean(axis=0)))
-
+        items = [
+            (pump, pipeline.psd_mean([keys[i] for i in rows])) for pump, rows in recent
+        ]
         # map_pumps preserves the sorted submission order, so the report
         # iterates pumps identically whatever the executor's width.
         return pipeline.executor.map_pumps(diagnose_pump, items)

@@ -208,6 +208,12 @@ class RowTransformer:
         if self.journal is not None and self.done > self._journaled:
             self._append()
 
+    def take_psd(self) -> np.ndarray:
+        """Hand over :attr:`psd`, whose first :attr:`kept` rows are the
+        kept PSD rows, keeping no reference to it."""
+        psd, self.psd = self.psd, np.empty((0, self.psd.shape[1]))
+        return psd
+
     def close(self) -> None:
         """Shut the thread pool down (a later batch makes a new one)."""
         if self._pool is not None:

@@ -134,6 +134,12 @@ class DataRetrievalAPI:
             records = self._injector.mutate_measurements(STORAGE_READ_POINT, records)
         return records
 
+    def read_rows(self, pairs, keys) -> np.ndarray:
+        """:meth:`~repro.storage.database.MeasurementStore.read_rows`
+        straight from the store: a targeted read of rows a window read
+        took draws nothing from the injector and is not retried."""
+        return self._db.measurements.read_rows(pairs, keys)
+
     def get_labels(self, pump_ids: list[int] | None = None) -> list[LabelRecord]:
         """Valid expert labels (invalid labels are discarded, as the paper does)."""
         return self._db.labels.query(pump_ids=pump_ids, only_valid=True)

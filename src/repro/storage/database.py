@@ -618,6 +618,40 @@ class MeasurementStore:
                 dropped_incomplete[row[0]] = dropped_incomplete.get(row[0], 0) + 1
         return out.arrays(dropped_incomplete, corrupt)
 
+    def read_rows(
+        self, pairs: Sequence[tuple[int, int]], keys: Sequence[bytes]
+    ) -> np.ndarray:
+        """The float32 ``(m, K, 3)`` blocks of the stored rows ``pairs``
+        (``(pump_id, measurement_id)``), in order: a targeted read by
+        primary key of rows a window read took.
+
+        Each BLOB is CRC-verified and must hold the content whose row
+        key is ``keys[i]``, the key that window read gave it.
+
+        Raises:
+            RuntimeError: naming the first row that is gone, fails its
+                checksum or holds other content: a writer replaced it
+                since the window read.
+        """
+        blocks = []
+        for (pump_id, mid), key in zip(pairs, keys):
+            row = self._conn.execute(
+                "SELECT num_samples, samples, checksum, digest FROM measurements"
+                " WHERE pump_id = ? AND measurement_id = ?",
+                (pump_id, mid),
+            ).fetchone()
+            if (
+                row is None
+                or not self._intact(row[1], row[2])
+                or _stored_key(row[1], row[2], row[3]) != key
+            ):
+                raise RuntimeError(
+                    f"measurement (pump {pump_id}, id {mid}) was stored anew"
+                    " after the analysis window was read; run the analysis again"
+                )
+            blocks.append(self._decode(row[1], row[0]))
+        return np.stack(blocks)
+
     def count(self) -> int:
         (n,) = self._conn.execute("SELECT COUNT(*) FROM measurements").fetchone()
         return int(n)

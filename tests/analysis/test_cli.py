@@ -429,6 +429,13 @@ class TestCheckpointResume:
         assert counters["checkpoint_misses"] == 0
         assert counters["rows_decoded"] == 0
         assert counters["transform_cache_misses"] == 0
+        # A plain run keeps the PSD of the labelled Zone A rows alone.
+        from repro.storage.database import VibrationDatabase
+
+        with VibrationDatabase(db_path) as db:
+            labels = db.labels.query(only_valid=True)
+        assert counters["psd_rows_kept"] == sum(r.zone == "A" for r in labels) > 0
+        assert counters["psd_rows_reread"] == 0
 
     def test_v1_journal_is_ignored_not_misread(self, smoke, tmp_path, capsys):
         import json

@@ -184,14 +184,16 @@ def test_a_zone_a_label_added_to_a_memoised_row(fleet_db, small_batches, config)
         if pair not in labelled
     )
     fleet_db.labels.add(LabelRecord(pump_id=pair[0], measurement_id=pair[1], zone="A"))
+    # The memo holds that row's PSD only if diagnosis read it.
+    pipeline = engine._pipeline
+    row = list(zip(first.pump_ids.tolist(), first.measurement_ids.tolist())).index(pair)
+    decoded = 0 if pipeline._memo_keys[row] in pipeline.psd_keys else 1
     profile = RuntimeProfile()
     report = engine.run(profile=profile)
     oracle = ReferenceEngine(DataRetrievalAPI(fleet_db, PERIOD), config).run()
     assert render_report(report) == render_report(oracle)
     assert report.data_health == oracle.data_health
     assert profile.counters["rows_verified"] == first.measurement_ids.size
-    # A diagnosing memo already holds every row's PSD.
-    decoded = 0 if config.rotation_hz else 1
     assert profile.counters["rows_decoded"] == decoded
     assert profile.stages["transform"].items == decoded
 

@@ -264,3 +264,45 @@ class TestRowKeys:
             )
         with pytest.raises(ValueError, match="must align"):
             pipeline.run(pumps, service, samples[:0], labels, row_keys=keys[1:])
+
+
+class TestPsdMemo:
+    """The PSD memo's mean sums rows in place, bit-identical to a gathered
+    ``.mean(axis=0)``: this guards against numpy changing the order in
+    which it reduces axis 0 of a C-contiguous matrix."""
+
+    @staticmethod
+    def memo(k: int, n: int = 150, zero_rows=()):
+        blocks = np.random.default_rng(k).normal(size=(n, k, 3))
+        blocks[list(zero_rows)] = 0.0
+        pipeline = AnalysisPipeline()
+        features = pipeline.transform(blocks)
+        return pipeline, row_digests(blocks), features.psd
+
+    @pytest.mark.parametrize("k", [1023, 1024, 4096])
+    @pytest.mark.parametrize(
+        "pick", [lambda n: [n // 2], lambda n: range(n), lambda n: range(0, n, 2)]
+    )
+    def test_mean_equals_a_gathered_mean(self, k, pick):
+        pipeline, keys, psd = self.memo(k)
+        rows = list(pick(psd.shape[0]))
+        got = pipeline.psd_mean([keys[i] for i in rows])
+        want = psd[rows].mean(axis=0)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_rows_of_zeros(self):
+        pipeline, keys, psd = self.memo(1024, zero_rows=range(0, 150, 3))
+        for rows in (list(range(0, 150, 3)), list(range(150))):
+            got = pipeline.psd_mean([keys[i] for i in rows])
+            want = psd[rows].mean(axis=0)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_retain_keeps_the_named_rows_bytes_and_shrinks(self):
+        pipeline, keys, psd = self.memo(256)
+        rows = [3, 70, 71, 149]
+        pipeline.retain_psd([keys[i] for i in rows] + [b"not a row key"])
+        assert set(pipeline.psd_keys) == {keys[i] for i in rows}
+        assert [psd.shape for psd in pipeline._psd_parts] == [(len(rows), 256)]
+        for i in rows:
+            got = pipeline.psd_mean([keys[i]])
+            assert got.tobytes() == psd[i].tobytes()

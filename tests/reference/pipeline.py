@@ -86,12 +86,14 @@ class ReferenceStream(DenseRows):
 
     Non-finite rows are found by a per-row ``isfinite`` over the whole
     matrix, and :meth:`features` runs :func:`features_reference` over the
-    other rows, keeping every row's PSD.
+    other rows, keeping every row's PSD, which the pipeline then holds
+    by row key.
     """
 
-    def __init__(self, config: PipelineConfig):
+    def __init__(self, pipeline: "ReferencePipeline"):
         super().__init__()
-        self.config = config
+        self.pipeline = pipeline
+        self.config = pipeline.config
 
     def __enter__(self) -> "ReferenceStream":
         return self
@@ -107,23 +109,38 @@ class ReferenceStream(DenseRows):
         blocks = np.delete(self.samples, self.nonfinite, axis=0)
         if blocks.shape[0] != len(keys):
             raise ValueError("row keys and streamed rows must align")
-        return RowFeatures(*features_reference(blocks, self.config))
+        features = RowFeatures(*features_reference(blocks, self.config))
+        self.pipeline.psd_by_key = dict(zip(keys, features.psd))
+        return features
 
 
 class ReferencePipeline:
     """The scalar Fig. 7 workflow over in-memory measurement arrays.
 
     ``run``, ``stream`` and ``analyze`` take the production signatures
-    (``profile``, ``row_keys``, ``keep_psd`` and ``psd_ids`` are
+    (``profile``, ``row_keys``, ``psd_ids`` and ``keep_new_psd`` are
     accepted and ignored: every row's PSD is kept) and ``executor`` is a
     serial one, so :class:`~tests.reference.engine.ReferenceEngine` can
     drive it exactly like the production pipeline.  It has no row memo:
-    its :class:`ReferenceStream` decodes every row.
+    its :class:`ReferenceStream` decodes every row, and the last
+    stream's PSD rows, by row key, serve :meth:`psd_mean` as a gathered
+    ``.mean(axis=0)``.
     """
 
     def __init__(self, config: PipelineConfig | None = None):
         self.config = config or PipelineConfig()
         self.executor = FleetExecutor(max_workers=1)
+        self.psd_by_key: dict[bytes, np.ndarray] = {}
+
+    @property
+    def psd_keys(self):
+        return self.psd_by_key.keys()
+
+    def psd_mean(self, keys) -> np.ndarray:
+        return np.stack([self.psd_by_key[key] for key in keys]).mean(axis=0)
+
+    def retain_psd(self, keys) -> None:
+        pass
 
     def preprocess(
         self,
@@ -154,8 +171,8 @@ class ReferencePipeline:
     def frequencies(self, num_bins: int) -> np.ndarray:
         return psd_frequencies(num_bins, self.config.sampling_rate_hz)
 
-    def stream(self, psd_ids=None, profile=None) -> ReferenceStream:
-        return ReferenceStream(self.config)
+    def stream(self, psd_ids=None, profile=None, keep_new_psd=False) -> ReferenceStream:
+        return ReferenceStream(self)
 
     def run(
         self,
@@ -165,7 +182,6 @@ class ReferencePipeline:
         train_labels: dict[int, str],
         profile=None,
         row_keys=None,
-        keep_psd=False,
     ) -> PipelineResult:
         blocks = np.asarray(samples, dtype=np.float64)
         features = RowFeatures(*features_reference(blocks, self.config))
