@@ -51,7 +51,7 @@ def assert_results_identical(scalar, batch) -> None:
     # The production run keeps the PSD of fewer rows than the oracle:
     # each kept row must equal the oracle's.
     assert batch.psd_rows.size
-    assert np.array_equal(scalar.psd_of(batch.psd_rows), batch.psd)
+    assert np.array_equal(scalar.psd[batch.psd_rows], batch.psd)
     assert np.array_equal(scalar.valid_mask, batch.valid_mask)
     assert np.array_equal(scalar.zones, batch.zones)
     assert np.array_equal(scalar.zone_thresholds, batch.zone_thresholds)
