@@ -27,7 +27,7 @@ from repro.core.pipeline import (
 from repro.core.ransac import LineModel
 from repro.core.rul import RULPrediction
 from repro.runtime.checkpoint import RowJournal
-from repro.runtime.fleet import FleetExecutor, SupervisionPolicy, SupervisionReport
+from repro.runtime.fleet import FleetExecutor, SupervisionReport
 from repro.runtime.profile import RuntimeProfile
 from repro.storage.api import DataRetrievalAPI
 from repro.storage.database import STREAM_BATCH_ROWS
@@ -56,14 +56,10 @@ class EngineConfig:
             disables diagnosis).
         diagnosis_window: number of most recent valid measurements whose
             mean PSD feeds each pump's diagnosis.
-        max_workers: thread count for the transform tiles and the
-            per-pump RUL and diagnosis fan-out; None auto-sizes, 0/1
-            forces serial.  Results are bit-identical at every count.
-        supervision: optional
-            :class:`~repro.runtime.fleet.SupervisionPolicy` arming the
-            fleet executor's self-healing path (deadlines, bounded
-            restarts, salvage).  Ignored when a pre-built executor is
-            injected — the executor's own policy wins.
+        max_workers: thread count for the transform tiles; None
+            auto-sizes, 0/1 forces serial.  The per-pump RUL and
+            diagnosis chains run in line.  Results are bit-identical at
+            every count.
         checkpoint_dir: optional directory for the row journal, the
             row memo on disk; when set, runs journal every row they
             transform and recall every journaled row, so a run resumes
@@ -75,7 +71,6 @@ class EngineConfig:
     rotation_hz: float | None = None
     diagnosis_window: int = 10
     max_workers: int | None = None
-    supervision: SupervisionPolicy | None = None
     checkpoint_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -262,10 +257,7 @@ class VibrationAnalysisEngine:
         previous run did not see.  With ``checkpoint_dir`` the memo
         starts from the journal's rows.
         """
-        executor = self.executor or FleetExecutor(
-            max_workers=self.config.max_workers,
-            supervision=self.config.supervision,
-        )
+        executor = self.executor or FleetExecutor(self.config.max_workers)
         journal = None
         if self.config.checkpoint_dir is not None:
             journal = RowJournal(self.config.checkpoint_dir)
@@ -492,5 +484,5 @@ class VibrationAnalysisEngine:
             (pump, pipeline.psd_mean([keys[i] for i in rows])) for pump, rows in recent
         ]
         # map_pumps preserves the sorted submission order, so the report
-        # iterates pumps identically whatever the executor's width.
+        # iterates pumps in a stable order.
         return pipeline.executor.map_pumps(diagnose_pump, items)

@@ -232,7 +232,7 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def kills(self, point: str) -> bool:
         """True when a ``kill`` fault fires: the supervised fleet executor
-        treats this as the death of the worker running the current chunk."""
+        treats this as a worker death and restarts the current chunk."""
         fired = self._fired(point, ("kill",))
         if fired:
             self._record(point, "kill")

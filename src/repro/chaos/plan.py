@@ -179,9 +179,9 @@ BUILTIN_PLANS: dict[str, FaultPlan] = {
         (FLEET_TASK, "delay", 0.3, 0.002),
         (FLEET_TASK, "error", 0.2),
     ),
-    # Workers die and stall mid-chunk: the supervised fleet executor must
-    # restart them with backoff and still produce ordered, bit-identical
-    # results.  Hangs are short so the sweep stays fast.
+    # Chunks die and stall in the analysis fan-out: the supervised fleet
+    # executor must restart them with backoff and still produce ordered,
+    # bit-identical results.  Hangs are short so the sweep stays fast.
     "worker-carnage": _plan(
         "worker-carnage",
         (FLEET_WORKER_KILL, "kill", 0.25),

@@ -80,8 +80,8 @@ class ChaosScenario:
             sensors.
         ransac_min_inliers: pipeline RANSAC support threshold, lowered
             to match the small fleet.
-        max_workers: fleet-executor thread count (0 = serial, the
-            deterministic reference).
+        max_workers: transform thread count (0 = serial); the report
+            and the supervision tally are the same at every count.
         supervision: explicit fleet supervision policy; ``None`` lets
             the runner auto-arm a fast policy whenever the plan carries
             worker kill/hang faults (and run unsupervised otherwise).
@@ -370,7 +370,6 @@ def run_chaos_scenario(
     supervision = scenario.supervision
     if supervision is None and worker_faults:
         supervision = SupervisionPolicy(
-            chunk_deadline_s=None if scenario.max_workers <= 1 else 5.0,
             max_restarts=10,
             backoff_base_s=0.001,
             backoff_max_s=0.01,

@@ -70,15 +70,7 @@ def _add_analyze_parser(subparsers) -> None:
         "--workers",
         type=int,
         default=None,
-        help="fleet-executor worker count (default auto; 0/1 forces serial)",
-    )
-    p.add_argument(
-        "--supervise",
-        action="store_true",
-        help=(
-            "arm fleet supervision: per-chunk deadlines, worker restart"
-            " with backoff, partial-result salvage (see docs/RELIABILITY.md)"
-        ),
+        help="transform thread count (default auto; 0/1 forces serial)",
     )
     p.add_argument(
         "--checkpoint",
@@ -252,7 +244,7 @@ def _cmd_analyze(args, out) -> int:
     from repro.analysis.engine import EngineConfig, VibrationAnalysisEngine
     from repro.analysis.reporting import render_report
     from repro.core.pipeline import PipelineConfig
-    from repro.runtime import RuntimeProfile, SupervisionPolicy
+    from repro.runtime import RuntimeProfile
     from repro.runtime.checkpoint import MANIFEST_NAME, RowJournal
     from repro.storage.api import AnalysisPeriod, DataRetrievalAPI
     from repro.storage.database import VibrationDatabase
@@ -284,7 +276,6 @@ def _cmd_analyze(args, out) -> int:
         config = EngineConfig(
             pipeline=PipelineConfig(moving_average_window=args.moving_average),
             max_workers=args.workers,
-            supervision=SupervisionPolicy() if args.supervise else None,
             checkpoint_dir=checkpoint_dir,
         )
     except ValueError as exc:

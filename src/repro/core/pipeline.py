@@ -19,8 +19,8 @@ The pipeline mirrors the paper's layer stack:
 Inputs are plain arrays so the pipeline is independent of the storage
 layer; ``repro.analysis.engine`` binds it to the database-backed retrieval
 API.  Every layer runs through the batched kernels of
-:mod:`repro.runtime.batch` and the per-pump RUL chains fan out across a
-:class:`~repro.runtime.fleet.FleetExecutor`; the results are bit-identical
+:mod:`repro.runtime.batch` and the per-pump RUL chains run in line through
+a :class:`~repro.runtime.fleet.FleetExecutor`; the results are bit-identical
 to the scalar per-row oracle in ``tests/reference/`` (DESIGN.md, "The
 bit-identity contract").
 """
@@ -1004,7 +1004,7 @@ class AnalysisPipeline:
         with profile.stage("predict_rul", int(np.unique(ids).size)):
             # Work items are built in np.unique(ids) order and map_pumps
             # preserves submission order, so the dict iterates pumps in
-            # sorted order whatever the executor's width.
+            # sorted order.
             rul: dict[object, RULPrediction] = {}
             if estimator.n_models:
                 items = []

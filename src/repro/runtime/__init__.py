@@ -9,8 +9,8 @@ the pieces this package provides:
 * :class:`~repro.runtime.checkpoint.RowJournal` — the row memo on disk,
   behind ``repro analyze --checkpoint/--resume``;
 * :class:`~repro.runtime.fleet.FleetExecutor` — per-pump RUL and
-  diagnosis chains fanned across worker threads with chunked scheduling
-  and deterministic result ordering;
+  diagnosis chains run in line, in submission order, with optional
+  chaos supervision;
 * :mod:`repro.runtime.cache` — the row digests that key the pipeline's
   one row memo (transform outputs and harmonic peaks per row, so a
   rolling refresh transforms and extracts only its new rows), and the
@@ -28,7 +28,6 @@ from repro.runtime.fleet import (
     SupervisionExhaustedError,
     SupervisionPolicy,
     SupervisionReport,
-    WorkerKilledError,
 )
 from repro.runtime.profile import RuntimeProfile, StageStats
 
@@ -42,6 +41,5 @@ __all__ = [
     "SupervisionExhaustedError",
     "SupervisionPolicy",
     "SupervisionReport",
-    "WorkerKilledError",
     "default_model_fit_cache",
 ]

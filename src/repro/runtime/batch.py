@@ -132,11 +132,12 @@ class RowTransformer:
     A batch's tiles spread over ``workers`` threads (``0``/``1`` is
     serial) in contiguous ranges aligned to :data:`TRANSFORM_TILE_ROWS`;
     the threads come from one pool, made on first use and shut down by
-    :meth:`close`, not one pool per batch.  The threads bypass any
-    :class:`~repro.runtime.fleet.FleetExecutor`, so its fault injection,
-    supervision tally and ``last_backend`` never see transform tiles.
-    Every op is row-local, so the bytes depend on neither the batch
-    boundaries nor the thread that ran a range.
+    :meth:`close`, not one pool per batch.  This is the only thread
+    pool: the tiles bypass the in-line
+    :class:`~repro.runtime.fleet.FleetExecutor`, so its fault injection
+    and supervision tally never see them.  Every op is row-local, so the
+    bytes depend on neither the batch boundaries nor the thread that ran
+    a range.
 
     With a :class:`~repro.runtime.checkpoint.RowJournal`, the finite
     rows are appended to it in segments of at most

@@ -4,8 +4,8 @@ A :class:`RuntimeProfile` collects named stage timings (with item counts)
 and scalar counters while an engine run executes, then renders them as an
 aligned text report — the measurement surface behind ``repro analyze
 --profile``.  Recording is cheap (one ``perf_counter`` pair per stage
-entry) and thread-safe, so :class:`~repro.runtime.fleet.FleetExecutor`
-workers can report into the same profile.
+entry) and thread-safe, so code running on worker threads may report
+into the same profile.
 """
 
 from __future__ import annotations

@@ -76,14 +76,15 @@ def test_fault_free_transport_stores_everything(reference, fleet_dataset):
     assert reference.transport.failed == 0
 
 
-# Threads are the only pooled path; the parameter keeps the case's id.
-@pytest.mark.parametrize("backend", ["thread"])
+@pytest.mark.parametrize("workers", [0, 2], ids=["serial", "thread"])
 def test_supervised_zero_fault_is_byte_identical(
-    reference, scenario, fleet_dataset, backend
+    reference, scenario, fleet_dataset, workers
 ):
     """Arming supervision must be invisible when nothing goes wrong:
-    same chunk boundaries, same assembly order, byte-identical report."""
-    supervised = replace(scenario, max_workers=2, supervision=SupervisionPolicy())
+    same assembly order, byte-identical report, at every worker count."""
+    supervised = replace(
+        scenario, max_workers=workers, supervision=SupervisionPolicy()
+    )
     result = run_chaos_scenario(ZERO_FAULTS, supervised, dataset=fleet_dataset)
     assert result.failure is None
     assert result.text == reference.text

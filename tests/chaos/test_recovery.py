@@ -23,14 +23,14 @@ from tests.chaos.conftest import chaos_seed
 pytestmark = pytest.mark.chaos
 
 #: Kill storm: enough pressure that restarts fire under every seed
-#: (8 fan-out chunks at p=0.6 leave ~0.07% odds of a quiet run), with a
+#: (4 fan-out chunks at p=0.6 leave ~2.6% odds of a quiet run), with a
 #: restart budget that makes abandonment numerically impossible.
 KILL_STORM = FaultPlan(
     "kill-storm", seed=0, specs=(FaultSpec(FLEET_WORKER_KILL, "kill", 0.6),)
 )
 
 FAST_SUPERVISION = SupervisionPolicy(
-    chunk_deadline_s=None, max_restarts=40, backoff_base_s=0.0, backoff_max_s=0.0
+    max_restarts=40, backoff_base_s=0.0, backoff_max_s=0.0
 )
 
 
@@ -85,6 +85,23 @@ def test_worker_kills_restart_and_output_stays_bit_identical(
     # Restarted chunks recompute the same floats: everything except the
     # supervision tally is byte-identical to the fault-free reference.
     assert _strip_supervision(result.text) == reference.text
+
+
+def test_worker_carnage_report_does_not_depend_on_worker_count(
+    scenario, fleet_dataset
+):
+    """Kill and hang draws follow the fixed chunking, not the thread
+    count: the report bytes and the supervision tally match."""
+    plan = BUILTIN_PLANS["worker-carnage"].with_seed(chaos_seed())
+    serial, threaded = (
+        run_chaos_scenario(
+            plan, replace(scenario, max_workers=workers), dataset=fleet_dataset
+        )
+        for workers in (0, 2)
+    )
+    assert serial.failure is None and threaded.failure is None
+    assert threaded.text == serial.text
+    assert threaded.supervision.as_dict() == serial.supervision.as_dict()
 
 
 def test_blob_corruption_quarantines_and_survivors_stay_bit_identical(

@@ -128,8 +128,22 @@ class TestTransformParity:
             fresh_batch().transform(short)
 
 
+class CountingInjector:
+    """Duck-typed fault injector that fires nothing and records each draw."""
+
+    def __init__(self):
+        self.draws: list[str] = []
+
+    def delay_s(self, point):
+        self.draws.append(point)
+        return 0.0
+
+    def maybe_fail(self, point):
+        self.draws.append(point)
+
+
 class TestThreadedTransformParity:
-    """The transform spreads its tiles over the executor's threads;
+    """The transform spreads its tiles over ``max_workers`` threads;
     every op is row-local, so the bytes never depend on it."""
 
     @staticmethod
@@ -140,13 +154,15 @@ class TestThreadedTransformParity:
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
     def test_bit_identical_to_reference(self, workers, n):
         blocks = self.rows(n)
-        executor = FleetExecutor(max_workers=workers)
-        outputs, psd = kernel(blocks, executor)
+        injector = CountingInjector()
+        outputs, psd = kernel(
+            blocks, FleetExecutor(max_workers=workers, injector=injector)
+        )
         assert psd.shape == (n, 64)
         for ref, got in zip(features_reference(blocks), (*outputs, psd)):
             assert np.array_equal(ref, got)
-        # Transform tiles bypass the executor's map and its bookkeeping.
-        assert executor.last_backend is None
+        # Transform tiles bypass the executor's map and its fault draws.
+        assert injector.draws == []
 
     def test_non_finite_row_in_last_tile_raises(self):
         blocks = self.rows(1000)

@@ -1,8 +1,8 @@
 """Determinism guarantees of the runtime layer.
 
-The fleet executor's contract is that parallel execution is invisible:
-for the same seeded database, the production engine — serial, threaded
-or supervised — must render the *byte-identical* operator report the
+The runtime's contract is that its execution modes are invisible: for
+the same seeded database, the production engine — serial, threaded
+transform or supervised fan-out — must render the *byte-identical* operator report the
 scalar oracle engine (``tests/reference/``) renders, and repeated runs
 of the same engine must agree with themselves.
 """
@@ -15,7 +15,7 @@ import pytest
 from repro.analysis.engine import EngineConfig, VibrationAnalysisEngine
 from repro.analysis.reporting import render_report
 from repro.core.pipeline import PipelineConfig
-from repro.runtime import RuntimeProfile, SupervisionPolicy
+from repro.runtime import FleetExecutor, RuntimeProfile, SupervisionPolicy
 from repro.storage.api import AnalysisPeriod, DataRetrievalAPI
 from repro.storage.database import VibrationDatabase
 from tests.reference.engine import ReferenceEngine
@@ -33,7 +33,7 @@ def seeded_api(small_fleet):
     db.close()
 
 
-def engine_for(api, *, batch: bool, workers: int | None = None, **config):
+def engine_for(api, *, batch: bool, workers: int | None = None, **kwargs):
     """The production engine, or with ``batch=False`` the oracle engine."""
     engine_cls = VibrationAnalysisEngine if batch else ReferenceEngine
     return engine_cls(
@@ -42,8 +42,8 @@ def engine_for(api, *, batch: bool, workers: int | None = None, **config):
             pipeline=PipelineConfig(ransac_min_inliers=25),
             rotation_hz=29.0,
             max_workers=workers,
-            **config,
         ),
+        **kwargs,
     )
 
 
@@ -55,9 +55,8 @@ class TestReportDeterminism:
 
     def test_supervised_report_matches_oracle(self, seeded_api):
         oracle_text = render_report(engine_for(seeded_api, batch=False).run())
-        report = engine_for(
-            seeded_api, batch=True, workers=2, supervision=SupervisionPolicy()
-        ).run()
+        executor = FleetExecutor(max_workers=2, supervision=SupervisionPolicy())
+        report = engine_for(seeded_api, batch=True, executor=executor).run()
         assert report.supervision is not None
         assert render_report(report) == oracle_text
 

@@ -10,7 +10,7 @@ import pytest
 from repro.core.pipeline import AnalysisPipeline
 from repro.runtime import FleetExecutor, RuntimeProfile
 from repro.runtime.cache import array_digest, row_digests
-from repro.runtime.fleet import resolve_workers
+from repro.runtime.fleet import CHUNKS_PER_MAP, _chunks, resolve_workers
 
 
 class TestFleetExecutor:
@@ -20,12 +20,6 @@ class TestFleetExecutor:
         assert resolve_workers(None) >= 1
         with pytest.raises(ValueError):
             resolve_workers(-1)
-
-    def test_map_ordered_serial_and_threaded_agree(self):
-        items = list(range(37))
-        serial = FleetExecutor(max_workers=1).map_ordered(lambda x: x * x, items)
-        threaded = FleetExecutor(max_workers=4).map_ordered(lambda x: x * x, items)
-        assert serial == threaded == [x * x for x in items]
 
     def test_map_ordered_empty(self):
         assert FleetExecutor(max_workers=4).map_ordered(lambda x: x, []) == []
@@ -37,13 +31,14 @@ class TestFleetExecutor:
             return x
 
         with pytest.raises(RuntimeError, match="pump 5"):
-            FleetExecutor(max_workers=3, chunk_size=2).map_ordered(boom, range(10))
+            FleetExecutor(max_workers=3).map_ordered(boom, range(10))
 
     def test_chunking_covers_all_items_exactly_once(self):
-        executor = FleetExecutor(max_workers=3, chunk_size=4)
-        chunks = executor._chunks(11)
-        flattened = [i for chunk in chunks for i in chunk]
-        assert flattened == list(range(11))
+        for n in (1, 3, 4, 11, 12):
+            chunks = _chunks(n)
+            flattened = [i for chunk in chunks for i in chunk]
+            assert flattened == list(range(n))
+            assert len(chunks) <= CHUNKS_PER_MAP
 
     def test_map_pumps_preserves_insertion_order(self):
         items = [(pump, pump * 10) for pump in (7, 3, 9, 1)]
@@ -51,17 +46,12 @@ class TestFleetExecutor:
         assert list(result.keys()) == [7, 3, 9, 1]
         assert result[9] == 91
 
-    def test_threaded_execution_actually_uses_multiple_threads(self):
-        seen: set[str] = set()
-        barrier = threading.Barrier(2, timeout=5)
-
-        def record(_):
-            seen.add(threading.current_thread().name)
-            barrier.wait()
-            return None
-
-        FleetExecutor(max_workers=2, chunk_size=1).map_ordered(record, range(2))
-        assert len(seen) == 2
+    def test_map_runs_on_the_callers_thread(self):
+        caller = threading.get_ident()
+        seen = FleetExecutor(max_workers=4).map_ordered(
+            lambda _: threading.get_ident(), range(8)
+        )
+        assert set(seen) == {caller}
 
 
 class TestTransformCache:

@@ -1,10 +1,11 @@
-"""Fleet supervision: deadlines, restarts, salvage, and parity.
+"""Fleet supervision: restarts, in-line hangs, salvage, and parity.
 
-The self-healing execution path must be invisible when nothing goes
-wrong (bit-identical output, zero tallied activity) and must recover —
-restart with backoff, salvage, or fail loudly per policy — when workers
-die or hang.  Faults are drawn parent-side through a scripted duck-typed
-injector so every scenario is deterministic.
+The supervised path must be invisible when nothing goes wrong
+(bit-identical output, zero tallied activity, no sleeping) and must
+recover — restart with backoff, salvage, or fail loudly per policy —
+when chunks die or hang.  Faults come from a scripted duck-typed
+injector so every scenario is deterministic.  A map of ``n`` items runs
+as chunks of ``ceil(n / 4)`` items at every worker count.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from collections import deque
 
 import pytest
 
+import repro.runtime.fleet as fleet_mod
 from repro.runtime.fleet import (
     ABANDONED,
     FleetExecutor,
@@ -33,8 +35,8 @@ FAST = SupervisionPolicy(backoff_base_s=0.0, backoff_max_s=0.0)
 class ScriptedFaults:
     """Duck-typed injector with a scripted kill/hang stream.
 
-    ``kills`` / ``hangs`` are consumed one entry per chunk submission, in
-    submission order; exhausted scripts mean "no fault".
+    ``kills`` / ``hangs`` are consumed one entry per chunk attempt, in
+    order; exhausted scripts mean "no fault".
     """
 
     def __init__(self, kills=(), hangs=()):
@@ -57,25 +59,35 @@ class TestZeroInterventionParity:
     @pytest.mark.parametrize("workers", [0, 3])
     def test_supervised_output_matches_unsupervised(self, workers):
         items = list(range(37))
-        plain = FleetExecutor(max_workers=workers, chunk_size=4)
-        supervised = FleetExecutor(
-            max_workers=workers, chunk_size=4, supervision=FAST
-        )
+        plain = FleetExecutor(max_workers=workers)
+        supervised = FleetExecutor(max_workers=workers, supervision=FAST)
         assert supervised.map_ordered(double, items) == plain.map_ordered(
             double, items
         )
         assert not supervised.supervision_report.has_activity
-        assert supervised.supervision_report.chunks == 10
+        assert supervised.supervision_report.chunks == 4
 
     def test_unsupervised_executor_has_no_report(self):
         assert FleetExecutor(max_workers=2).supervision_report is None
+
+    def test_policy_without_injector_never_sleeps(self, monkeypatch):
+        """A policy alone arms nothing: no fault is drawn, so no hang or
+        backoff sleep can happen, and the result is the plain map's."""
+        sleeps = []
+        monkeypatch.setattr(fleet_mod.time, "sleep", sleeps.append)
+        items = [(pump, pump * 10) for pump in (7, 3, 9, 1, 5)]
+        plain = FleetExecutor(max_workers=2).map_pumps(double, items)
+        supervised = FleetExecutor(max_workers=2, supervision=SupervisionPolicy())
+        assert supervised.map_pumps(double, items) == plain
+        assert list(plain) == [7, 3, 9, 1, 5]
+        assert sleeps == []
+        assert not supervised.supervision_report.has_activity
 
 
 class TestRestarts:
     def test_serial_restarts_killed_chunks(self):
         ex = FleetExecutor(
             max_workers=0,
-            chunk_size=2,
             injector=ScriptedFaults(kills=[1, 0, 1]),
             supervision=FAST,
         )
@@ -85,59 +97,37 @@ class TestRestarts:
         assert report.restarts == 2
         assert report.abandoned_chunks == 0
 
-    def test_thread_pool_restarts_killed_chunks(self):
+    def test_restarts_do_not_depend_on_worker_count(self):
+        """The chunking, and so the fault draws, ignore ``max_workers``."""
+        items = list(range(12))
+        tallies = []
+        for workers in (0, 1, 2, 4):
+            ex = FleetExecutor(
+                max_workers=workers,
+                injector=ScriptedFaults(kills=[0, 1, 1, 0, 1]),
+                supervision=FAST,
+            )
+            assert ex.map_ordered(double, items) == [double(x) for x in items]
+            tallies.append(ex.supervision_report.as_dict())
+        assert tallies[0]["chunks"] == 4 and tallies[0]["restarts"] == 3
+        assert all(tally == tallies[0] for tally in tallies)
+
+    def test_hang_stalls_the_chunk_in_line(self, monkeypatch):
+        """A hang is a capped stall before the chunk runs; nothing is
+        restarted and ``hung_chunks`` stays 0."""
+        sleeps = []
+        monkeypatch.setattr(fleet_mod.time, "sleep", sleeps.append)
         ex = FleetExecutor(
             max_workers=2,
-            chunk_size=3,
-            injector=ScriptedFaults(kills=[1, 1]),
+            injector=ScriptedFaults(hangs=[0.5, 0.0, 60.0]),
             supervision=FAST,
         )
-        items = list(range(12))
-        assert ex.map_ordered(double, items) == [double(x) for x in items]
-        assert ex.supervision_report.worker_deaths == 2
-        assert ex.supervision_report.restarts == 2
-
-    def test_hung_chunk_is_deadlined_and_restarted(self):
-        policy = SupervisionPolicy(
-            chunk_deadline_s=0.15,
-            poll_interval_s=0.02,
-            backoff_base_s=0.0,
-            backoff_max_s=0.0,
-        )
-        ex = FleetExecutor(
-            max_workers=2,
-            chunk_size=4,
-            injector=ScriptedFaults(hangs=[0.6]),
-            supervision=policy,
-        )
         items = list(range(8))
         assert ex.map_ordered(double, items) == [double(x) for x in items]
-        assert ex.supervision_report.hung_chunks == 1
-        assert ex.supervision_report.restarts == 1
-
-    def test_restart_queued_behind_hung_threads_is_not_deadlined(self):
-        """Both threads sleep out their hangs after being deadlined, so
-        the fault-free restarts wait for a thread; their deadline runs
-        from when they start, not from when they were queued."""
-        policy = SupervisionPolicy(
-            chunk_deadline_s=0.15,
-            poll_interval_s=0.02,
-            backoff_base_s=0.0,
-            backoff_max_s=0.0,
-            max_restarts=2,
-        )
-        ex = FleetExecutor(
-            max_workers=2,
-            chunk_size=4,
-            injector=ScriptedFaults(hangs=[1.0, 1.0]),
-            supervision=policy,
-        )
-        items = list(range(8))
-        assert ex.map_ordered(double, items) == [double(x) for x in items]
+        assert sleeps == [0.5, fleet_mod.MAX_INJECTED_HANG_S]
         report = ex.supervision_report
-        assert report.hung_chunks == 2
-        assert report.restarts == 2
-        assert report.abandoned_chunks == 0
+        assert report.chunks == 4
+        assert not report.has_activity
 
 
 class TestExhaustion:
@@ -147,16 +137,15 @@ class TestExhaustion:
         )
         ex = FleetExecutor(
             max_workers=0,
-            chunk_size=2,
             injector=ScriptedFaults(kills=[1] * 100),
             supervision=policy,
         )
-        out = ex.map_ordered(double, list(range(4)))
-        assert out == [ABANDONED] * 4
+        out = ex.map_ordered(double, list(range(8)))
+        assert out == [ABANDONED] * 8
         report = ex.supervision_report
-        assert report.abandoned_chunks == 2
-        assert report.abandoned_items == 4
-        assert report.worker_deaths == 6  # 2 chunks x (1 + 2 restarts)
+        assert report.abandoned_chunks == 4
+        assert report.abandoned_items == 8
+        assert report.worker_deaths == 12  # 4 chunks x (1 + 2 restarts)
 
     def test_partial_salvage_keeps_surviving_chunks(self):
         policy = SupervisionPolicy(
@@ -165,7 +154,6 @@ class TestExhaustion:
         # Chunk 0 dies twice (abandoned); chunks 1 and 2 run clean.
         ex = FleetExecutor(
             max_workers=0,
-            chunk_size=2,
             injector=ScriptedFaults(kills=[1, 1]),
             supervision=policy,
         )
@@ -179,7 +167,6 @@ class TestExhaustion:
         )
         ex = FleetExecutor(
             max_workers=0,
-            chunk_size=8,
             injector=ScriptedFaults(kills=[1] * 10),
             supervision=policy,
         )
@@ -192,7 +179,6 @@ class TestExhaustion:
         )
         ex = FleetExecutor(
             max_workers=0,
-            chunk_size=1,
             injector=ScriptedFaults(kills=[0, 1, 0]),
             supervision=policy,
         )
@@ -210,11 +196,9 @@ class TestPolicyAndReport:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"chunk_deadline_s": 0.0},
-            {"chunk_deadline_s": -1.0},
             {"max_restarts": -1},
             {"backoff_base_s": -0.1},
-            {"poll_interval_s": 0.0},
+            {"backoff_max_s": -0.1},
         ],
     )
     def test_policy_validation(self, kwargs):
