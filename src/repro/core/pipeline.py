@@ -572,8 +572,10 @@ class AnalysisPipeline:
         shrinks to them with ``ndarray.resize``: a realloc, so no second
         copy is held and the freed rows go back to the allocator (a
         numpy buffer cannot be grown that way without a copy, so parts
-        never grow).  Parts left under :data:`MERGED_PSD_ROWS` rows are
-        merged into one.
+        never grow).  When ``resize`` refuses — a trace or profile hook's
+        frame snapshot holds another reference to the part — the kept
+        rows are copied instead.  Parts left under
+        :data:`MERGED_PSD_ROWS` rows are merged into one.
         """
         wanted = set(keys)
         kept: list[list] = [[] for _ in self._psd_parts]
@@ -595,7 +597,10 @@ class AnalysisPipeline:
                 # at[i] >= i, so a tile reads no row an earlier tile wrote.
                 src = at[lo : lo + tile]
                 psd[lo : lo + src.size] = psd[src]
-            psd.resize((at.size, psd.shape[1]))
+            try:
+                psd.resize((at.size, psd.shape[1]))
+            except ValueError:
+                psd = psd[: at.size].copy()
             trimmed.append((psd, [key for _, key in rows]))
         small = [part for part in trimmed if len(part[1]) < MERGED_PSD_ROWS]
         if len(small) > 1:

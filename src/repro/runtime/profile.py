@@ -4,13 +4,12 @@ A :class:`RuntimeProfile` collects named stage timings (with item counts)
 and scalar counters while an engine run executes, then renders them as an
 aligned text report — the measurement surface behind ``repro analyze
 --profile``.  Recording is cheap (one ``perf_counter`` pair per stage
-entry) and thread-safe, so code running on worker threads may report
-into the same profile.
+entry) and unlocked: every recorder runs on the engine's thread, and
+worker threads never receive the profile.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -54,7 +53,6 @@ class RuntimeProfile:
 
     stages: dict[str, StageStats] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @contextmanager
     def stage(self, name: str, items: int = 0):
@@ -74,18 +72,16 @@ class RuntimeProfile:
         """Record ``seconds`` of wall-clock (and ``items`` processed)."""
         if seconds < 0:
             raise ValueError("seconds must be non-negative")
-        with self._lock:
-            stats = self.stages.get(name)
-            if stats is None:
-                stats = self.stages[name] = StageStats(name)
-            stats.calls += 1
-            stats.seconds += seconds
-            stats.items += items
+        stats = self.stages.get(name)
+        if stats is None:
+            stats = self.stages[name] = StageStats(name)
+        stats.calls += 1
+        stats.seconds += seconds
+        stats.items += items
 
     def count(self, name: str, n: int = 1) -> None:
         """Increment a scalar counter (cache hits, worker chunks, ...)."""
-        with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + n
+        self.counters[name] = self.counters.get(name, 0) + n
 
     def add_supervision(self, delta: dict[str, int]) -> None:
         """Fold a fleet supervision tally into the counters.
@@ -110,19 +106,18 @@ class RuntimeProfile:
 
     def as_dict(self) -> dict:
         """Plain-dict snapshot (for JSON export and tests)."""
-        with self._lock:
-            return {
-                "stages": {
-                    name: {
-                        "calls": s.calls,
-                        "seconds": s.seconds,
-                        "items": s.items,
-                        "items_per_second": s.items_per_second,
-                    }
-                    for name, s in self.stages.items()
-                },
-                "counters": dict(self.counters),
-            }
+        return {
+            "stages": {
+                name: {
+                    "calls": s.calls,
+                    "seconds": s.seconds,
+                    "items": s.items,
+                    "items_per_second": s.items_per_second,
+                }
+                for name, s in self.stages.items()
+            },
+            "counters": dict(self.counters),
+        }
 
     def report(self) -> str:
         """Aligned text table of stages (insertion order) and counters."""

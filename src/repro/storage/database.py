@@ -62,7 +62,8 @@ CREATE TABLE IF NOT EXISTS measurements (
     digest BLOB,
     PRIMARY KEY (pump_id, measurement_id)
 );
-CREATE INDEX IF NOT EXISTS idx_measurements_time ON measurements (timestamp_day);
+CREATE INDEX IF NOT EXISTS idx_measurements_window
+    ON measurements (timestamp_day, pump_id, measurement_id);
 CREATE TABLE IF NOT EXISTS labels (
     pump_id INTEGER NOT NULL,
     measurement_id INTEGER NOT NULL,
@@ -270,16 +271,13 @@ class VibrationDatabase:
 
     File-backed databases get throughput pragmas on open: WAL journaling
     (readers never block the gateway's writes), ``synchronous=NORMAL``
-    (safe under WAL), memory-mapped I/O for the BLOB-heavy measurement
-    table, and in-memory temp stores.  In-memory databases skip them —
-    WAL and mmap are meaningless without a file.  File-backed opens also
+    (safe under WAL) and in-memory temp stores; BLOBs are read through
+    SQLite's page cache, with no file map.  In-memory databases skip
+    them — WAL is meaningless without a file.  File-backed opens also
     run an integrity probe (``PRAGMA quick_check``) so structural
     corruption surfaces as :class:`DatabaseCorruptionError` at open time
     rather than as a random operational failure mid-run.
     """
-
-    #: Bytes of the database file to memory-map (pragma ``mmap_size``).
-    MMAP_BYTES = 256 * 1024 * 1024
 
     def __init__(self, path: str = ":memory:"):
         self.path = path
@@ -289,7 +287,6 @@ class VibrationDatabase:
             self._quick_check()
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.execute(f"PRAGMA mmap_size={self.MMAP_BYTES}")
             self._conn.execute("PRAGMA temp_store=MEMORY")
         self._conn.executescript(_SCHEMA)
         self._migrate()
@@ -326,8 +323,10 @@ class VibrationDatabase:
         ``measurements`` when missing.  Legacy rows keep ``NULL`` until
         rewritten by an ``INSERT OR REPLACE``: a ``NULL`` checksum skips
         verification, and a ``NULL`` digest is hashed from the BLOB on
-        read.
+        read.  Drops the time-only index of older builds: the schema's
+        ``idx_measurements_window`` serves every query it did.
         """
+        self._conn.execute("DROP INDEX IF EXISTS idx_measurements_time")
         columns = {
             row[1] for row in self._conn.execute("PRAGMA table_info(measurements)")
         }

@@ -12,6 +12,7 @@ same window.
 from __future__ import annotations
 
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -424,6 +425,38 @@ def test_diagnosing_engine_keeps_the_psd_rows_diagnosis_reads(refresh_db):
         assert kept == kept_psd_keys(report, api, row_keys(db))
         assert profile.counters["psd_rows_kept"] == len(kept) < n
     assert report.pipeline.psd_rows.tolist() == zone_a_rows(report, api)
+
+
+@pytest.mark.parametrize(
+    "set_hook, get_hook",
+    [(sys.settrace, sys.gettrace), (sys.setprofile, sys.getprofile)],
+    ids=["settrace", "setprofile"],
+)
+def test_diagnosing_engine_runs_under_a_trace_or_profile_hook(
+    refresh_db, set_hook, get_hook
+):
+    """A trace or profile hook (pdb, cProfile, coverage) snapshots each
+    frame's locals, an extra reference to the PSD part ``retain_psd``
+    trims.  A cold run and a refresh under the hook must render the
+    same report and keep the same PSD rows as without it."""
+    db, held = refresh_db
+    db.measurements.add_many(m for m in held if m.timestamp_day < T0 + DELTA)
+
+    def run(hook):
+        api = DataRetrievalAPI(db, AnalysisPeriod(0.0, T0))
+        engine = VibrationAnalysisEngine(api, CONFIG)
+        previous = get_hook()
+        set_hook(hook)
+        try:
+            texts = [render_report(engine.run())]
+            api.advance(DELTA)
+            texts.append(render_report(engine.run()))
+        finally:
+            set_hook(previous)
+        assert "DIAGNOSIS" in texts[-1]
+        return texts, list(engine._pipeline.psd_keys)
+
+    assert run(lambda *args: None) == run(None)
 
 
 def test_zone_a_label_added_to_a_memoised_row_matches_a_fresh_engine(

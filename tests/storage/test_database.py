@@ -339,7 +339,7 @@ class TestStreamedQueryArrays:
 
 
 class TestConnectionPragmas:
-    def test_file_backed_uses_wal_and_mmap(self, tmp_path):
+    def test_file_backed_uses_wal_without_a_file_map(self, tmp_path):
         with VibrationDatabase(str(tmp_path / "vibes.db")) as database:
             conn = database._conn
             (mode,) = conn.execute("PRAGMA journal_mode").fetchone()
@@ -347,13 +347,72 @@ class TestConnectionPragmas:
             (sync,) = conn.execute("PRAGMA synchronous").fetchone()
             assert sync == 1  # NORMAL
             (mmap,) = conn.execute("PRAGMA mmap_size").fetchone()
-            assert mmap == VibrationDatabase.MMAP_BYTES
+            assert mmap == 0
 
     def test_in_memory_skips_wal(self):
         with VibrationDatabase() as database:
             assert database.in_memory
             (mode,) = database._conn.execute("PRAGMA journal_mode").fetchone()
             assert mode.lower() != "wal"
+
+
+def _measurement_indexes(db) -> list[str]:
+    return [
+        name
+        for (name,) in db._conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'index'"
+            " AND tbl_name = 'measurements' AND sql IS NOT NULL"
+        )
+    ]
+
+
+class TestWindowIndex:
+    def test_window_reads_walk_the_window_index_without_a_sort(self, db):
+        db.measurements.add_many(
+            make_measurement(pump=p, mid=m, day=m / 4, seed=m)
+            for p in range(3)
+            for m in range(8)
+        )
+        statements = []
+        db._conn.set_trace_callback(statements.append)
+        db.measurements.query_arrays(0.0, 1.5)
+        db.measurements.query(0.0, 1.5)
+        db._conn.set_trace_callback(None)
+        window = [sql for sql in statements if "ORDER BY timestamp_day" in sql]
+        assert len(window) == 2
+        for sql in window:
+            plan = " ".join(
+                row[-1] for row in db._conn.execute("EXPLAIN QUERY PLAN " + sql)
+            )
+            assert "idx_measurements_window" in plan
+            assert "TEMP B-TREE" not in plan
+
+    def test_legacy_time_index_is_replaced_on_open(self, tmp_path):
+        fresh, legacy = str(tmp_path / "fresh.db"), str(tmp_path / "legacy.db")
+        for path in (fresh, legacy):
+            with VibrationDatabase(path) as db:
+                # Equal timestamps across pumps: only the index's later
+                # columns order them.
+                db.measurements.add_many(
+                    make_measurement(pump=p, mid=m, day=float(m // 2), seed=10 * p + m)
+                    for p in (2, 0, 1)
+                    for m in range(6)
+                )
+        with VibrationDatabase(legacy) as db:
+            db._conn.executescript(
+                "DROP INDEX idx_measurements_window;"
+                " CREATE INDEX idx_measurements_time ON measurements (timestamp_day);"
+            )
+            assert _measurement_indexes(db) == ["idx_measurements_time"]
+        with VibrationDatabase(fresh) as db:
+            expected = db.measurements.query_arrays()
+        with VibrationDatabase(legacy) as db:
+            assert _measurement_indexes(db) == ["idx_measurements_window"]
+            got = db.measurements.query_arrays()
+        assert got.row_keys == expected.row_keys
+        assert np.array_equal(got.pump_ids, expected.pump_ids)
+        assert np.array_equal(got.measurement_ids, expected.measurement_ids)
+        assert got.samples.tobytes() == expected.samples.tobytes()
 
 
 class TestLabelStore:
